@@ -32,7 +32,7 @@
 //!   token-level scanner over the workspace's own `src/` trees enforcing
 //!   project rules clippy cannot express (nondeterminism primitives in
 //!   solver paths, float `==`/`!=` outside the tolerance helpers, lock
-//!   acquisitions inside the multistart drain-lock critical section,
+//!   acquisitions inside an admission-queue shard critical section,
 //!   telemetry reads feeding solver control flow). Files are lexed by
 //!   [`lex`] — a hand-rolled std-only Rust lexer — so comments and
 //!   string literals can neither create false findings nor mask real

@@ -383,7 +383,7 @@ fn decl_name_before(t: &[Tok], ty_idx: usize) -> Option<String> {
             || (tok.kind == Kind::Ident
                 && matches!(
                     tok.text.as_str(),
-                    "Arc" | "Box" | "std" | "sync" | "parking_lot" | "crate" | "ranked" | "super"
+                    "Arc" | "Box" | "std" | "sync" | "crate" | "ranked" | "super"
                 ));
         if skip {
             continue;

@@ -2,7 +2,7 @@
 //! express.
 //!
 //! The scanner walks the workspace's own `src/` trees (vendored compat
-//! crates are skipped — they mimic third-party APIs) and enforces seven
+//! crates are skipped — they mimic third-party APIs) and enforces six
 //! rules, each born from a real incident class in this repository:
 //!
 //! * **`nondeterminism`** — no `SystemTime` / `thread::sleep` in solver
@@ -12,12 +12,8 @@
 //! * **`float-eq`** — no float `==` / `!=` outside the approved
 //!   tolerance helpers (`crates/numerics/src/float.rs`). Exact float
 //!   comparison is how the NaN basin-seeding bug of PR 3 slipped in.
-//! * **`lock-in-drain`** — no lock acquisition while a multistart
-//!   drain-lock guard is live (a binding of `drain.lock()`). The PR 3
-//!   early-stop cutoff race came from exactly this nesting class.
-//! * **`lock-in-queue`** — the service-crate twin of `lock-in-drain`:
-//!   no lock acquisition while an admission-queue shard guard (a binding
-//!   of `queue.lock()`) is live. A worker popping under the shard lock
+//! * **`lock-in-queue`** — no lock acquisition while an
+//!   admission-queue shard guard (a binding of `queue.lock()`) is live. A worker popping under the shard lock
 //!   while a submitter holds the front-desk lock and pushes is the
 //!   deadlock shape this serving layer must never grow; the queue module
 //!   therefore spells out `queue.lock()` at every site (no helper) so
@@ -34,9 +30,8 @@
 //!   supervisor then dutifully retries, hiding the real error and
 //!   burning the requeue budget on a deterministic failure.
 //! * **`hash-order`** — no `HashMap`/`HashSet`/`.as_ptr(` in the LP
-//!   crate (`crates/lp/src`). Basis snapshots and warm-start tableaux
-//!   are handed between B&B nodes and across worker threads; keying or
-//!   iterating them through anything hash-seed- or address-order-
+//!   crate (`crates/lp/src`). Warm-start tableaux are handed between
+//!   B&B nodes; keying or iterating them through anything hash-seed- or address-order-
 //!   dependent would make the pivot sequence (and therefore the solved
 //!   vertex bits) vary run to run, breaking the warm/cold bit-identity
 //!   bar (DESIGN.md §14). Deterministic containers only: `Vec` indexed
@@ -72,9 +67,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The rule catalog (ids are stable; the allowlist references them).
-/// The first seven are Level 2 token rules; the last four are Level 3
+/// The first six are Level 2 token rules; the last four are Level 3
 /// concurrency-audit rules emitted by [`crate::locks`].
-pub const RULES: [(&str, &str); 11] = [
+pub const RULES: [(&str, &str); 10] = [
     (
         "nondeterminism",
         "no SystemTime/thread::sleep outside fault-injection modules",
@@ -82,10 +77,6 @@ pub const RULES: [(&str, &str); 11] = [
     (
         "float-eq",
         "no float ==/!= outside the approved tolerance helpers",
-    ),
-    (
-        "lock-in-drain",
-        "no lock acquisition inside the multistart drain-lock critical section",
     ),
     (
         "lock-in-queue",
@@ -372,24 +363,21 @@ pub fn scan_file_content(path: &str, content: &str) -> Vec<Finding> {
     let raw_lines: Vec<&str> = content.lines().collect();
     let line_toks = tokens_by_line(&lex::lex(content), raw_lines.len());
 
-    // lock-in-drain / lock-in-queue region state: Some(depth of the
-    // enclosing block) while the respective guard is live.
-    let mut drain_region: Option<i64> = None;
+    // lock-in-queue region state: Some(depth of the enclosing block)
+    // while the guard is live.
     let mut queue_region: Option<i64> = None;
     // unwrap-in-unwind region state: Some(depth at the `catch_unwind`
     // line); live while brace depth stays above it (the closure body).
     let mut unwind_region: Option<i64> = None;
     let mut depth: i64 = 0;
 
-    let lock_anchor = |name: &'static str| {
-        [
-            (Kind::Ident, name),
-            (Kind::Punct, "."),
-            (Kind::Ident, "lock"),
-            (Kind::Punct, "("),
-            (Kind::Punct, ")"),
-        ]
-    };
+    let queue_lock = [
+        (Kind::Ident, "queue"),
+        (Kind::Punct, "."),
+        (Kind::Ident, "lock"),
+        (Kind::Punct, "("),
+        (Kind::Punct, ")"),
+    ];
 
     for (idx, toks) in line_toks.iter().enumerate() {
         let line_no = idx + 1;
@@ -460,26 +448,11 @@ pub fn scan_file_content(path: &str, content: &str) -> Vec<Finding> {
             }
         }
 
-        // --- lock-in-drain ---
+        // --- lock-in-queue ---
         let depth_before = depth;
         depth += toks.iter().filter(|t| t.punct("{")).count() as i64
             - toks.iter().filter(|t| t.punct("}")).count() as i64;
         let acquires_lock = has_method_call(toks, &["lock", "read", "write", "try_lock"]);
-        if let Some(region_depth) = drain_region {
-            if depth_before < region_depth || depth < region_depth {
-                drain_region = None;
-            } else if acquires_lock {
-                push(
-                    "lock-in-drain",
-                    "lock acquisition while the drain guard is held".to_string(),
-                );
-            }
-        }
-        if drain_region.is_none() && has_seq(toks, &lock_anchor("drain")) {
-            drain_region = Some(depth_before);
-        }
-
-        // --- lock-in-queue --- (same mechanics, service-crate anchor)
         if let Some(region_depth) = queue_region {
             if depth_before < region_depth || depth < region_depth {
                 queue_region = None;
@@ -490,7 +463,7 @@ pub fn scan_file_content(path: &str, content: &str) -> Vec<Finding> {
                 );
             }
         }
-        if queue_region.is_none() && has_seq(toks, &lock_anchor("queue")) {
+        if queue_region.is_none() && has_seq(toks, &queue_lock) {
             queue_region = Some(depth_before);
         }
 
@@ -700,35 +673,6 @@ mod tests {
     fn float_eq_exempts_the_tolerance_helper_module() {
         let code = "if a == b { /* bitwise check */ }\nlet x = 1.0 == y;\n";
         assert!(scan_file_content("crates/numerics/src/float.rs", code).is_empty());
-    }
-
-    #[test]
-    fn lock_in_drain_flags_nested_acquisition() {
-        let code = "\
-fn f() {
-    let mut d = drain.lock();
-    let peek = other.lock();
-    d.push(1);
-}
-";
-        let f = scan_file_content("crates/nlsq/src/multistart.rs", code);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "lock-in-drain");
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn lock_in_drain_region_ends_with_the_scope() {
-        let code = "\
-fn f() {
-    {
-        let mut d = drain.lock();
-        d.push(1);
-    }
-    let after = other.lock();
-}
-";
-        assert!(scan_file_content("crates/nlsq/src/multistart.rs", code).is_empty());
     }
 
     #[test]
@@ -964,7 +908,7 @@ fn f() {
         let code = "\
 fn f() {
     let msg = \"retry after thread::sleep backoff\";
-    let probe = r#\"drain.lock() held too long\"#;
+    let probe = r#\"queue.lock() held too long\"#;
     let cmp = \"x == 0.0\";
     log(msg, probe, cmp);
 }
@@ -977,11 +921,11 @@ fn f() {
 
     #[test]
     fn pinned_raw_string_cannot_open_a_lock_region() {
-        // `drain.lock()` inside a raw string used to open the critical-
+        // `queue.lock()` inside a raw string used to open the critical-
         // section region, flagging the innocent lock that follows.
         let code = "\
 fn f() {
-    let doc = r#\"drain.lock()\"#;
+    let doc = r#\"queue.lock()\"#;
     let other = cache.lock();
     use_both(doc, other);
 }
@@ -995,11 +939,11 @@ fn f() {
     #[test]
     fn pinned_comment_brace_cannot_mask_a_nested_lock() {
         // The masked-finding twin: a `}` inside a comment used to
-        // unbalance the depth tracker, closing the drain region early so
+        // unbalance the depth tracker, closing the queue region early so
         // the real nested acquisition on the next line went unreported.
         let code = "\
 fn f() {
-    let mut d = drain.lock();
+    let mut d = queue.lock();
     /* } */
     let peek = other.lock();
     d.push(1);
@@ -1007,7 +951,7 @@ fn f() {
 ";
         let f = scan_file_content("crates/nlsq/src/multistart.rs", code);
         assert_eq!(f.len(), 1, "the nested lock must be reported: {f:?}");
-        assert_eq!(f[0].rule, "lock-in-drain");
+        assert_eq!(f[0].rule, "lock-in-queue");
         assert_eq!(f[0].line, 4);
     }
 

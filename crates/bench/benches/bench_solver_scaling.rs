@@ -24,29 +24,9 @@ fn bench_solver_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_tree_search(c: &mut Criterion) {
-    let sim = simulator_for(Resolution::EighthDegree, false);
-    let h = Hslb::new(&sim, HslbOptions::new(32_768));
-    let fits = h.fit(&h.gather()).expect("fit");
-
-    let mut group = c.benchmark_group("minlp_threads");
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let mut opts = HslbOptions::new(32_768);
-            opts.solver.threads = t;
-            let hp = Hslb::new(&sim, opts);
-            b.iter(|| {
-                let solved = hp.solve(&fits).expect("solve");
-                std::hint::black_box(solved.predicted_total)
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_solver_scaling, bench_parallel_tree_search
+    targets = bench_solver_scaling
 }
 criterion_main!(benches);

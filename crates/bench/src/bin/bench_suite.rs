@@ -3,7 +3,7 @@
 //! Runs the full gather → fit → solve → execute pipeline at both paper
 //! resolutions across several node budgets, with a telemetry sink
 //! attached to every layer, and writes the per-phase timings plus solver
-//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v8`,
+//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v9`,
 //! documented in DESIGN.md §8; fast-path design in §10, audit gate in
 //! §11, service in §12, supervision/recovery in §13, warm-started dual
 //! simplex in §14, connection-scale serving in §15). v4 added the
@@ -30,8 +30,8 @@
 //!
 //! v6 adds the solver warm-start instrumentation: a top-level
 //! `warm_start` boolean, a per-scenario `solver.warm_start` block
-//! (resolves answered on the live tableau, cold fallbacks, pool cuts
-//! retired by incumbent-slack aging), and a `--no-warm-start` flag that
+//! (resolves answered on the live tableau, cold fallbacks), and a
+//! `--no-warm-start` flag that
 //! runs the suite with the dual-simplex warm path disabled for A/B
 //! comparison — the incumbents must be bit-identical either way (the
 //! check.sh gate compares them), only the work counters may differ. The
@@ -57,6 +57,9 @@
 //! exact solves it ranked, the sweep wall-clock vs the Σ-one-shot
 //! estimate, and each resolution's winner plus Pareto frontier — and a
 //! `fit_cache` accounting block inside the service block.
+//!
+//! v9 drops `solver.warm_start.cuts_retired` with the cut-pool aging it
+//! counted (0 on every scenario ever committed).
 //!
 //! ```text
 //! cargo run --release -p hslb-bench --bin bench-suite            # full suite
@@ -166,11 +169,7 @@ fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool, warm: &WarmSta
     }
     opts.solver.warm_start = warm_start;
     // Scenarios of the same resolution share fitted curves: warm-start
-    // each fit from the previous scenario's optimum. (The parallel
-    // multistart driver is bit-identical to serial and available via
-    // `fit.threads`, but at ~1 ms of LM work per component the thread
-    // spawns cost more than they save — measured 10 ms vs 5 ms smoke —
-    // so the benchmark keeps the serial driver.)
+    // each fit from the previous scenario's optimum.
     opts.warm_cache = Some(warm.clone());
     opts.telemetry = telemetry.clone();
     let pipeline = Hslb::new(&sim, opts);
@@ -229,15 +228,13 @@ fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool, warm: &WarmSta
                 // v6: the warm dual-simplex path. `warm_resolves` counts
                 // LP solves answered by repairing a live tableau (subset
                 // of `lp_solves`); `warm_fallbacks` counts warm attempts
-                // abandoned for a cold rebuild; `cuts_retired` counts
-                // pool cuts aged out by incumbent slack.
+                // abandoned for a cold rebuild.
                 (
                     "warm_start",
                     obj(vec![
                         ("enabled", Value::Bool(warm_start)),
                         ("warm_resolves", num(st.warm_resolves as f64)),
                         ("warm_fallbacks", num(st.warm_fallbacks as f64)),
-                        ("cuts_retired", num(st.cuts_retired as f64)),
                     ]),
                 ),
                 ("incumbents", num(st.incumbents as f64)),
@@ -802,68 +799,17 @@ fn validate_scaling(sv: &Value) -> Vec<String> {
     errs
 }
 
-/// Schema check for `hslb-bench-pipeline/v8` documents. Returns every
-/// violation found (empty = valid). Older schema versions are rejected
-/// with explicit upgrade messages.
+/// Schema check for `hslb-bench-pipeline/v9` documents. Returns every
+/// violation found (empty = valid). Older schema versions are rejected.
 fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     match doc.get("schema").and_then(Value::as_str) {
-        Some("hslb-bench-pipeline/v8") => {}
-        Some("hslb-bench-pipeline/v1") => errs.push(
-            "schema hslb-bench-pipeline/v1 is no longer accepted: regenerate with a \
-             v8 emitter (adds early_stop, fit accounting, the audit block, the \
-             solver cut_pool summary, the service load block, the recovery/drift \
-             robustness blocks, the solver warm_start block, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v2") => errs.push(
-            "schema hslb-bench-pipeline/v2 is no longer accepted: regenerate with a \
-             v8 emitter (adds the per-scenario audit block, the solver cut_pool \
-             summary, the service load block, the recovery/drift robustness \
-             blocks, the solver warm_start block, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v3") => errs.push(
-            "schema hslb-bench-pipeline/v3 is no longer accepted: regenerate with a \
-             v8 emitter (adds the per-scenario solver cut_pool summary with LP \
-             resolves per node, the top-level service load block, the \
-             recovery/drift robustness blocks, the solver warm_start block, and \
-             the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v4") => errs.push(
-            "schema hslb-bench-pipeline/v4 is no longer accepted: regenerate with a \
-             v8 emitter (embeds the current hslb-service-load service document \
-             with fault/recovery accounting, and adds the crash-recovery and \
-             drift-rebalance robustness blocks plus the solver warm_start and \
-             sweep blocks)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v5") => errs.push(
-            "schema hslb-bench-pipeline/v5 is no longer accepted: regenerate with a \
-             v8 emitter (adds the top-level warm_start boolean, the per-scenario \
-             solver.warm_start work counters, the solve ≤ fit phase-budget \
-             check, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v6") => errs.push(
-            "schema hslb-bench-pipeline/v6 is no longer accepted: regenerate with a \
-             v8 emitter (embeds the hslb-service-load/v3 service block with the \
-             connection-scale `connections` accounting — concurrent connections, \
-             server peaks, reply-queue depth percentiles, per-shard throughput — \
-             plus the isolated-shard `scaling` A/B and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v7") => errs.push(
-            "schema hslb-bench-pipeline/v7 is no longer accepted: regenerate with a \
-             v8 emitter (adds the top-level `sweep` block — portfolio-sweep \
-             accounting with shared-work dedup counts, fit/gather cache hit \
-             rates, predictor MAE, and the wall-clock vs Σ-one-shot comparison — \
-             and the `fit_cache` accounting in the service block)"
-                .to_string(),
-        ),
+        Some("hslb-bench-pipeline/v9") => {}
+        Some(old) if old.starts_with("hslb-bench-pipeline/v") => errs.push(format!(
+            "schema {old} is no longer accepted: regenerate with a v9 emitter"
+        )),
         other => errs.push(format!(
-            "schema must be hslb-bench-pipeline/v8, got {other:?}"
+            "schema must be hslb-bench-pipeline/v9, got {other:?}"
         )),
     }
     // Service block: a TCP hslb-service load run with zero pipeline
@@ -1127,7 +1073,7 @@ fn validate(doc: &Value) -> Vec<String> {
                                 errs.push(ctx("solver.warm_start.enabled disagrees with the \
                                      document's warm_start toggle"));
                             }
-                            for key in ["warm_resolves", "warm_fallbacks", "cuts_retired"] {
+                            for key in ["warm_resolves", "warm_fallbacks"] {
                                 if w.get(key).and_then(Value::as_f64).is_none() {
                                     errs.push(ctx(&format!(
                                         "solver.warm_start missing numeric {key}"
@@ -1395,7 +1341,7 @@ fn main() {
         let errs = validate(&doc);
         if errs.is_empty() {
             println!(
-                "{path}: valid hslb-bench-pipeline/v8 ({} scenarios)",
+                "{path}: valid hslb-bench-pipeline/v9 ({} scenarios)",
                 doc.get("scenarios")
                     .and_then(Value::as_arr)
                     .map_or(0, |a| a.len())
@@ -1428,7 +1374,7 @@ fn main() {
     eprintln!("bench-suite: portfolio-sweep exercise...");
     let sweep_block = run_sweep_exercise(smoke);
     let doc = obj(vec![
-        ("schema", Value::Str("hslb-bench-pipeline/v8".to_string())),
+        ("schema", Value::Str("hslb-bench-pipeline/v9".to_string())),
         ("smoke", Value::Bool(smoke)),
         ("early_stop", Value::Bool(early_stop)),
         ("warm_start", Value::Bool(warm_start)),

@@ -86,63 +86,83 @@ impl<'a> ExhaustiveOptimizer<'a> {
         (ni, budget - ni, val)
     }
 
-    /// Score an outer choice `(n_atm, n_ocn)` under min-max; returns the
-    /// makespan and the inner split.
-    fn score_minmax(&self, n_atm: i64, n_ocn: i64) -> (f64, i64, i64) {
+    /// The count in `allowed ∩ [floor, cap]` (all of `[floor, cap]` without
+    /// an allowed set) at which component `c` runs fastest; `None` when
+    /// the allowed set has no member in range.
+    fn fastest_count(
+        &self,
+        c: Component,
+        allowed: &Option<Vec<i64>>,
+        floor: i64,
+        cap: i64,
+    ) -> Option<i64> {
+        match Self::candidates(allowed, floor, cap) {
+            Some(cands) => cands
+                .into_iter()
+                .min_by(|&x, &y| hslb_numerics::float::cmp_f64(self.t(c, x), self.t(c, y))),
+            None => Some(self.fits.optimized_curve(c).argmin_nodes(floor, cap)),
+        }
+    }
+
+    /// Score an outer choice under min-max: the makespan and the
+    /// allocation that attains it. `group` is the atmosphere count in
+    /// layout 1 and the size of the sequential group (`N − n_ocn`) in
+    /// layout 2; layout 3 has no outer choice and ignores both. `None`
+    /// when an allowed set leaves a component without a count.
+    fn score_minmax(&self, group: i64, n_ocn: i64) -> Option<(f64, Allocation)> {
+        // Components that run one after another each take the count in
+        // their own range that is fastest for them (the b·n^c term can
+        // make that less than the cap).
+        let solo = |c: Component, floor: i64, cap: i64| {
+            self.fits.optimized_curve(c).argmin_nodes(floor, cap)
+        };
         match self.layout {
             Layout::Hybrid => {
-                let (ni, nl, icelnd) = self.best_icelnd_split(n_atm);
+                let (ice, lnd, icelnd) = self.best_icelnd_split(group);
                 let total =
-                    (icelnd + self.t(Component::Atm, n_atm)).max(self.t(Component::Ocn, n_ocn));
-                (total, ni, nl)
+                    (icelnd + self.t(Component::Atm, group)).max(self.t(Component::Ocn, n_ocn));
+                Some((
+                    total,
+                    Allocation {
+                        lnd,
+                        ice,
+                        atm: group,
+                        ocn: n_ocn,
+                    },
+                ))
             }
-            Layout::SequentialWithOcean => {
-                // ice/lnd/atm share the non-ocean nodes; each may use up to
-                // the full remainder, and more nodes are never worse on
-                // convex decreasing-then-flat curves *except* for the b·n^c
-                // term — optimize each independently over [1, n_atm].
-                let cap = n_atm; // caller passes cap = N − n_ocn here
-                let ni = self
-                    .fits
-                    .optimized_curve(Component::Ice)
-                    .argmin_nodes(self.floors.ice, cap);
-                let nl = self
-                    .fits
-                    .optimized_curve(Component::Lnd)
-                    .argmin_nodes(self.floors.lnd, cap);
-                let na = self
-                    .fits
-                    .optimized_curve(Component::Atm)
-                    .argmin_nodes(self.floors.atm, cap);
-                let seq = self.t(Component::Ice, ni)
-                    + self.t(Component::Lnd, nl)
-                    + self.t(Component::Atm, na);
-                (seq.max(self.t(Component::Ocn, n_ocn)), ni, nl)
-            }
-            Layout::FullySequential => {
-                let cap = self.total_nodes;
-                let ni = self
-                    .fits
-                    .optimized_curve(Component::Ice)
-                    .argmin_nodes(self.floors.ice, cap);
-                let nl = self
-                    .fits
-                    .optimized_curve(Component::Lnd)
-                    .argmin_nodes(self.floors.lnd, cap);
-                let na = self
-                    .fits
-                    .optimized_curve(Component::Atm)
-                    .argmin_nodes(self.floors.atm, cap);
-                let no = self
-                    .fits
-                    .optimized_curve(Component::Ocn)
-                    .argmin_nodes(self.floors.ocn, cap);
-                let total = self.t(Component::Ice, ni)
-                    + self.t(Component::Lnd, nl)
-                    + self.t(Component::Atm, na)
-                    + self.t(Component::Ocn, no);
-                let _ = (n_atm, n_ocn);
-                (total, ni, nl)
+            Layout::SequentialWithOcean | Layout::FullySequential => {
+                // Layout 3 puts the ocean in the sequence too, with the
+                // whole machine as every component's cap.
+                let all_sequential = self.layout == Layout::FullySequential;
+                let cap = if all_sequential {
+                    self.total_nodes
+                } else {
+                    group
+                };
+                let fastest = |c, allowed, floor| self.fastest_count(c, allowed, floor, cap);
+                let a = Allocation {
+                    lnd: solo(Component::Lnd, self.floors.lnd, cap),
+                    ice: solo(Component::Ice, self.floors.ice, cap),
+                    atm: fastest(Component::Atm, &self.atm_allowed, self.floors.atm)?,
+                    ocn: if all_sequential {
+                        fastest(Component::Ocn, &self.ocean_allowed, self.floors.ocn)?
+                    } else {
+                        n_ocn
+                    },
+                };
+                let seq = self.t(Component::Ice, a.ice)
+                    + self.t(Component::Lnd, a.lnd)
+                    + self.t(Component::Atm, a.atm);
+                let ocn = self.t(Component::Ocn, a.ocn);
+                Some((
+                    if all_sequential {
+                        seq + ocn
+                    } else {
+                        seq.max(ocn)
+                    },
+                    a,
+                ))
             }
         }
     }
@@ -210,23 +230,10 @@ impl<'a> ExhaustiveOptimizer<'a> {
 
         // Layout 3 needs no outer enumeration at all.
         if self.layout == Layout::FullySequential {
-            let (total, ni, nl) = self.score_minmax(0, 0);
-            let na = self
-                .fits
-                .optimized_curve(Component::Atm)
-                .argmin_nodes(self.floors.atm, n);
-            let no = self
-                .fits
-                .optimized_curve(Component::Ocn)
-                .argmin_nodes(self.floors.ocn, n);
+            let (objective, allocation) = self.score_minmax(0, 0)?;
             return Some(ExhaustiveResult {
-                allocation: Allocation {
-                    lnd: nl,
-                    ice: ni,
-                    atm: na,
-                    ocn: no,
-                },
-                objective: total,
+                allocation,
+                objective,
                 evaluations: 1,
                 pruned: 0,
             });
@@ -245,74 +252,40 @@ impl<'a> ExhaustiveOptimizer<'a> {
                     // Optimize n_atm ∈ allowed ∩ [floor, atm_budget].
                     match Self::candidates(&self.atm_allowed, min_atm_side, atm_budget) {
                         Some(cands) => {
-                            let mut loc: Option<(f64, i64)> = None;
-                            for &na in &cands {
-                                if na < min_atm_side {
-                                    *pruned += 1;
-                                    continue;
-                                }
-                                *evals += 1;
-                                let (total, _, _) = self.score_minmax(na, n_ocn);
-                                if loc.is_none_or(|(b, _)| total < b) {
-                                    loc = Some((total, na));
-                                }
-                            }
-                            loc
+                            *evals += cands.len();
+                            cands
+                                .into_iter()
+                                .filter_map(|na| self.score_minmax(na, n_ocn))
+                                .min_by(|x, y| hslb_numerics::float::cmp_f64(x.0, y.0))
                         }
                         None => {
                             // Free atmosphere: the inner objective (best
                             // ice/land split + T_atm) is near-unimodal in
                             // n_atm; ternary search finds its basin in
                             // O(log) evaluations.
-                            let f = |na: i64| self.score_minmax(na, n_ocn).0;
-                            let (na, total) = scalar::integer_ternary_min(
+                            let f = |na: i64| {
+                                self.score_minmax(na, n_ocn)
+                                    .map_or(f64::INFINITY, |(total, _)| total)
+                            };
+                            let (na, _) = scalar::integer_ternary_min(
                                 f,
                                 min_atm_side.min(atm_budget),
                                 atm_budget,
                             );
                             *evals += 2 * (64 - atm_budget.leading_zeros() as usize);
-                            Some((total, na))
+                            self.score_minmax(na, n_ocn)
                         }
                     }
                 }
                 Layout::SequentialWithOcean => {
                     *evals += 1;
-                    let (total, _, _) = self.score_minmax(atm_budget, n_ocn);
-                    Some((total, atm_budget))
+                    self.score_minmax(atm_budget, n_ocn)
                 }
                 Layout::FullySequential => unreachable!(),
             };
-            let Some((total, na)) = inner_best else {
+            let Some((total, alloc)) = inner_best else {
                 *pruned += 1;
                 return f64::INFINITY;
-            };
-            let (_, ni, nl) = self.score_minmax(na, n_ocn);
-            let alloc = match self.layout {
-                Layout::Hybrid => Allocation {
-                    lnd: nl,
-                    ice: ni,
-                    atm: na,
-                    ocn: n_ocn,
-                },
-                Layout::SequentialWithOcean => {
-                    let cap = atm_budget;
-                    Allocation {
-                        lnd: self
-                            .fits
-                            .optimized_curve(Component::Lnd)
-                            .argmin_nodes(self.floors.lnd, cap),
-                        ice: self
-                            .fits
-                            .optimized_curve(Component::Ice)
-                            .argmin_nodes(self.floors.ice, cap),
-                        atm: self
-                            .fits
-                            .optimized_curve(Component::Atm)
-                            .argmin_nodes(self.floors.atm, cap),
-                        ocn: n_ocn,
-                    }
-                }
-                Layout::FullySequential => unreachable!(),
             };
             if best.as_ref().is_none_or(|(b, _)| total < *b) {
                 best = Some((total, alloc));

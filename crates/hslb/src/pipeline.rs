@@ -483,11 +483,7 @@ impl<'a> Hslb<'a> {
         if !solver.telemetry.is_enabled() {
             solver.telemetry = self.opts.telemetry.clone();
         }
-        let mut sol = if solver.threads > 1 {
-            hslb_minlp::solve_parallel(&ir, &solver)
-        } else {
-            hslb_minlp::solve(&ir, &solver)
-        };
+        let mut sol = hslb_minlp::solve(&ir, &solver);
         sol.stats.audit = Some(hslb_minlp::AuditStamp {
             passed: audit.passed(),
             components: audit.certificate.components.len(),

@@ -1,6 +1,6 @@
 //! The fit fast-path invariant at pipeline level: fitted curves are
-//! bit-identical with the multistart early-stop on or off, serial or
-//! parallel, while the fast path measurably skips redundant starts.
+//! bit-identical with the multistart early-stop on or off, while the
+//! fast path measurably skips redundant starts.
 
 use hslb::{fit_all, Hslb, HslbOptions};
 use hslb_cesm::{Component, Simulator};
@@ -36,33 +36,30 @@ fn fitted_curves_are_bit_identical_with_fast_path_on_or_off() {
             full.iter().all(|(_, f)| !f.early_stopped),
             "early-stop must never fire when disabled"
         );
-        for threads in [1usize, 4] {
-            let fast = fit_all(
-                &data,
-                &ScalingFitOptions {
-                    early_stop: Some(EarlyStopPolicy::default()),
-                    threads,
-                    ..ScalingFitOptions::default()
-                },
-            )
-            .expect("fast fit");
-            assert_bit_identical(&full, &fast, &format!("threads={threads}"));
-            for (c, f) in fast.iter() {
-                assert!(
-                    f.starts_run <= ScalingFitOptions::default().starts,
-                    "{c}: ran {} of {} starts",
-                    f.starts_run,
-                    ScalingFitOptions::default().starts
-                );
-                assert!(f.basin_hits <= f.starts_run);
-            }
-            // The fast path must actually fire somewhere, or it is not a
-            // fast path at all.
+        let fast = fit_all(
+            &data,
+            &ScalingFitOptions {
+                early_stop: Some(EarlyStopPolicy::default()),
+                ..ScalingFitOptions::default()
+            },
+        )
+        .expect("fast fit");
+        assert_bit_identical(&full, &fast, "fast path");
+        for (c, f) in fast.iter() {
             assert!(
-                fast.iter().any(|(_, f)| f.early_stopped),
-                "no component early-stopped at threads={threads}"
+                f.starts_run <= ScalingFitOptions::default().starts,
+                "{c}: ran {} of {} starts",
+                f.starts_run,
+                ScalingFitOptions::default().starts
             );
+            assert!(f.basin_hits <= f.starts_run);
         }
+        // The fast path must actually fire somewhere, or it is not a
+        // fast path at all.
+        assert!(
+            fast.iter().any(|(_, f)| f.early_stopped),
+            "no component early-stopped"
+        );
     }
 }
 

@@ -1,26 +1,14 @@
 //! Pipeline-level telemetry guarantees: the span tree mirrors the
 //! gather → fit → solve → execute phases, instrumentation never changes
-//! the allocation, and counter totals survive the parallel solver.
+//! the allocation, and the solver's counter totals equal its `SolveStats`.
 
 use hslb::{Hslb, HslbOptions};
 use hslb_cesm::Simulator;
 use hslb_telemetry::{span_tree, Telemetry};
 
-fn run_with(telemetry: Telemetry, threads: usize) -> hslb::ExperimentReport {
-    run_with_cutover(telemetry, threads, 0)
-}
-
-fn run_with_cutover(
-    telemetry: Telemetry,
-    threads: usize,
-    serial_cutover: usize,
-) -> hslb::ExperimentReport {
+fn run_with(telemetry: Telemetry) -> hslb::ExperimentReport {
     let sim = Simulator::one_degree(42).with_telemetry(telemetry.clone());
     let mut opts = HslbOptions::new(128);
-    opts.solver.threads = threads;
-    // Tests that assert per-worker behavior pin the cutover off (0);
-    // the cutover test forces it on with a huge threshold.
-    opts.solver.serial_cutover = serial_cutover;
     opts.telemetry = telemetry;
     Hslb::new(&sim, opts).run(None).expect("pipeline")
 }
@@ -28,7 +16,7 @@ fn run_with_cutover(
 #[test]
 fn pipeline_run_reconstructs_phase_span_tree() {
     let tel = Telemetry::new();
-    run_with(tel.clone(), 1);
+    run_with(tel.clone());
     let tree = span_tree(&tel.events());
     let pipeline = tree
         .iter()
@@ -45,8 +33,8 @@ fn pipeline_run_reconstructs_phase_span_tree() {
 
 #[test]
 fn telemetry_never_changes_the_allocation() {
-    let silent = run_with(Telemetry::disabled(), 1);
-    let observed = run_with(Telemetry::new(), 1);
+    let silent = run_with(Telemetry::disabled());
+    let observed = run_with(Telemetry::new());
     assert_eq!(silent.hslb.allocation, observed.hslb.allocation);
     assert_eq!(silent.hslb.actual_total, observed.hslb.actual_total);
     assert_eq!(
@@ -56,9 +44,9 @@ fn telemetry_never_changes_the_allocation() {
 }
 
 #[test]
-fn counters_match_solver_stats_under_parallel_solve() {
+fn counters_match_solver_stats() {
     let tel = Telemetry::new();
-    let report = run_with(tel.clone(), 4);
+    let report = run_with(tel.clone());
     let stats = report.solver_stats.expect("MINLP rung solved");
     assert_eq!(tel.counter("minlp.nodes"), stats.nodes as u64);
     assert_eq!(tel.counter("minlp.lp_solves"), stats.lp_solves as u64);
@@ -80,65 +68,10 @@ fn counters_match_solver_stats_under_parallel_solve() {
         tel.counter("minlp.warm_fallbacks"),
         stats.warm_fallbacks as u64
     );
-    assert_eq!(tel.counter("minlp.cuts_retired"), stats.cuts_retired as u64);
     assert!(
         stats.warm_resolves > 0,
         "a multi-node solve must exercise the warm dual-simplex path"
     );
-    // Per-worker utilization points were emitted by every worker.
-    let workers = tel
-        .events()
-        .iter()
-        .filter(|e| e.name == "minlp.worker")
-        .count();
-    assert_eq!(workers, 4);
-}
-
-#[test]
-fn serial_cutover_matches_the_parallel_incumbent() {
-    // Force the cutover with a huge threshold: the parallel driver must
-    // delegate the whole solve to the serial path — no worker points —
-    // while publishing its probe work to the sink.
-    let tel = Telemetry::new();
-    let cut = run_with_cutover(tel.clone(), 4, usize::MAX);
-    let workers = tel
-        .events()
-        .iter()
-        .filter(|e| e.name == "minlp.worker")
-        .count();
-    assert_eq!(workers, 0, "cutover must not spin up workers");
-    assert!(
-        tel.events()
-            .iter()
-            .any(|e| e.name == "minlp.serial_cutover"),
-        "cutover decision must be visible in telemetry"
-    );
-    // The cutover delegates to the serial driver, so its incumbent is
-    // bit-identical to the threads = 1 solve…
-    let serial = run_with_cutover(Telemetry::new(), 1, 0);
-    assert_eq!(cut.hslb.allocation, serial.hslb.allocation);
-    assert_eq!(cut.hslb.predicted_total, serial.hslb.predicted_total);
-    // …and agrees with the full parallel solve on the objective (the
-    // argmin may differ among degenerate optima, the optimum may not).
-    let full = run_with_cutover(Telemetry::new(), 4, 0);
-    let (a, b) = (
-        cut.hslb.predicted_total.expect("minlp objective"),
-        full.hslb.predicted_total.expect("minlp objective"),
-    );
-    assert!(
-        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-        "cutover optimum {a} vs parallel optimum {b}"
-    );
-    // The counters-equal-stats invariant holds on the cutover path too
-    // (serial solve counters plus the probe's root-relaxation work).
-    let stats = cut.solver_stats.expect("MINLP rung solved");
-    assert_eq!(tel.counter("minlp.nodes"), stats.nodes as u64);
-    assert_eq!(tel.counter("minlp.lp_solves"), stats.lp_solves as u64);
-    assert_eq!(
-        tel.counter("minlp.simplex_iters"),
-        stats.simplex_iters as u64
-    );
-    assert_eq!(tel.counter("minlp.cuts"), stats.cuts as u64);
 }
 
 #[test]
@@ -171,7 +104,7 @@ fn gather_counters_match_the_report() {
 #[test]
 fn snapshot_of_a_real_run_round_trips_through_json() {
     let tel = Telemetry::new();
-    run_with(tel.clone(), 2);
+    run_with(tel.clone());
     let snap = tel.snapshot();
     let back = hslb_telemetry::Snapshot::from_json(&snap.to_json()).expect("round trip");
     assert_eq!(back.counters, snap.counters);

@@ -17,14 +17,37 @@
 //!
 //! [`WarmLp`] wraps the final tableau of an optimal solve (artificials
 //! stripped) and supports `append_le_row` / `set_var_bounds` / `resolve`.
-//! Every consumer keeps the **fallback ladder**: a warm resolve that errors
-//! (iteration limit, numerical breakdown, shape drift) is answered by a
-//! cold two-phase solve of the freshly rebuilt problem, never by giving up.
+//!
+//! **A re-solve checks its own answer.** The dense tableau accumulates
+//! pivot error over a chain of edits (the layout LPs mix coefficients from
+//! 1e-5 to 1e4 and carry a ~1,600-term convexity row), and a drifted
+//! tableau can be primal- and dual-feasible at a point that has left the
+//! rows it stands for. So the handle keeps those rows — the cold problem's
+//! behind the `Arc` the problem itself holds them in, shared by every
+//! clone; the appended cuts per handle —
+//! and `resolve` answers
+//!
+//! * `Optimal` only when the extracted point satisfies every kept row and
+//!   column bound within [`VERIFY_TOL`] relative to the row's scale,
+//! * `Infeasible` only when the stuck tableau row is a Farkas certificate
+//!   *against the kept rows*: its slack-column entries are multipliers
+//!   `y`, and the aggregate `Σ yᵢ·rowᵢ` cannot hold anywhere in the column
+//!   boxes. That holds or fails for any `y` whatever, so drift cannot
+//!   forge the verdict,
+//! * `Err(LpError::Numerical)` otherwise.
+//!
+//! The consumer (one ladder function in `hslb-minlp`) answers every error
+//! — iteration limit, numerical breakdown, failed check — with a cold
+//! two-phase solve of the freshly rebuilt problem.
 
-use crate::basis::{Basis, ColumnState};
-use crate::problem::LpProblem;
+use crate::problem::{ConstraintSense, LpProblem, Row};
 use crate::simplex::{extract, iterate, solve_impl, Tableau, VarState};
 use crate::{LpError, LpSolution, LpStatus, SimplexOptions};
+use std::sync::Arc;
+
+/// Tolerance of the row and certificate checks, relative to the largest
+/// magnitude entering the comparison (floor 1).
+const VERIFY_TOL: f64 = 1e-7;
 
 /// Cold two-phase solve that also hands back the live tableau for warm
 /// re-solves. The second element is `None` when the solve did not end
@@ -50,13 +73,22 @@ pub struct WarmLp {
     tab: Tableau,
     /// Structural variable count.
     n: usize,
+    /// The rows the tableau stands for, in tableau row order: the cold
+    /// problem's (shared with it and with every clone of the handle) …
+    base: Arc<Vec<Row>>,
+    /// … then the `≤` rows appended since, flattened — every row's terms
+    /// back to back, and per row where its terms end and its rhs — so a
+    /// handle carries two allocations for them, not one per cut.
+    cut_terms: Vec<(usize, f64)>,
+    cut_rows: Vec<(usize, f64)>,
 }
 
 impl WarmLp {
     /// Wrap the final tableau of an optimal phase-2 solve. Returns `None`
     /// when an artificial column is still basic (redundant row): stripping
     /// it would leave a row without a basic column.
-    pub(crate) fn from_tableau(tab: Tableau, n: usize) -> Option<WarmLp> {
+    pub(crate) fn from_tableau(tab: Tableau, p: &LpProblem) -> Option<WarmLp> {
+        let n = p.num_vars();
         let m = tab.basis.len();
         let keep_cols = n + m;
         if tab.basis.iter().any(|&b| b >= keep_cols) {
@@ -77,12 +109,13 @@ impl WarmLp {
             cost: tab.cost[..keep_cols].to_vec(),
             first_artificial: keep_cols,
         };
-        Some(WarmLp { tab, n })
-    }
-
-    /// Number of structural variables.
-    pub fn num_structurals(&self) -> usize {
-        self.n
+        Some(WarmLp {
+            tab,
+            n,
+            base: Arc::clone(&p.rows),
+            cut_terms: Vec::new(),
+            cut_rows: Vec::new(),
+        })
     }
 
     /// Number of constraint rows currently in the tableau.
@@ -93,27 +126,6 @@ impl WarmLp {
     /// Current bounds of structural variable `j`.
     pub fn var_bounds(&self, j: usize) -> (f64, f64) {
         (self.tab.lb[j], self.tab.ub[j])
-    }
-
-    /// Export the basis snapshot (`basis`/`state` vectors) of the current
-    /// tableau. The snapshot is over `[structurals | slacks]` columns and
-    /// can be re-installed against an equivalent cold problem with
-    /// [`crate::solve_from_basis`].
-    pub fn basis(&self) -> Basis {
-        Basis {
-            basic: self.tab.basis.clone(),
-            state: self
-                .tab
-                .state
-                .iter()
-                .map(|s| match s {
-                    VarState::Basic => ColumnState::Basic,
-                    VarState::AtLower => ColumnState::AtLower,
-                    VarState::AtUpper => ColumnState::AtUpper,
-                    VarState::FreeZero => ColumnState::FreeZero,
-                })
-                .collect(),
-        }
     }
 
     /// Replace the bounds of structural variable `j`, re-parking a
@@ -215,19 +227,24 @@ impl WarmLp {
             tab.d.push(0.0);
             tab.cost.push(0.0);
             tab.first_artificial = tab.lb.len();
+            self.cut_terms.extend_from_slice(terms);
+            self.cut_rows.push((self.cut_terms.len(), rhs));
         }
         Ok(())
     }
 
     /// Re-solve after edits: dual simplex back to primal feasibility, then
     /// a primal pass that certifies optimality (and mops up any reduced-
-    /// cost drift from the pivot arithmetic). Errors mean the caller
-    /// should fall back to a cold rebuild.
+    /// cost drift from the pivot arithmetic). Both verdicts are checked
+    /// against the kept rows (module docs); errors mean the caller should
+    /// fall back to a cold rebuild.
     pub fn resolve(&mut self, opts: &SimplexOptions) -> Result<LpSolution, LpError> {
         let m = self.tab.basis.len();
         let mut iters = 0usize;
-        let st = dual_iterate(&mut self.tab, opts, &mut iters)?;
-        if st == LpStatus::Infeasible {
+        if let Some(r) = dual_iterate(&mut self.tab, opts, &mut iters)? {
+            if !self.certifies_infeasible(r, opts.tol) {
+                return Err(LpError::Numerical("warm infeasibility not certified"));
+            }
             return Ok(LpSolution {
                 status: LpStatus::Infeasible,
                 x: extract(&self.tab, self.n),
@@ -236,8 +253,111 @@ impl WarmLp {
                 row_duals: vec![0.0; m],
             });
         }
-        let st = iterate(&mut self.tab, opts, &mut iters)?;
-        Ok(self.solution(st, iters))
+        // Appending rows and tightening bounds cannot unbound a bounded
+        // LP, so anything but `Optimal` here is drift.
+        if iterate(&mut self.tab, opts, &mut iters)? != LpStatus::Optimal {
+            return Err(LpError::Numerical("warm resolve reported unbounded"));
+        }
+        let sol = self.solution(LpStatus::Optimal, iters);
+        if !self.satisfies_rows(&sol.x) {
+            return Err(LpError::Numerical("warm point left its rows"));
+        }
+        Ok(sol)
+    }
+
+    /// The kept rows as `(terms, sense, rhs)`, in tableau row order.
+    fn rows(&self) -> impl Iterator<Item = (&[(usize, f64)], ConstraintSense, f64)> {
+        let base = self
+            .base
+            .iter()
+            .map(|row| (row.terms.as_slice(), row.sense, row.rhs));
+        let mut start = 0;
+        let cuts = self.cut_rows.iter().map(move |&(end, rhs)| {
+            let terms = &self.cut_terms[start..end];
+            start = end;
+            (terms, ConstraintSense::Le, rhs)
+        });
+        base.chain(cuts)
+    }
+
+    /// Does `x` satisfy every kept row and structural bound? (Out of line,
+    /// like the certificate check: both run once per re-solve, not per
+    /// pivot, and `resolve` stays small.)
+    #[inline(never)]
+    fn satisfies_rows(&self, x: &[f64]) -> bool {
+        let rows_ok = self.rows().all(|(terms, sense, rhs)| {
+            let mut act = 0.0;
+            let mut scale = rhs.abs().max(1.0);
+            for &(v, c) in terms {
+                let term = c * x[v];
+                act += term;
+                scale = scale.max(term.abs());
+            }
+            let tol = VERIFY_TOL * scale;
+            match sense {
+                ConstraintSense::Le => act <= rhs + tol,
+                ConstraintSense::Ge => act >= rhs - tol,
+                ConstraintSense::Eq => (act - rhs).abs() <= tol,
+            }
+        });
+        rows_ok
+            && x.iter().enumerate().all(|(j, &xj)| {
+                let tol = VERIFY_TOL * xj.abs().max(1.0);
+                xj >= self.tab.lb[j] - tol && xj <= self.tab.ub[j] + tol
+            })
+    }
+
+    /// Is tableau row `r` a Farkas certificate against the kept rows? Its
+    /// slack-column entries are row `r` of `B⁻¹`, i.e. multipliers `y`
+    /// with `Σ yᵢ·(aᵢ·x + sᵢ) = Σ yᵢ·bᵢ` for every feasible point. The
+    /// aggregate is rebuilt from the kept rows — nothing else is read off
+    /// the tableau — and the verdict stands only when its right-hand side
+    /// lies outside the range the left-hand side can take over the boxes
+    /// of the structurals and the slacks. Multipliers within the pivot
+    /// tolerance of zero are dropped, as the ratio test that declared the
+    /// row stuck dropped them: any `y` gives a valid aggregate, and a
+    /// wrong-signed 1e-13 on a slack would make its range unbounded.
+    #[inline(never)]
+    fn certifies_infeasible(&self, r: usize, pivot_tol: f64) -> bool {
+        let n = self.n;
+        let y = &self.tab.t.row(r)[n..];
+        let mut alpha = vec![0.0; n];
+        let mut beta = 0.0;
+        let (mut lo, mut hi) = (0.0_f64, 0.0_f64);
+        for ((terms, sense, rhs), &yi) in self.rows().zip(y) {
+            if yi.abs() <= pivot_tol {
+                continue;
+            }
+            for &(v, c) in terms {
+                alpha[v] += yi * c;
+            }
+            beta += yi * rhs;
+            // The slack's own box: `≤` rows have s ≥ 0, `≥` rows s ≤ 0,
+            // equalities s = 0.
+            match (sense, yi > 0.0) {
+                (ConstraintSense::Eq, _) => {}
+                (ConstraintSense::Le, true) | (ConstraintSense::Ge, false) => hi = f64::INFINITY,
+                (ConstraintSense::Le, false) | (ConstraintSense::Ge, true) => {
+                    lo = f64::NEG_INFINITY
+                }
+            }
+        }
+        let mut scale = beta.abs().max(1.0);
+        for (j, &a) in alpha.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            let (p, q) = (a * self.tab.lb[j], a * self.tab.ub[j]);
+            lo += p.min(q);
+            hi += p.max(q);
+            for e in [p, q] {
+                if e.is_finite() {
+                    scale = scale.max(e.abs());
+                }
+            }
+        }
+        let tol = VERIFY_TOL * scale;
+        beta < lo - tol || beta > hi + tol
     }
 
     /// Assemble an [`LpSolution`] from the current tableau.
@@ -260,14 +380,15 @@ impl WarmLp {
 }
 
 /// Bounded-variable dual simplex. Requires a dual-feasible reduced-cost
-/// row; terminates `Optimal` once every basic value is within its bounds
-/// and `Infeasible` when a violated row admits no entering column (the row
-/// is a certificate of primal infeasibility).
-pub(crate) fn dual_iterate(
+/// row; returns `None` once every basic value is within its bounds and
+/// `Some(row)` when that violated row admits no entering column (in exact
+/// arithmetic the row is a certificate of primal infeasibility; the caller
+/// checks it).
+fn dual_iterate(
     tab: &mut Tableau,
     opts: &SimplexOptions,
     total_iters: &mut usize,
-) -> Result<LpStatus, LpError> {
+) -> Result<Option<usize>, LpError> {
     let tol = opts.tol;
     let mut degenerate = 0usize;
     let mut bland = false;
@@ -303,7 +424,7 @@ pub(crate) fn dual_iterate(
             }
         }
         let Some((r, _, below)) = leave else {
-            return Ok(LpStatus::Optimal);
+            return Ok(None);
         };
         *total_iters += 1;
 
@@ -341,7 +462,7 @@ pub(crate) fn dual_iterate(
             }
         }
         let Some((q, _)) = enter else {
-            return Ok(LpStatus::Infeasible);
+            return Ok(Some(r));
         };
 
         // ---- pivot ----
@@ -383,7 +504,6 @@ pub(crate) fn dual_iterate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::ConstraintSense;
     use crate::solve;
 
     fn sample() -> LpProblem {

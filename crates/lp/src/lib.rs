@@ -29,18 +29,17 @@
 //! * warm re-solves: [`solve_keep`] hands back the live tableau as a
 //!   [`WarmLp`] that accepts appended `≤` cut rows and bound tightenings
 //!   and re-attains feasibility with a bounded-variable **dual simplex**
-//!   (DESIGN.md §14); [`Basis`] snapshots extracted from a solved
-//!   tableau re-install against a rebuilt problem via
-//!   [`solve_from_basis`]. Warm paths fail closed: any error falls back
-//!   to the cold two-phase solve.
+//!   (DESIGN.md §14). The handle keeps the rows it stands for and checks
+//!   every re-solve against them — `Optimal` only at a point that
+//!   satisfies them, `Infeasible` only with a Farkas certificate against
+//!   them — and errors otherwise, which the caller answers with the cold
+//!   two-phase solve.
 
-mod basis;
 mod dual;
 mod mps;
 mod problem;
 mod simplex;
 
-pub use basis::{solve_from_basis, Basis, ColumnState};
 pub use dual::{solve_keep, WarmLp};
 pub use mps::to_mps;
 pub use problem::{ConstraintSense, LpProblem, RowId, VarId};

@@ -1,5 +1,7 @@
 //! LP problem container: variables with bounds, sparse rows, objective.
 
+use std::sync::Arc;
+
 /// Index of a variable in an [`LpProblem`].
 pub type VarId = usize;
 /// Index of a constraint row in an [`LpProblem`].
@@ -39,7 +41,9 @@ pub(crate) struct Row {
 #[derive(Debug, Clone, Default)]
 pub struct LpProblem {
     pub(crate) vars: Vec<VarDef>,
-    pub(crate) rows: Vec<Row>,
+    /// Behind an `Arc` so a kept tableau ([`crate::WarmLp`]) can hold the
+    /// rows it stands for without copying them; edits copy on write.
+    pub(crate) rows: Arc<Vec<Row>>,
     /// Dense objective, indexed by variable; grows with the variables.
     pub(crate) objective: Vec<f64>,
 }
@@ -77,7 +81,7 @@ impl LpProblem {
             assert!(v < self.vars.len(), "row references unknown variable {v}");
             assert!(!c.is_nan(), "NaN coefficient on variable {v}");
         }
-        self.rows.push(Row {
+        Arc::make_mut(&mut self.rows).push(Row {
             terms: terms.to_vec(),
             sense,
             rhs,
@@ -171,7 +175,7 @@ impl LpProblem {
     /// tightening).
     pub fn set_rhs(&mut self, row: RowId, rhs: f64) {
         assert!(!rhs.is_nan(), "NaN rhs");
-        self.rows[row].rhs = rhs;
+        Arc::make_mut(&mut self.rows)[row].rhs = rhs;
     }
 
     /// Evaluate the objective at a point.

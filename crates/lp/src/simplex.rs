@@ -237,7 +237,7 @@ pub(crate) fn solve_impl(
         lb.push(v.lb);
         ub.push(v.ub);
     }
-    for row in &p.rows {
+    for row in p.rows.iter() {
         // a·x + s = rhs with slack bounds by sense.
         let (sl, su) = match row.sense {
             ConstraintSense::Le => (0.0, f64::INFINITY),
@@ -403,7 +403,7 @@ pub(crate) fn solve_impl(
     // reduced cost is d = 0 − yᵀe_i, so y_i = −d[slack_i].
     let row_duals: Vec<f64> = (0..m).map(|i| -tab.d[n + i]).collect();
     let warm = if keep && st == LpStatus::Optimal {
-        crate::dual::WarmLp::from_tableau(tab, n)
+        crate::dual::WarmLp::from_tableau(tab, p)
     } else {
         None
     };
@@ -419,7 +419,7 @@ pub(crate) fn solve_impl(
     ))
 }
 
-pub(crate) fn initial_state(lb: f64, ub: f64) -> VarState {
+fn initial_state(lb: f64, ub: f64) -> VarState {
     match (lb.is_finite(), ub.is_finite()) {
         (true, true) => {
             if lb.abs() <= ub.abs() {

@@ -1,30 +1,26 @@
-//! The branch-and-bound tree search (serial driver + shared node logic).
+//! The branch-and-bound tree search.
 
 use crate::ir::Ir;
-use crate::nlp::{self, Cut, NlpStatus};
+use crate::nlp::{self, Cut, LpLadder, NlpStatus};
 use crate::options::{Algorithm, Branching, MinlpOptions, NodeSelection};
 use crate::solution::{MinlpSolution, MinlpStatus, SolveStats};
-use hslb_lp::{LpStatus, SimplexOptions};
+use hslb_lp::LpStatus;
 use hslb_numerics::float;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// A solved tableau handed from a parent node to its children, plus how
 /// far into the (index-stable) cut pool its rows reach. Children clone
 /// the tableau, tighten the branched bounds, append any pool cuts past
 /// `covered`, and repair feasibility with the dual simplex instead of
-/// solving cold from scratch (DESIGN.md §14). Shared behind an `Arc` —
+/// solving cold from scratch (DESIGN.md §14). Shared behind an `Rc` —
 /// both children of a branching read the same parent state.
 #[derive(Debug)]
-pub(crate) struct WarmState {
-    pub lp: hslb_lp::WarmLp,
-    /// Pool entries (by index, retired included) present as tableau rows.
-    /// Under the parallel driver this may over-count — cuts absorbed by
-    /// other workers between this node's snapshot and its publish are
-    /// claimed but absent — which only weakens the child's starting
-    /// relaxation; cuts are optional tightening, so the answer is
-    /// unaffected.
-    pub covered: usize,
+struct WarmState {
+    lp: hslb_lp::WarmLp,
+    /// Pool entries (by index) present as tableau rows.
+    covered: usize,
 }
 
 /// A live tree node. Bounds are stored as deltas against the root —
@@ -32,22 +28,18 @@ pub(crate) struct WarmState {
 /// branchings narrow a per-set member index window, so a node costs a few
 /// dozen bytes regardless of how many binaries the SOS sets hold.
 #[derive(Debug, Clone)]
-pub(crate) struct Node {
+struct Node {
     /// Accumulated variable bound overrides (intersected with root bounds).
-    pub overrides: Vec<(usize, f64, f64)>,
+    overrides: Vec<(usize, f64, f64)>,
     /// Inclusive member-index window per SOS set; members outside the
     /// window are fixed to zero when the node's LP is built.
-    pub sos_window: Vec<(usize, usize)>,
+    sos_window: Vec<(usize, usize)>,
     /// Lower bound inherited from the parent's relaxation.
-    pub bound: f64,
-    pub depth: usize,
-    /// The integer branching that created this node, for pseudo-cost
-    /// bookkeeping: `(variable, fractional part at the parent, direction)`.
-    pub branch: Option<(usize, f64, crate::pseudocost::BranchDir)>,
+    bound: f64,
     /// Nearest ancestor's solved tableau (None at the root or with
     /// warm-start off). An ancestor handle further up than the parent is
     /// still valid — bounds only tighten down the tree — just staler.
-    pub warm: Option<std::sync::Arc<WarmState>>,
+    warm: Option<Rc<WarmState>>,
 }
 
 /// Heap entry ordered so that `BinaryHeap::pop` yields the best bound.
@@ -90,7 +82,7 @@ impl Ord for Entry {
 }
 
 /// What processing a node produced.
-pub(crate) enum NodeOutcome {
+enum NodeOutcome {
     /// Fathomed: relaxation infeasible, bound-dominated, or an enforced
     /// nonconvex constraint ruled the (fully fixed) node out.
     Pruned { infeasible: bool },
@@ -101,28 +93,23 @@ pub(crate) enum NodeOutcome {
 }
 
 /// Node-processing report: outcome + cuts generated + work counters.
-pub(crate) struct Processed {
-    pub outcome: NodeOutcome,
-    pub new_cuts: Vec<Cut>,
-    pub lp_solves: usize,
-    pub simplex_iters: usize,
+struct Processed {
+    outcome: NodeOutcome,
+    new_cuts: Vec<Cut>,
+    lp_solves: usize,
+    simplex_iters: usize,
     /// LP solves answered warm / warm attempts that fell back cold.
-    pub warm_resolves: usize,
-    pub warm_fallbacks: usize,
+    warm_resolves: usize,
+    warm_fallbacks: usize,
     /// The node's final solved tableau when it branched — the driver
     /// wraps it in a [`WarmState`] (stamping pool coverage after the
     /// absorb) and attaches it to the children.
-    pub warm: Option<hslb_lp::WarmLp>,
-    /// This node's own relaxation bound (∞ when infeasible) — consumed by
-    /// the driver to update pseudo-costs against the parent bound.
-    pub relax_bound: f64,
+    warm: Option<hslb_lp::WarmLp>,
 }
 
-/// Publish a driver's final work counters to the telemetry sink. Workers
-/// in the parallel driver call this with their *local* tallies, so the
-/// sink's totals equal the merged [`SolveStats`] regardless of thread
-/// count.
-pub(crate) fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &SolveStats) {
+/// Publish the final work counters to the telemetry sink, so the sink's
+/// totals equal the returned [`SolveStats`].
+fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &SolveStats) {
     if !tel.is_enabled() {
         return;
     }
@@ -137,12 +124,11 @@ pub(crate) fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &Solve
     );
     tel.counter_add("minlp.warm_resolves", stats.warm_resolves as u64);
     tel.counter_add("minlp.warm_fallbacks", stats.warm_fallbacks as u64);
-    tel.counter_add("minlp.cuts_retired", stats.cuts_retired as u64);
 }
 
 /// Resolve a node's effective bounds; `None` when an intersection is empty
 /// (node trivially infeasible).
-pub(crate) fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> {
+fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> {
     let mut lb = ir.lb.clone();
     let mut ub = ir.ub.clone();
     for &(v, lo, hi) in &node.overrides {
@@ -169,34 +155,16 @@ pub(crate) fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> 
     Some((lb, ub))
 }
 
-/// Pick the fractional integer variable to branch on, if any, using the
-/// configured selection rule.
-fn fractional_int(
-    ir: &Ir,
-    x: &[f64],
-    tol: f64,
-    rule: crate::options::IntVarSelection,
-    pc: &crate::pseudocost::PseudoCostTable,
-) -> Option<usize> {
+/// The most fractional integer variable, if any.
+fn fractional_int(ir: &Ir, x: &[f64], tol: f64) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (v, &xv) in x.iter().enumerate().take(ir.num_vars()) {
         if !ir.is_int[v] {
             continue;
         }
         let f = float::fractionality(xv);
-        if f <= tol {
-            continue;
-        }
-        let score = match rule {
-            crate::options::IntVarSelection::MostFractional => f,
-            crate::options::IntVarSelection::PseudoCost => {
-                // Product-rule score over the down/up fractional parts.
-                let frac_down = xv - xv.floor();
-                pc.score(v, frac_down)
-            }
-        };
-        if best.is_none_or(|(_, bs)| score > bs) {
-            best = Some((v, score));
+        if f > tol && best.is_none_or(|(_, bf)| f > bf) {
+            best = Some((v, f));
         }
     }
     best.map(|(v, _)| v)
@@ -245,8 +213,6 @@ fn branch_sos(ir: &Ir, node: &Node, x: &[f64], s: usize, bound: f64) -> Vec<Node
             let mut child = node.clone();
             child.sos_window[s] = win;
             child.bound = bound;
-            child.depth += 1;
-            child.branch = None; // this edge is an SOS split, not an integer branch
             child
         })
         .collect()
@@ -256,7 +222,6 @@ fn branch_sos(ir: &Ir, node: &Node, x: &[f64], s: usize, bound: f64) -> Vec<Node
 fn branch_int(node: &Node, v: usize, xv: f64, lb_v: f64, ub_v: f64, bound: f64) -> Vec<Node> {
     // For fractional xv: [lb, floor] / [ceil, ub]. For integral xv (the
     // nonconvex-enforcement path), split so both children are proper.
-    let frac = xv - xv.floor();
     let (left_hi, right_lo) = if float::fractionality(xv) > 1e-9 {
         (xv.floor(), xv.ceil())
     } else if xv >= ub_v - 0.5 {
@@ -269,36 +234,29 @@ fn branch_int(node: &Node, v: usize, xv: f64, lb_v: f64, ub_v: f64, bound: f64) 
         let mut child = node.clone();
         child.overrides.push((v, f64::NEG_INFINITY, left_hi));
         child.bound = bound;
-        child.depth += 1;
-        child.branch = Some((v, frac.max(1e-6), crate::pseudocost::BranchDir::Down));
         out.push(child);
     }
     if right_lo <= ub_v + 1e-9 {
         let mut child = node.clone();
         child.overrides.push((v, right_lo, f64::INFINITY));
         child.bound = bound;
-        child.depth += 1;
-        child.branch = Some((v, (1.0 - frac).max(1e-6), crate::pseudocost::BranchDir::Up));
         out.push(child);
     }
     out
 }
 
-/// Process one node against a snapshot of the global cut pool
-/// (`pool_cuts` with its parallel `pool_retired` flags — indices are
-/// stable across the solve, see [`nlp::CutPool`]).
+/// Process one node against the cut pool (indices are stable across the
+/// solve, see [`nlp::CutPool`]).
 ///
 /// `cutoff` is the objective value a node must strictly beat (incumbent
 /// minus gap); nodes at or above it are pruned. Newly generated OA cuts
 /// are returned for the driver to publish.
-pub(crate) fn process_node(
+fn process_node(
     ir: &Ir,
     opts: &MinlpOptions,
     node: &Node,
     pool_cuts: &[Cut],
-    pool_retired: &[bool],
     cutoff: f64,
-    pc: &crate::pseudocost::PseudoCostTable,
 ) -> Processed {
     let mut report = Processed {
         outcome: NodeOutcome::Pruned { infeasible: true },
@@ -308,56 +266,27 @@ pub(crate) fn process_node(
         warm_resolves: 0,
         warm_fallbacks: 0,
         warm: None,
-        relax_bound: f64::INFINITY,
     };
     let Some((lb, ub)) = node_bounds(ir, node) else {
         return report;
     };
-    let sx = SimplexOptions::default();
 
-    // Adopt the ancestor tableau (Quesada–Grossmann only; the NlpBb mode
-    // warm-starts inside each `solve_relaxation` call instead): clone it,
-    // tighten the branched bounds, and append the pool cuts it predates.
-    // Any failure abandons the handle — the first round below then solves
-    // cold, exactly as with warm-start off.
-    let mut warm_lp: Option<hslb_lp::WarmLp> = None;
-    if opts.warm_start && opts.algorithm == Algorithm::LpNlpBb {
-        if let Some(ws) = &node.warm {
-            let mut w = ws.lp.clone();
-            for j in 0..ir.num_vars() {
-                let (wl, wu) = w.var_bounds(j);
-                if wl.to_bits() != lb[j].to_bits() || wu.to_bits() != ub[j].to_bits() {
-                    w.set_var_bounds(j, lb[j], ub[j]);
-                }
-            }
-            let pending: Vec<(&[(usize, f64)], f64)> = pool_cuts
-                .iter()
-                .zip(pool_retired)
-                .skip(ws.covered.min(pool_cuts.len()))
-                .filter(|(_, &retired)| !retired)
-                .map(|(c, _)| (c.terms.as_slice(), c.rhs))
-                .collect();
-            let ok = w.append_le_rows(&pending).is_ok();
-            if ok {
-                warm_lp = Some(w);
-            } else {
-                report.warm_fallbacks += 1;
-            }
+    // Start the ladder from a clone of the ancestor tableau
+    // (Quesada–Grossmann only; the NlpBb mode warm-starts inside each
+    // `solve_relaxation` call instead): its first solve tightens the
+    // branched bounds and appends the pool cuts the tableau predates.
+    let mut ladder = match &node.warm {
+        Some(ws) if opts.warm_start && opts.algorithm == Algorithm::LpNlpBb => {
+            LpLadder::adopt(ws.lp.clone(), ws.covered)
         }
-    }
-    // Prefix of `report.new_cuts` present as rows of `warm_lp`.
-    let mut warm_new_covered = 0usize;
+        _ => LpLadder::default(),
+    };
 
     for _round in 0..opts.max_cut_rounds {
         // --- relaxation solve ---
         let (x, bound) = if opts.algorithm == Algorithm::NlpBb {
             // Solve the node NLP to convergence (Kelley).
-            let mut merged: Vec<Cut> = pool_cuts
-                .iter()
-                .zip(pool_retired)
-                .filter(|(_, &r)| !r)
-                .map(|(c, _)| c.clone())
-                .collect();
+            let mut merged: Vec<Cut> = pool_cuts.to_vec();
             merged.extend(report.new_cuts.iter().cloned());
             let res = nlp::solve_relaxation(ir, &lb, &ub, &merged, opts);
             report.lp_solves += res.lp_solves;
@@ -381,60 +310,15 @@ pub(crate) fn process_node(
             }
             (res.x, res.objective)
         } else {
-            // Single LP over current linearization (Quesada–Grossmann),
-            // warm-first: append the rows the live tableau has not seen
-            // and repair with the dual simplex; fall back to a cold
-            // rebuild on any warm failure (which also refreshes the
-            // handle for the following rounds).
-            let mut sol = None;
-            if opts.warm_start {
-                if let Some(w) = warm_lp.as_mut() {
-                    let pending: Vec<(&[(usize, f64)], f64)> = report.new_cuts[warm_new_covered..]
-                        .iter()
-                        .map(|c| (c.terms.as_slice(), c.rhs))
-                        .collect();
-                    let ok = w.append_le_rows(&pending).is_ok();
-                    if ok {
-                        warm_new_covered = report.new_cuts.len();
-                    }
-                    if ok {
-                        if let Ok(s) = w.resolve(&nlp::warm_budget(w.num_rows(), &sx)) {
-                            report.warm_resolves += 1;
-                            sol = Some(s);
-                        }
-                    }
-                    if sol.is_none() {
-                        warm_lp = None;
-                        report.warm_fallbacks += 1;
-                    }
-                }
-            }
-            let sol = match sol {
-                Some(s) => s,
-                None => {
-                    let mut lp = nlp::build_lp_active(ir, &lb, &ub, pool_cuts, pool_retired);
-                    for c in &report.new_cuts {
-                        lp.add_row(&c.terms, hslb_lp::ConstraintSense::Le, c.rhs);
-                    }
-                    let solved = if opts.warm_start {
-                        hslb_lp::solve_keep(&lp, &sx).map(|(s, w)| {
-                            warm_lp = w;
-                            warm_new_covered = report.new_cuts.len();
-                            s
-                        })
-                    } else {
-                        hslb_lp::solve(&lp, &sx)
-                    };
-                    match solved {
-                        Ok(s) => s,
-                        Err(_) => {
-                            // Numerical failure: treat as unfathomed and
-                            // prune conservatively, as before.
-                            report.outcome = NodeOutcome::Pruned { infeasible: true };
-                            return report;
-                        }
-                    }
-                }
+            // Single LP over current linearization (Quesada–Grossmann).
+            let solved = ladder.solve(ir, &lb, &ub, pool_cuts, &report.new_cuts, opts.warm_start);
+            (report.warm_resolves, report.warm_fallbacks) =
+                (ladder.warm_resolves, ladder.warm_fallbacks);
+            let Ok(sol) = solved else {
+                // Numerical failure: treat as unfathomed and prune
+                // conservatively.
+                report.outcome = NodeOutcome::Pruned { infeasible: true };
+                return report;
             };
             report.lp_solves += 1;
             report.simplex_iters += sol.iterations;
@@ -448,10 +332,8 @@ pub(crate) fn process_node(
                 }
                 LpStatus::Optimal => {}
             }
-            (sol.x.clone(), sol.objective)
+            (sol.x, sol.objective)
         };
-
-        report.relax_bound = bound;
 
         // --- bound pruning ---
         if bound >= cutoff {
@@ -468,15 +350,15 @@ pub(crate) fn process_node(
             Branching::IntegerOnly => None,
         };
         if let Some(s) = sos_choice {
-            report.warm = warm_lp.take();
+            report.warm = ladder.into_lp();
             report.outcome = NodeOutcome::Branched {
                 children: branch_sos(ir, node, &x, s, bound),
                 sos: true,
             };
             return report;
         }
-        if let Some(v) = fractional_int(ir, &x, opts.int_tol, opts.int_var_selection, pc) {
-            report.warm = warm_lp.take();
+        if let Some(v) = fractional_int(ir, &x, opts.int_tol) {
+            report.warm = ladder.into_lp();
             report.outcome = NodeOutcome::Branched {
                 children: branch_int(node, v, x[v], lb[v], ub[v], bound),
                 sos: false,
@@ -485,7 +367,7 @@ pub(crate) fn process_node(
         }
         // Integral: late SOS check (IntegerOnly mode, or degenerate sets).
         if let Some(s) = violated_sos(ir, node, &x, opts.int_tol) {
-            report.warm = warm_lp.take();
+            report.warm = ladder.into_lp();
             report.outcome = NodeOutcome::Branched {
                 children: branch_sos(ir, node, &x, s, bound),
                 sos: true,
@@ -527,7 +409,7 @@ pub(crate) fn process_node(
                         return report;
                     }
                     Some(v) => {
-                        report.warm = warm_lp.take();
+                        report.warm = ladder.into_lp();
                         report.outcome = NodeOutcome::Branched {
                             children: branch_int(node, v, xi[v], lb[v], ub[v], bound),
                             sos: false,
@@ -555,7 +437,7 @@ pub(crate) fn process_node(
     report
 }
 
-/// Solve the compiled MINLP with a serial branch-and-bound.
+/// Solve the compiled MINLP with branch-and-bound.
 ///
 /// # Examples
 ///
@@ -583,7 +465,7 @@ pub(crate) fn process_node(
 pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
     let t0 = std::time::Instant::now();
     let mut stats = SolveStats::default();
-    let mut pool = nlp::CutPool::new();
+    let mut pool = nlp::CutPool::default();
 
     // Root presolve: tighten the box by propagating the linear rows.
     let tightened;
@@ -612,7 +494,6 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
     } else {
         ir
     };
-    let pc = crate::pseudocost::PseudoCostTable::new(ir.num_vars());
 
     // Root: continuous NLP relaxation (Kelley). Its cuts seed the pool —
     // the paper's "initial linearization point".
@@ -623,7 +504,7 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
     stats.warm_resolves += root_relax.warm_resolves;
     stats.warm_fallbacks += root_relax.warm_fallbacks;
     pool.absorb_cuts(root_relax.new_cuts.clone(), 1e-9);
-    stats.cuts = pool.total_len();
+    stats.cuts = pool.len();
     match root_relax.status {
         NlpStatus::Infeasible => {
             stats.wall = t0.elapsed();
@@ -654,15 +535,13 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
             .map(|s| (0usize, s.members.len().saturating_sub(1)))
             .collect(),
         bound: root_bound,
-        depth: 0,
-        branch: None,
         // The root relaxation's final tableau already covers every pool
         // entry (the pool was just seeded from its cuts), so the first
         // tree solve repairs bounds instead of rebuilding two-phase.
         warm: root_relax.warm.take().map(|lp| {
-            std::sync::Arc::new(WarmState {
+            Rc::new(WarmState {
                 lp,
-                covered: pool.total_len(),
+                covered: pool.len(),
             })
         }),
     };
@@ -729,18 +608,12 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
                     stats.nodes,
                     node.bound,
                     inc,
-                    pool.active_len(),
+                    pool.len(),
                     heap.len() + stack.len()
                 );
             }
         }
-        let mut processed = process_node(ir, opts, &node, pool.cuts(), pool.retired(), cutoff, &pc);
-        // Pseudo-cost update for the integer branch that created this node.
-        if let Some((v, frac, dir)) = node.branch {
-            if processed.relax_bound.is_finite() && node.bound.is_finite() {
-                pc.update(v, dir, frac, processed.relax_bound - node.bound);
-            }
-        }
+        let mut processed = process_node(ir, opts, &node, pool.cuts(), cutoff);
         stats.lp_solves += processed.lp_solves;
         stats.simplex_iters += processed.simplex_iters;
         stats.warm_resolves += processed.warm_resolves;
@@ -748,8 +621,7 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
         if !processed.new_cuts.is_empty() {
             let new_cuts = std::mem::take(&mut processed.new_cuts);
             stats.cuts += pool.absorb_cuts(new_cuts, 1e-9);
-            opts.telemetry
-                .record("minlp.cut_pool", pool.active_len() as f64);
+            opts.telemetry.record("minlp.cut_pool", pool.len() as f64);
         }
         let node_warm = processed.warm.take();
         match processed.outcome {
@@ -763,12 +635,10 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
             NodeOutcome::Incumbent { x, obj } => {
                 if incumbent.as_ref().is_none_or(|(best, _)| obj < *best) {
                     stats.incumbents += 1;
-                    stats.cuts_retired +=
-                        pool.retire_slack(&x, opts.feas_tol, opts.cut_age_incumbents);
                     opts.telemetry.point(
                         "minlp.incumbent",
                         &[("obj", obj), ("node", stats.nodes as f64)],
-                        &[("driver", "serial")],
+                        &[],
                     );
                     incumbent = Some((obj, x));
                 }
@@ -783,9 +653,9 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
                 // coverage is stamped after the absorb above, so a child
                 // appends only cuts its inherited rows genuinely lack.
                 let handoff = node_warm.map(|lp| {
-                    std::sync::Arc::new(WarmState {
+                    Rc::new(WarmState {
                         lp,
-                        covered: pool.total_len(),
+                        covered: pool.len(),
                     })
                 });
                 for mut c in children {
@@ -815,9 +685,9 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
                     },
                 ),
                 ("wall_ms", secs * 1e3),
-                ("cut_pool", pool.active_len() as f64),
+                ("cut_pool", pool.len() as f64),
             ],
-            &[("driver", "serial")],
+            &[],
         );
     }
     let exhausted = heap.is_empty() && stack.is_empty();

@@ -29,9 +29,13 @@
 //!   `T_sync` ice/land synchronization window is a difference of convex
 //!   functions): they contribute no cuts and are enforced by feasibility
 //!   checks plus branching, which is exact once the involved integers are
-//!   fixed,
-//! * a parallel tree search sharing the incumbent and cut pool across
-//!   worker threads ([`solve_parallel`]).
+//!   fixed.
+//!
+//! There is one driver ([`solve`]), one branching rule per entity (SOS
+//! sets split at the weighted centroid, integers at the most fractional
+//! variable) and one cut pool that only grows. Node LPs go through one
+//! warm→cold ladder: a checked dual-simplex re-solve of the ancestor's
+//! tableau, else a cold rebuild (DESIGN.md §14).
 //!
 //! The continuous relaxations are solved with Kelley's cutting-plane
 //! method ([`solve_relaxation`]) on top of the [`hslb_lp`] simplex — the same
@@ -41,16 +45,12 @@ mod bb;
 mod ir;
 mod nlp;
 mod options;
-mod parallel;
 mod presolve;
-mod pseudocost;
 mod solution;
 
 pub use bb::solve;
 pub use ir::{compile, CompileError, Ir};
-pub use nlp::{solve_relaxation, Cut, CutPool, NlpResult, NlpStatus};
-pub use options::{Algorithm, Branching, IntVarSelection, MinlpOptions, NodeSelection};
-pub use parallel::solve_parallel;
+pub use nlp::{solve_relaxation, Cut, NlpResult, NlpStatus};
+pub use options::{Algorithm, Branching, MinlpOptions, NodeSelection};
 pub use presolve::{propagate, PresolveResult};
-pub use pseudocost::{BranchDir, PseudoCostTable};
 pub use solution::{AuditStamp, MinlpSolution, MinlpStatus, SolveStats};

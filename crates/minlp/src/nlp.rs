@@ -82,9 +82,7 @@ impl Cut {
 ///
 /// Entries are **index-stable**: the `cuts` vector only grows, so a warm
 /// tableau that recorded "I cover the first `k` pool entries" stays
-/// meaningful for the rest of the solve. Dropping a cut sets its
-/// `retired` flag instead of removing it; retired cuts are skipped when
-/// LPs are built but their indices never shift.
+/// meaningful for the rest of the solve.
 ///
 /// Duplicate suppression is two-level:
 ///
@@ -99,123 +97,49 @@ impl Cut {
 /// treated as duplicates, so a hash collision costs only a redundant
 /// window scan, never a wrongly merged cut. A `BTreeMap` keeps lookup
 /// order deterministic (no hash-seed or address-order dependence).
-#[derive(Debug, Clone, Default)]
-pub struct CutPool {
+#[derive(Debug, Default)]
+pub(crate) struct CutPool {
     cuts: Vec<Cut>,
-    retired: Vec<bool>,
-    /// Consecutive incumbent evaluations at which the cut was slack.
-    streak: Vec<u32>,
     /// Exact fingerprint → index of the first cut bearing it.
     fps: std::collections::BTreeMap<u64, usize>,
 }
 
 impl CutPool {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seed a pool from an initial batch (the root relaxation's cuts).
-    pub fn from_cuts(cuts: Vec<Cut>) -> Self {
-        let mut pool = Self::new();
-        pool.absorb_cuts(cuts, 0.0);
-        pool
-    }
-
-    /// All entries ever absorbed, retired included (index-stable).
-    pub fn cuts(&self) -> &[Cut] {
+    /// All entries, in insertion order.
+    pub(crate) fn cuts(&self) -> &[Cut] {
         &self.cuts
     }
 
-    /// Per-entry retired flags, parallel to [`Self::cuts`].
-    pub fn retired(&self) -> &[bool] {
-        &self.retired
-    }
-
-    /// Total entries ever absorbed (the coverage horizon for warm states).
-    pub fn total_len(&self) -> usize {
+    /// Number of entries (the coverage horizon for warm states).
+    pub(crate) fn len(&self) -> usize {
         self.cuts.len()
     }
 
-    /// Entries still participating in LP builds.
-    pub fn active_len(&self) -> usize {
-        self.retired.iter().filter(|&&r| !r).count()
-    }
-
-    /// Clones of the active cuts, in insertion order.
-    pub fn active_cuts(&self) -> Vec<Cut> {
-        self.cuts
-            .iter()
-            .zip(&self.retired)
-            .filter(|(_, &r)| !r)
-            .map(|(c, _)| c.clone())
-            .collect()
-    }
-
     /// Absorb `new` cuts, dropping near-duplicates of the last 64 entries
-    /// and exact duplicates of *any* entry ever absorbed. An exact
-    /// duplicate of a retired cut revives it (the search has returned to
-    /// a region where the cut binds) rather than re-adding it. Returns
-    /// the number of entries appended.
-    pub fn absorb_cuts(&mut self, new: Vec<Cut>, tol: f64) -> usize {
+    /// and exact duplicates of *any* entry ever absorbed. Returns the
+    /// number of entries appended.
+    pub(crate) fn absorb_cuts(&mut self, new: Vec<Cut>, tol: f64) -> usize {
         const WINDOW: usize = 64;
         let mut added = 0;
         for cut in new {
             let fp = cut.fingerprint();
             if let Some(&i) = self.fps.get(&fp) {
                 if self.cuts[i].exact_eq(&cut) {
-                    if self.retired[i] {
-                        self.retired[i] = false;
-                        self.streak[i] = 0;
-                    }
                     continue;
                 }
             }
             let start = self.cuts.len().saturating_sub(WINDOW);
             if self.cuts[start..]
                 .iter()
-                .zip(&self.retired[start..])
-                .any(|(c, &r)| !r && c.near_duplicate(&cut, tol))
+                .any(|c| c.near_duplicate(&cut, tol))
             {
                 continue;
             }
             self.fps.entry(fp).or_insert(self.cuts.len());
             self.cuts.push(cut);
-            self.retired.push(false);
-            self.streak.push(0);
             added += 1;
         }
         added
-    }
-
-    /// Age the pool against a new incumbent point: a cut slack by more
-    /// than `slack_tol` at `x` advances its streak; a binding cut resets
-    /// it; a cut slack at `max_streak` consecutive incumbents is retired.
-    /// `max_streak == 0` disables aging. Returns newly retired count.
-    pub fn retire_slack(&mut self, x: &[f64], slack_tol: f64, max_streak: usize) -> usize {
-        if max_streak == 0 {
-            return 0;
-        }
-        let mut retired_now = 0;
-        for i in 0..self.cuts.len() {
-            if self.retired[i] {
-                continue;
-            }
-            let lhs: f64 = self.cuts[i]
-                .terms
-                .iter()
-                .map(|&(v, c)| c * x.get(v).copied().unwrap_or(0.0))
-                .sum();
-            if self.cuts[i].rhs - lhs > slack_tol {
-                self.streak[i] += 1;
-                if self.streak[i] as usize >= max_streak {
-                    self.retired[i] = true;
-                    retired_now += 1;
-                }
-            } else {
-                self.streak[i] = 0;
-            }
-        }
-        retired_now
     }
 }
 
@@ -249,13 +173,13 @@ pub struct NlpResult {
     /// LP solves answered by the warm dual-simplex path (subset of
     /// `lp_solves`).
     pub warm_resolves: usize,
-    /// Warm attempts abandoned for a cold rebuild (stale or singular
-    /// tableau — the fail-closed ladder's bottom rung).
+    /// Warm attempts abandoned for a cold rebuild (the ladder's cold
+    /// rung).
     pub warm_fallbacks: usize,
     /// The live tableau of the final optimal LP (covers the pool passed
     /// in plus every row of `new_cuts`, in order). `Some` only when the
-    /// solve ended `Optimal` with `opts.warm_start` on; the B&B drivers
-    /// hand it to the root node so the first tree solve is warm too.
+    /// solve ended `Optimal` with `opts.warm_start` on; the B&B driver
+    /// hands it to the root node so the first tree solve is warm too.
     pub warm: Option<hslb_lp::WarmLp>,
 }
 
@@ -263,12 +187,98 @@ pub struct NlpResult {
 /// of pivots, but an SOS branch that cuts off the parent vertex can send
 /// the dual simplex on a walk longer than a cold two-phase solve (seen:
 /// 317 warm iterations where cold took 79). Past ~2 pivots per row the
-/// warm path has lost its advantage, so bail out and let the fallback
-/// ladder do a bounded cold rebuild instead.
-pub(crate) fn warm_budget(rows: usize, opts: &SimplexOptions) -> SimplexOptions {
+/// warm path has lost its advantage, so bail out and let the ladder do a
+/// bounded cold rebuild instead.
+fn warm_budget(rows: usize, opts: &SimplexOptions) -> SimplexOptions {
     SimplexOptions {
         max_iters: opts.max_iters.min(2 * rows + 32),
         ..opts.clone()
+    }
+}
+
+/// The warm→cold LP ladder (DESIGN.md §14): the one place a
+/// [`hslb_lp::WarmLp`] is edited and re-solved. It owns the live tableau,
+/// how far into the caller's two cut lists its rows reach, and the two
+/// warm counters.
+#[derive(Debug, Default)]
+pub(crate) struct LpLadder {
+    lp: Option<hslb_lp::WarmLp>,
+    /// Prefix of the `pool` / `new_cuts` slices present as tableau rows.
+    pool_covered: usize,
+    new_covered: usize,
+    /// LP solves answered warm / warm attempts that fell back cold.
+    pub warm_resolves: usize,
+    pub warm_fallbacks: usize,
+}
+
+impl LpLadder {
+    /// Start from a solved tableau (an ancestor node's) whose rows cover
+    /// the first `pool_covered` pool entries.
+    pub(crate) fn adopt(lp: hslb_lp::WarmLp, pool_covered: usize) -> Self {
+        LpLadder {
+            lp: Some(lp),
+            pool_covered,
+            ..Default::default()
+        }
+    }
+
+    /// Solve the LP relaxation of `ir` under `[lb, ub]` with the rows of
+    /// `pool` then `new_cuts` (both may have grown since the last call;
+    /// neither may shrink). Warm rung: bring the live tableau up to date —
+    /// bounds that differ, rows it lacks — and repair it with the checked
+    /// dual simplex under [`warm_budget`]. Any failure there drops the
+    /// tableau, counts a fallback, and the cold rung rebuilds the problem
+    /// and solves it two-phase, keeping the new tableau when `warm_start`
+    /// is on. With `warm_start` off only the cold rung exists.
+    pub(crate) fn solve(
+        &mut self,
+        ir: &Ir,
+        lb: &[f64],
+        ub: &[f64],
+        pool: &[Cut],
+        new_cuts: &[Cut],
+        warm_start: bool,
+    ) -> Result<hslb_lp::LpSolution, hslb_lp::LpError> {
+        let sx = SimplexOptions::default();
+        if let Some(mut w) = self.lp.take() {
+            for j in 0..ir.num_vars() {
+                let (wl, wu) = w.var_bounds(j);
+                if wl.to_bits() != lb[j].to_bits() || wu.to_bits() != ub[j].to_bits() {
+                    w.set_var_bounds(j, lb[j], ub[j]);
+                }
+            }
+            let pending: Vec<(&[(usize, f64)], f64)> = pool[self.pool_covered..]
+                .iter()
+                .chain(&new_cuts[self.new_covered..])
+                .map(|c| (c.terms.as_slice(), c.rhs))
+                .collect();
+            let warm = w
+                .append_le_rows(&pending)
+                .and_then(|()| w.resolve(&warm_budget(w.num_rows(), &sx)));
+            if let Ok(sol) = warm {
+                self.lp = Some(w);
+                (self.pool_covered, self.new_covered) = (pool.len(), new_cuts.len());
+                self.warm_resolves += 1;
+                return Ok(sol);
+            }
+            self.warm_fallbacks += 1;
+        }
+        let mut lp = build_lp(ir, lb, ub, pool);
+        for c in new_cuts {
+            lp.add_row(&c.terms, LpSense::Le, c.rhs);
+        }
+        if !warm_start {
+            return hslb_lp::solve(&lp, &sx);
+        }
+        let (sol, kept) = hslb_lp::solve_keep(&lp, &sx)?;
+        self.lp = kept;
+        (self.pool_covered, self.new_covered) = (pool.len(), new_cuts.len());
+        Ok(sol)
+    }
+
+    /// Give up the live tableau (for a node's children, or the root).
+    pub(crate) fn into_lp(self) -> Option<hslb_lp::WarmLp> {
+        self.lp
     }
 }
 
@@ -294,25 +304,6 @@ pub fn build_lp(ir: &Ir, lb: &[f64], ub: &[f64], cuts: &[Cut]) -> LpProblem {
         lp.add_row(&cut.terms, LpSense::Le, cut.rhs);
     }
     lp.set_objective(&ir.obj_terms);
-    lp
-}
-
-/// [`build_lp`] over an index-stable pool snapshot: cuts whose `retired`
-/// flag is set are skipped (they stay in the snapshot only so that warm
-/// coverage prefixes keep their meaning).
-pub fn build_lp_active(
-    ir: &Ir,
-    lb: &[f64],
-    ub: &[f64],
-    cuts: &[Cut],
-    retired: &[bool],
-) -> LpProblem {
-    let mut lp = build_lp(ir, lb, ub, &[]);
-    for (cut, &r) in cuts.iter().zip(retired) {
-        if !r {
-            lp.add_row(&cut.terms, LpSense::Le, cut.rhs);
-        }
-    }
     lp
 }
 
@@ -343,12 +334,11 @@ pub fn linearize(ir: &Ir, k: usize, x: &[f64]) -> Cut {
 /// returned (and are valid for every other node).
 ///
 /// With `opts.warm_start` (the default) one tableau is kept live across
-/// Kelley rounds: each round appends its new cut rows and re-attains
-/// feasibility with the bounded-variable dual simplex instead of solving
-/// the whole LP from scratch (DESIGN.md §14). Any warm failure — a
-/// singular tableau, a basic artificial blocking the handle — falls back
-/// to the cold two-phase rebuild for that round, so warm-start can change
-/// only the work counters, never the answer.
+/// Kelley rounds by the [`LpLadder`]: each round appends its new cut rows
+/// and re-attains feasibility with the checked dual simplex instead of
+/// solving the whole LP from scratch (DESIGN.md §14); whatever the warm
+/// rung cannot verify is solved cold, so warm-start changes the work
+/// counters, never the answer.
 pub fn solve_relaxation(
     ir: &Ir,
     lb: &[f64],
@@ -356,107 +346,39 @@ pub fn solve_relaxation(
     pool: &[Cut],
     opts: &MinlpOptions,
 ) -> NlpResult {
-    let sx = SimplexOptions::default();
-    let mut new_cuts: Vec<Cut> = Vec::new();
-    let mut lp_solves = 0usize;
-    let mut simplex_iters = 0usize;
-    let mut warm_resolves = 0usize;
-    let mut warm_fallbacks = 0usize;
-    // Live tableau across rounds + how many of `new_cuts` it has as rows.
-    let mut warm: Option<hslb_lp::WarmLp> = None;
-    let mut covered = 0usize;
+    let mut ladder = LpLadder::default();
+    let mut res = NlpResult {
+        status: NlpStatus::IterationLimit,
+        x: vec![],
+        objective: f64::NEG_INFINITY,
+        new_cuts: Vec::new(),
+        lp_solves: 0,
+        simplex_iters: 0,
+        warm_resolves: 0,
+        warm_fallbacks: 0,
+        warm: None,
+    };
 
     for _ in 0..opts.max_kelley_iters {
-        // Warm path: append the rows this tableau has not seen, then
-        // dual-resolve. Anything going wrong drops the handle and falls
-        // through to the cold rebuild below.
-        let mut sol = None;
-        if opts.warm_start {
-            if let Some(w) = warm.as_mut() {
-                let pending: Vec<(&[(usize, f64)], f64)> = new_cuts[covered..]
-                    .iter()
-                    .map(|c| (c.terms.as_slice(), c.rhs))
-                    .collect();
-                let ok = w.append_le_rows(&pending).is_ok();
-                if ok {
-                    covered = new_cuts.len();
-                }
-                if ok {
-                    if let Ok(s) = w.resolve(&warm_budget(w.num_rows(), &sx)) {
-                        warm_resolves += 1;
-                        sol = Some(s);
-                    }
-                }
-                if sol.is_none() {
-                    warm = None;
-                    warm_fallbacks += 1;
-                }
-            }
-        }
-        let sol = match sol {
-            Some(s) => s,
-            None => {
-                // Cold rebuild with pool + accumulated new cuts. When
-                // warm-starting, keep the solved tableau for next round.
-                let mut lp = build_lp(ir, lb, ub, pool);
-                for c in &new_cuts {
-                    lp.add_row(&c.terms, LpSense::Le, c.rhs);
-                }
-                let solved = if opts.warm_start {
-                    hslb_lp::solve_keep(&lp, &sx).map(|(s, w)| {
-                        warm = w;
-                        covered = new_cuts.len();
-                        s
-                    })
-                } else {
-                    hslb_lp::solve(&lp, &sx)
-                };
-                match solved {
-                    Ok(s) => s,
-                    Err(_) => {
-                        return NlpResult {
-                            status: NlpStatus::IterationLimit,
-                            x: vec![],
-                            objective: f64::INFINITY,
-                            new_cuts,
-                            lp_solves,
-                            simplex_iters,
-                            warm_resolves,
-                            warm_fallbacks,
-                            warm: None,
-                        }
-                    }
-                }
-            }
+        let solved = ladder.solve(ir, lb, ub, pool, &res.new_cuts, opts.warm_start);
+        (res.warm_resolves, res.warm_fallbacks) = (ladder.warm_resolves, ladder.warm_fallbacks);
+        let Ok(sol) = solved else {
+            res.objective = f64::INFINITY;
+            return res;
         };
-        lp_solves += 1;
-        simplex_iters += sol.iterations;
+        res.lp_solves += 1;
+        res.simplex_iters += sol.iterations;
         match sol.status {
             LpStatus::Infeasible => {
-                return NlpResult {
-                    status: NlpStatus::Infeasible,
-                    x: sol.x,
-                    objective: f64::INFINITY,
-                    new_cuts,
-                    lp_solves,
-                    simplex_iters,
-                    warm_resolves,
-                    warm_fallbacks,
-                    warm: None,
-                }
+                res.status = NlpStatus::Infeasible;
+                res.objective = f64::INFINITY;
+                res.x = sol.x;
+                return res;
             }
             LpStatus::Unbounded => {
-                return NlpResult {
-                    status: NlpStatus::Unbounded,
-                    x: sol.x,
-                    objective: f64::NEG_INFINITY,
-                    new_cuts,
-                    lp_solves,
-                    simplex_iters,
-                    warm_resolves,
-                    warm_fallbacks,
-                    warm: None,
-                }
+                res.status = NlpStatus::Unbounded;
+                res.x = sol.x;
+                return res;
             }
             LpStatus::Optimal => {}
         }
@@ -469,37 +391,20 @@ pub fn solve_relaxation(
             }
             let g = ir.nonlinear[k].g.eval(&sol.x);
             if g > opts.feas_tol {
-                new_cuts.push(linearize(ir, k, &sol.x));
+                res.new_cuts.push(linearize(ir, k, &sol.x));
                 violated = true;
             }
         }
         if !violated {
-            return NlpResult {
-                status: NlpStatus::Optimal,
-                objective: ir.obj_constant
-                    + ir.obj_terms.iter().map(|&(v, c)| c * sol.x[v]).sum::<f64>(),
-                x: sol.x,
-                new_cuts,
-                lp_solves,
-                simplex_iters,
-                warm_resolves,
-                warm_fallbacks,
-                warm: warm.take(),
-            };
+            res.status = NlpStatus::Optimal;
+            res.objective =
+                ir.obj_constant + ir.obj_terms.iter().map(|&(v, c)| c * sol.x[v]).sum::<f64>();
+            res.x = sol.x;
+            res.warm = ladder.into_lp();
+            return res;
         }
     }
-
-    NlpResult {
-        status: NlpStatus::IterationLimit,
-        x: vec![],
-        objective: f64::NEG_INFINITY,
-        new_cuts,
-        lp_solves,
-        simplex_iters,
-        warm_resolves,
-        warm_fallbacks,
-        warm: None,
-    }
+    res
 }
 
 #[cfg(test)]
@@ -629,7 +534,8 @@ mod cut_pool_tests {
 
     #[test]
     fn absorb_skips_duplicates_and_counts_additions() {
-        let mut pool = CutPool::from_cuts(vec![cut(0, &[(0, 1.0)], 1.0)]);
+        let mut pool = CutPool::default();
+        pool.absorb_cuts(vec![cut(0, &[(0, 1.0)], 1.0)], 0.0);
         let added = pool.absorb_cuts(
             vec![
                 cut(0, &[(0, 1.0)], 1.0), // duplicate
@@ -639,7 +545,7 @@ mod cut_pool_tests {
             1e-9,
         );
         assert_eq!(added, 2);
-        assert_eq!(pool.total_len(), 3);
+        assert_eq!(pool.len(), 3);
     }
 
     /// Regression for the windowed dedup bug: the 64-entry near-duplicate
@@ -649,7 +555,7 @@ mod cut_pool_tests {
     #[test]
     fn exact_duplicate_is_dropped_across_the_window_horizon() {
         let marked = cut(7, &[(0, 0.25), (1, -1.5)], 4.0);
-        let mut pool = CutPool::new();
+        let mut pool = CutPool::default();
         assert_eq!(pool.absorb_cuts(vec![marked.clone()], 1e-9), 1);
         // Bury the marked cut under well over a window's worth of
         // mutually distinct cuts.
@@ -657,39 +563,11 @@ mod cut_pool_tests {
             let c = cut(0, &[(0, 1.0 + i as f64), (1, 2.0 + i as f64)], i as f64);
             assert_eq!(pool.absorb_cuts(vec![c], 1e-9), 1);
         }
-        assert_eq!(pool.total_len(), 101);
+        assert_eq!(pool.len(), 101);
         // The bit-identical resubmission must be dropped even though the
         // original is 100 entries deep.
         assert_eq!(pool.absorb_cuts(vec![marked.clone()], 1e-9), 0);
-        assert_eq!(pool.total_len(), 101);
-        // And reviving: retire the original, resubmit, it comes back
-        // active instead of duplicating.
-        let many = pool.total_len();
-        // (-100, 100) leaves only the marked cut slack, so three strikes
-        // retire exactly it.
-        for _ in 0..3 {
-            pool.retire_slack(&[-100.0, 100.0], 1e-6, 3);
-        }
-        assert!(pool.retired()[0]);
-        pool.absorb_cuts(vec![marked], 1e-9);
-        assert_eq!(pool.total_len(), many, "revive must not append");
-        assert!(!pool.retired()[0], "exact duplicate revives a retired cut");
-    }
-
-    #[test]
-    fn retire_slack_ages_and_revives() {
-        // Cut 0 binds at x = (1, 0); cut 1 is slack there.
-        let mut pool = CutPool::from_cuts(vec![cut(0, &[(0, 1.0)], 1.0), cut(1, &[(1, 1.0)], 5.0)]);
-        let x = [1.0, 0.0];
-        assert_eq!(pool.retire_slack(&x, 1e-6, 3), 0);
-        assert_eq!(pool.retire_slack(&x, 1e-6, 3), 0);
-        assert_eq!(pool.retire_slack(&x, 1e-6, 3), 1); // third strike
-        assert_eq!(pool.active_len(), 1);
-        assert!(pool.retired()[1]);
-        // Binding point resets the survivor's streak; disabled aging is a
-        // no-op.
-        assert_eq!(pool.retire_slack(&x, 1e-6, 0), 0);
-        assert_eq!(pool.active_cuts().len(), 1);
+        assert_eq!(pool.len(), 101);
     }
 
     #[test]

@@ -27,16 +27,6 @@ pub enum Branching {
     IntegerOnly,
 }
 
-/// How to pick which fractional integer variable to branch on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntVarSelection {
-    /// The variable whose LP value is farthest from an integer.
-    MostFractional,
-    /// Pseudo-cost (product rule) with most-fractional fallback until a
-    /// variable has branching history.
-    PseudoCost,
-}
-
 /// Node selection order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeSelection {
@@ -51,7 +41,6 @@ pub enum NodeSelection {
 pub struct MinlpOptions {
     pub algorithm: Algorithm,
     pub branching: Branching,
-    pub int_var_selection: IntVarSelection,
     pub node_selection: NodeSelection,
     /// Run root bound propagation on the linear rows before the search.
     pub presolve: bool,
@@ -79,32 +68,19 @@ pub struct MinlpOptions {
     /// Reuse solved tableaux across cut rounds and down branch-and-bound
     /// edges: appended cut rows and tightened bounds are repaired with a
     /// bounded-variable dual simplex instead of a cold two-phase solve
-    /// (DESIGN.md §14). Fail-closed — any warm error falls back to the
-    /// cold path — so this flag changes work counters, never the
-    /// incumbent (asserted at the pipeline level by the warm-start
-    /// integration tests).
+    /// (DESIGN.md §14). Every warm answer is checked against the rows it
+    /// stands for — an optimum must satisfy them, an infeasibility must
+    /// carry a Farkas certificate against them — and whatever fails the
+    /// check is solved cold, so this flag changes work counters, never
+    /// the incumbent (asserted at the pipeline level by the warm-start
+    /// integration tests, on inputs where an unchecked re-solve did
+    /// change it).
     pub warm_start: bool,
-    /// Cut-pool aging: retire a cut once it has been slack at this many
-    /// consecutive incumbent points. Retired cuts keep their pool index
-    /// (warm coverage prefixes stay valid) and are revived if the search
-    /// regenerates them exactly. `0` disables aging.
-    pub cut_age_incumbents: usize,
-    /// Worker threads for [`crate::solve_parallel`] (ignored by `solve`).
-    pub threads: usize,
-    /// Serial fast-path cutover for [`crate::solve_parallel`]: when the
-    /// root relaxation proves the branch-and-bound tree small — the
-    /// product of undecided SOS-set sizes times 2^(fractional integers)
-    /// is at most this — the solve is delegated to the serial driver
-    /// instead of spinning up workers that would mostly idle at the tail
-    /// of a tiny tree. `0` disables the cutover. The incumbent is
-    /// identical either way (asserted by the telemetry integration
-    /// tests); only thread bring-up/tear-down is skipped.
-    pub serial_cutover: usize,
     /// Print a progress line to stderr every `n` processed nodes
-    /// (`None` = silent). Serial driver only.
+    /// (`None` = silent).
     pub log_every: Option<usize>,
     /// Telemetry sink for solver events (incumbent timeline, cut-pool
-    /// growth, per-worker utilization). Disabled by default; the solve
+    /// growth). Disabled by default; the solve
     /// path is identical either way — instrumentation is strictly
     /// passive.
     pub telemetry: hslb_telemetry::Telemetry,
@@ -115,7 +91,6 @@ impl Default for MinlpOptions {
         MinlpOptions {
             algorithm: Algorithm::LpNlpBb,
             branching: Branching::SosFirst,
-            int_var_selection: IntVarSelection::MostFractional,
             node_selection: NodeSelection::BestBound,
             presolve: true,
             int_tol: 1e-6,
@@ -127,9 +102,6 @@ impl Default for MinlpOptions {
             max_cut_rounds: 40,
             max_kelley_iters: 120,
             warm_start: true,
-            cut_age_incumbents: 8,
-            threads: 1,
-            serial_cutover: 64,
             log_every: None,
             telemetry: hslb_telemetry::Telemetry::disabled(),
         }
@@ -147,6 +119,5 @@ mod tests {
         assert_eq!(o.branching, Branching::SosFirst);
         assert_eq!(o.node_selection, NodeSelection::BestBound);
         assert!(o.warm_start, "warm re-solves are on by default");
-        assert!(o.cut_age_incumbents > 0, "cut aging is on by default");
     }
 }

@@ -53,11 +53,10 @@ pub struct SolveStats {
     /// rows or tightened bounds repaired on a live tableau; subset of
     /// `lp_solves`).
     pub warm_resolves: usize,
-    /// Warm attempts abandoned for a cold rebuild (stale or singular
-    /// tableau — the fail-closed ladder).
+    /// Warm attempts abandoned for a cold rebuild (iteration budget spent,
+    /// singular tableau, or an answer that failed its row / certificate
+    /// check).
     pub warm_fallbacks: usize,
-    /// Pool cuts retired by incumbent-slack aging.
-    pub cuts_retired: usize,
     /// Nodes pruned by bound.
     pub pruned_by_bound: usize,
     /// Nodes pruned by infeasibility.

@@ -1,9 +1,7 @@
 //! Tests for the solver features beyond the core algorithm: presolve,
 //! pseudo-cost branching, gap reporting.
 
-use hslb_minlp::{
-    compile, propagate, solve, IntVarSelection, MinlpOptions, MinlpStatus, PresolveResult,
-};
+use hslb_minlp::{compile, propagate, solve, MinlpOptions, MinlpStatus, PresolveResult};
 use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense};
 
 fn chained_model(n: f64, k: usize) -> Model {
@@ -61,33 +59,6 @@ fn presolve_on_and_off_agree() {
     assert!((with.objective - without.objective).abs() < 1e-8);
     assert!(with.stats.presolve_changes > 0);
     assert_eq!(without.stats.presolve_changes, 0);
-}
-
-#[test]
-fn pseudocost_and_most_fractional_agree_on_optimum() {
-    let ir = compile(&chained_model(40.0, 4)).unwrap();
-    let mf = solve(
-        &ir,
-        &MinlpOptions {
-            int_var_selection: IntVarSelection::MostFractional,
-            ..Default::default()
-        },
-    );
-    let pc = solve(
-        &ir,
-        &MinlpOptions {
-            int_var_selection: IntVarSelection::PseudoCost,
-            ..Default::default()
-        },
-    );
-    assert_eq!(mf.status, MinlpStatus::Optimal);
-    assert_eq!(pc.status, MinlpStatus::Optimal);
-    assert!(
-        (mf.objective - pc.objective).abs() < 1e-7,
-        "{} vs {}",
-        mf.objective,
-        pc.objective
-    );
 }
 
 #[test]
@@ -171,19 +142,4 @@ fn generous_deadline_does_not_change_the_optimum() {
     assert_eq!(unlimited.status, MinlpStatus::Optimal);
     assert_eq!(with_deadline.status, MinlpStatus::Optimal);
     assert_eq!(with_deadline.objective, unlimited.objective);
-}
-
-#[test]
-fn parallel_zero_deadline_stops_cleanly() {
-    let ir = compile(&chained_model(30.0, 3)).unwrap();
-    let sol = hslb_minlp::solve_parallel(
-        &ir,
-        &MinlpOptions {
-            threads: 2,
-            time_limit: Some(std::time::Duration::ZERO),
-            ..Default::default()
-        },
-    );
-    assert_eq!(sol.status, MinlpStatus::TimeLimitNoIncumbent);
-    assert!(!sol.has_solution());
 }

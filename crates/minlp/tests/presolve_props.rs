@@ -78,19 +78,4 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn pseudocost_preserves_the_optimum(seed in 0u64..2_000, k in 2usize..5) {
-        let m = build(seed, k, 2);
-        let ir = compile(&m).unwrap();
-        let mf = solve(&ir, &MinlpOptions::default());
-        let pc = solve(&ir, &MinlpOptions {
-            int_var_selection: hslb_minlp::IntVarSelection::PseudoCost,
-            ..Default::default()
-        });
-        prop_assert_eq!(mf.status, pc.status);
-        if mf.status == MinlpStatus::Optimal {
-            prop_assert!((mf.objective - pc.objective).abs() <= 1e-6 * (1.0 + mf.objective.abs()));
-        }
-    }
 }

@@ -1,8 +1,6 @@
 //! Functional tests for the MINLP branch-and-bound.
 
-use hslb_minlp::{
-    compile, solve, solve_parallel, Algorithm, Branching, MinlpOptions, MinlpStatus, NodeSelection,
-};
+use hslb_minlp::{compile, solve, Algorithm, Branching, MinlpOptions, MinlpStatus, NodeSelection};
 use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense};
 
 /// min T s.t. T ≥ a/n + d with n integer in [1, hi]. Optimal n = hi.
@@ -352,28 +350,6 @@ fn depth_first_and_best_bound_agree() {
         },
     );
     assert!((a.objective - b.objective).abs() < 1e-5);
-}
-
-#[test]
-fn parallel_matches_serial() {
-    let m = two_component_model(300.0, 120.0, 40.0);
-    let ir = compile(&m).unwrap();
-    let serial = solve(&ir, &MinlpOptions::default());
-    let par = solve_parallel(
-        &ir,
-        &MinlpOptions {
-            threads: 4,
-            ..Default::default()
-        },
-    );
-    assert_eq!(serial.status, MinlpStatus::Optimal);
-    assert_eq!(par.status, MinlpStatus::Optimal);
-    assert!(
-        (serial.objective - par.objective).abs() < 1e-6,
-        "serial {} vs parallel {}",
-        serial.objective,
-        par.objective
-    );
 }
 
 #[test]

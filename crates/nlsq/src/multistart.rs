@@ -11,13 +11,11 @@
 //! The same observation justifies the *early-stop fast path*
 //! ([`EarlyStopPolicy`]): once several consecutive starts have confirmed
 //! the incumbent basin, the remaining starts are redundant work. Starts
-//! are always drained in index order — serially or from the work-stealing
-//! parallel driver — so the winner, the tie-breaks, and the stop decision
-//! are bit-identical at every thread count.
+//! run one after another in index order, so the winner, the tie-breaks
+//! and the stop decision are functions of the inputs alone. (A service
+//! parallelises across requests, not inside one fit.)
 
 use crate::lm::{levenberg_marquardt, LmOptions, LmResult, ResidualModel};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Adaptive early termination for [`multistart_fit`].
 ///
@@ -37,8 +35,7 @@ use std::sync::Mutex;
 ///    displacement is the only event that can change the winner, so once
 ///    it dries up the remaining starts are redundant.
 ///
-/// The decision is evaluated over results in start-index order, so it is
-/// deterministic regardless of how many threads raced through the starts.
+/// The decision is evaluated over results in start-index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EarlyStopPolicy {
     /// Never stop before this many starts have completed (the caller's
@@ -77,8 +74,6 @@ pub struct MultistartOptions {
     pub starts: usize,
     /// Seed for the quasi-random start generation (deterministic).
     pub seed: u64,
-    /// Run the starts on `threads` OS threads (1 = serial).
-    pub threads: usize,
     /// Early-stop policy. `None` (the default) preserves the historical
     /// behavior: every scheduled start runs.
     pub early_stop: Option<EarlyStopPolicy>,
@@ -91,7 +86,6 @@ impl Default for MultistartOptions {
         MultistartOptions {
             starts: 16,
             seed: 0x5eed_cafe,
-            threads: 1,
             early_stop: None,
             lm: LmOptions::default(),
         }
@@ -229,15 +223,9 @@ fn residual_scale<M: ResidualModel>(model: &M, p0: &[f64]) -> f64 {
 /// order, the incumbent is replaced only by a start that improves its cost
 /// by more than the basin tolerance (a strictly better basin). Same-basin
 /// costs agree within the tolerance, so the winner is the first start that
-/// reached the winning basin — independent of thread count and of how many
-/// redundant starts ran after it (the property the early-stop fast path
-/// relies on).
-///
-/// With `threads > 1`, the starts are distributed over scoped worker
-/// threads (the model is only read, so a shared reference suffices). The
-/// early-stop decision (when enabled) is evaluated over results drained
-/// in start-index order, exactly as the serial run would see them.
-pub fn multistart_fit<M: ResidualModel + Sync>(
+/// reached the winning basin — independent of how many redundant starts
+/// ran after it (the property the early-stop fast path relies on).
+pub fn multistart_fit<M: ResidualModel>(
     model: &M,
     p0: &[f64],
     opts: &MultistartOptions,
@@ -245,9 +233,9 @@ pub fn multistart_fit<M: ResidualModel + Sync>(
     multistart_fit_report(model, p0, opts).0
 }
 
-/// Incremental, index-ordered scan that replays the serial early-stop
-/// decision: feed it results in start-index order and it reports the
-/// cutoff (number of starts to keep) as soon as the policy fires.
+/// Incremental, index-ordered scan that makes the early-stop decision:
+/// feed it results in start-index order and it reports the cutoff
+/// (number of starts to keep) as soon as the policy fires.
 struct BasinScan {
     policy: Option<EarlyStopPolicy>,
     residual_scale: f64,
@@ -319,18 +307,24 @@ impl BasinScan {
 }
 
 /// [`multistart_fit`] plus the per-run [`MultistartReport`].
-pub fn multistart_fit_report<M: ResidualModel + Sync>(
+pub fn multistart_fit_report<M: ResidualModel>(
     model: &M,
     p0: &[f64],
     opts: &MultistartOptions,
 ) -> (LmResult, MultistartReport) {
     let starts = generate_starts(model, p0, opts.starts.max(1), opts.seed);
     let scale = residual_scale(model, &starts[0]);
-    let results: Vec<LmResult> = if opts.threads <= 1 {
-        serial_runs(model, &starts, opts, scale)
-    } else {
-        parallel_runs(model, &starts, opts, scale)
-    };
+    // Run starts in index order, stopping at the policy's cutoff.
+    let mut scan = BasinScan::new(opts.early_stop, scale);
+    let mut results = Vec::with_capacity(starts.len());
+    for s in &starts {
+        let r = levenberg_marquardt(model, s, &opts.lm);
+        let cutoff = scan.push(r.cost);
+        results.push(r);
+        if cutoff.is_some() {
+            break;
+        }
+    }
     let early_stopped = results.len() < starts.len();
     let total_iterations = results.iter().map(|r| r.iterations).sum();
     // Basin-representative selection, replayed as an index-ordered
@@ -373,119 +367,6 @@ pub fn multistart_fit_report<M: ResidualModel + Sync>(
     )
 }
 
-/// Serial driver: run starts in index order, stopping at the policy's
-/// cutoff. This is the reference semantics the parallel driver reproduces.
-fn serial_runs<M: ResidualModel>(
-    model: &M,
-    starts: &[Vec<f64>],
-    opts: &MultistartOptions,
-    residual_scale: f64,
-) -> Vec<LmResult> {
-    let mut scan = BasinScan::new(opts.early_stop, residual_scale);
-    let mut results = Vec::with_capacity(starts.len());
-    for s in starts {
-        let r = levenberg_marquardt(model, s, &opts.lm);
-        let cutoff = scan.push(r.cost);
-        results.push(r);
-        if cutoff.is_some() {
-            break;
-        }
-    }
-    results
-}
-
-/// Work-stealing parallel driver. Workers claim start indices from a
-/// shared counter; finished results land in per-index slots and a single
-/// index-ordered drain (under the lock) replays the serial early-stop
-/// scan over the contiguous prefix. When the scan fires, the cutoff is
-/// published and workers stop claiming new indices. Starts past the
-/// cutoff that were already running speculatively are discarded, so the
-/// retained prefix — winner, tie-breaks, iteration totals — is
-/// bit-identical to [`serial_runs`] at any thread count.
-fn parallel_runs<M: ResidualModel + Sync>(
-    model: &M,
-    starts: &[Vec<f64>],
-    opts: &MultistartOptions,
-    residual_scale: f64,
-) -> Vec<LmResult> {
-    let n = starts.len();
-    let nthreads = opts.threads.min(n).max(1);
-    let next = AtomicUsize::new(0);
-    let cutoff = AtomicUsize::new(usize::MAX);
-    struct Drain {
-        slots: Vec<Option<LmResult>>,
-        prefix: usize,
-        scan: BasinScan,
-        /// Sticky fire flag: set (under the lock) the moment the scan
-        /// publishes a cutoff. Speculative workers that claimed later
-        /// indices before the cutoff landed still finish their LM run and
-        /// store their slot, but must never feed the scan again — without
-        /// this guard such a worker could re-fire the policy at a larger
-        /// `processed` and overwrite `cutoff` with a bigger value, making
-        /// the retained prefix depend on thread timing.
-        fired: bool,
-    }
-    let drain = Mutex::new(Drain {
-        slots: (0..n).map(|_| None).collect(),
-        prefix: 0,
-        scan: BasinScan::new(opts.early_stop, residual_scale),
-        fired: false,
-    });
-    // A worker panic is a solver bug; propagating it (rather than
-    // returning a partial fit) is the intended behavior of every
-    // `expect` in this parallel drain.
-    #[allow(clippy::expect_used)]
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..nthreads {
-            let (next, cutoff, drain) = (&next, &cutoff, &drain);
-            let lm = opts.lm.clone();
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || i >= cutoff.load(Ordering::Acquire) {
-                    break;
-                }
-                let r = levenberg_marquardt(model, &starts[i], &lm);
-                let mut d = drain.lock().expect("multistart drain lock");
-                d.slots[i] = Some(r);
-                if d.fired {
-                    // The cutoff is already decided; this was a
-                    // speculative start past it. Its slot is discarded by
-                    // the final `take(keep)`.
-                    return;
-                }
-                // Drain the contiguous prefix in index order — exactly
-                // the serial scan, just fed as slots fill in.
-                while d.prefix < n && d.slots[d.prefix].is_some() {
-                    let cost = d.slots[d.prefix].as_ref().expect("just checked").cost;
-                    let fired = d.scan.push(cost);
-                    d.prefix += 1;
-                    if let Some(keep) = fired {
-                        // First (and only) publication: `fired` is set
-                        // under the same lock, so no later drain can
-                        // reach this store.
-                        d.fired = true;
-                        cutoff.store(keep, Ordering::Release);
-                        return;
-                    }
-                }
-            });
-        }
-    })
-    .expect("multistart worker panicked");
-    let keep = cutoff.load(Ordering::Acquire).min(n);
-    // The scope joined every worker, so the lock cannot be poisoned and
-    // every slot below the published cutoff has been filled.
-    #[allow(clippy::expect_used)]
-    let drain = drain.into_inner().expect("multistart drain lock");
-    #[allow(clippy::expect_used)]
-    drain
-        .slots
-        .into_iter()
-        .take(keep)
-        .map(|r| r.expect("prefix below the cutoff is fully drained"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,7 +401,7 @@ mod tests {
 
     /// Exactly tied basins: r(p) = p² − 1 has minima at ±1, both with
     /// cost 0 to the last bit. The winner must be decided purely by start
-    /// index, identically at every thread count.
+    /// index.
     struct TiedBasins;
 
     impl ResidualModel for TiedBasins {
@@ -562,64 +443,25 @@ mod tests {
         assert!(multi.cost <= single.cost + 1e-15);
     }
 
+    /// With two exactly-tied basins the winner is *only* determined by
+    /// index: however many later starts land in the other basin at the
+    /// same cost, the caller's start (index 0) keeps the win.
     #[test]
-    fn deterministic_across_thread_counts() {
-        let serial = multistart_fit(
-            &TwoBasins,
-            &[0.5],
-            &MultistartOptions {
-                starts: 8,
-                threads: 1,
-                ..Default::default()
-            },
-        );
-        let parallel = multistart_fit(
-            &TwoBasins,
-            &[0.5],
-            &MultistartOptions {
-                starts: 8,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial.params, parallel.params);
-        assert_eq!(serial.cost, parallel.cost);
-    }
-
-    /// Regression for the old `parallel_runs`: placeholder `(0, result)`
-    /// tuples were written into slots and then re-enumerated, leaving two
-    /// indexing schemes that could silently diverge from the serial
-    /// tie-break `cmp_f64(cost).then(index)`. With two exactly-tied basins
-    /// the winner is *only* determined by index, so any divergence shows
-    /// up as a sign flip between thread counts.
-    #[test]
-    fn tied_basins_break_ties_by_index_at_any_thread_count() {
+    fn tied_basins_break_ties_by_start_index() {
+        let first = levenberg_marquardt(&TiedBasins, &[0.3], &LmOptions::default());
         for starts in [2usize, 5, 8, 13] {
-            let serial = multistart_fit_report(
+            let (best, rep) = multistart_fit_report(
                 &TiedBasins,
                 &[0.3],
                 &MultistartOptions {
                     starts,
-                    threads: 1,
                     ..Default::default()
                 },
             );
-            let parallel = multistart_fit_report(
-                &TiedBasins,
-                &[0.3],
-                &MultistartOptions {
-                    starts,
-                    threads: 4,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                serial.0.params, parallel.0.params,
-                "winner diverged at {starts} starts"
-            );
-            assert_eq!(serial.0.cost, parallel.0.cost);
-            assert_eq!(serial.0.iterations, parallel.0.iterations);
-            assert_eq!(serial.1, parallel.1, "reports diverged at {starts} starts");
+            assert_eq!(best.params, first.params, "winner moved at {starts} starts");
+            assert_eq!(best.cost, first.cost);
+            assert_eq!(best.iterations, first.iterations);
+            assert_eq!(rep.starts, starts);
         }
     }
 
@@ -660,20 +502,14 @@ mod tests {
             ..full_opts.clone()
         };
         let (full, full_rep) = multistart_fit_report(&OneBasin, &[0.0], &full_opts);
-        for threads in [1, 4] {
-            let opts = MultistartOptions {
-                threads,
-                ..fast_opts.clone()
-            };
-            let (fast, rep) = multistart_fit_report(&OneBasin, &[0.0], &opts);
-            assert_eq!(fast.params, full.params, "threads={threads}");
-            assert_eq!(fast.cost, full.cost);
-            assert!(rep.early_stopped, "policy should fire on one basin");
-            assert!(rep.starts < full_rep.starts, "ran {} starts", rep.starts);
-            assert!(rep.starts >= EarlyStopPolicy::default().min_starts);
-            assert!(rep.basin_hits <= rep.starts);
-            assert!(rep.total_iterations < full_rep.total_iterations);
-        }
+        let (fast, rep) = multistart_fit_report(&OneBasin, &[0.0], &fast_opts);
+        assert_eq!(fast.params, full.params);
+        assert_eq!(fast.cost, full.cost);
+        assert!(rep.early_stopped, "policy should fire on one basin");
+        assert!(rep.starts < full_rep.starts, "ran {} starts", rep.starts);
+        assert!(rep.starts >= EarlyStopPolicy::default().min_starts);
+        assert!(rep.basin_hits <= rep.starts);
+        assert!(rep.total_iterations < full_rep.total_iterations);
     }
 
     /// Deterministic check of the no-improvement criterion: a persistent
@@ -720,34 +556,6 @@ mod tests {
         assert_eq!(scan.push(1.0), Some(5)); // streak 3 → cutoff
     }
 
-    /// Regression for the sticky-cutoff race: after the policy fired, a
-    /// speculative worker that had already claimed a later index could
-    /// push its result into the shared scan and re-fire with a larger
-    /// `processed`, overwriting the cutoff — making `starts`,
-    /// `total_iterations`, and potentially the winner depend on thread
-    /// timing. Hammer the parallel driver and require every run to match
-    /// the serial reference exactly.
-    #[test]
-    fn parallel_early_stop_cutoff_is_sticky_under_contention() {
-        let opts_for = |threads| MultistartOptions {
-            starts: 32,
-            threads,
-            early_stop: Some(EarlyStopPolicy::default()),
-            ..Default::default()
-        };
-        let (serial, serial_rep) = multistart_fit_report(&TwoBasins, &[-3.0], &opts_for(1));
-        assert!(
-            serial_rep.early_stopped,
-            "policy must fire for this test to bite"
-        );
-        for _ in 0..50 {
-            let (par, par_rep) = multistart_fit_report(&TwoBasins, &[-3.0], &opts_for(4));
-            assert_eq!(par.params, serial.params);
-            assert_eq!(par.cost.to_bits(), serial.cost.to_bits());
-            assert_eq!(par_rep, serial_rep, "report diverged from serial");
-        }
-    }
-
     #[test]
     fn no_improvement_streak_resets_on_displacement() {
         let policy = EarlyStopPolicy {
@@ -768,7 +576,7 @@ mod tests {
 
     /// End-to-end on the two-basin model: the worse basin keeps catching
     /// starts, yet the default policy still stops early and the winner
-    /// stays bit-identical to the full run at every thread count.
+    /// stays bit-identical to the full run.
     #[test]
     fn multimodal_scatter_early_stops_and_matches_full_run() {
         let full_opts = MultistartOptions {
@@ -780,17 +588,11 @@ mod tests {
             ..full_opts.clone()
         };
         let (full, _) = multistart_fit_report(&TwoBasins, &[-3.0], &full_opts);
-        for threads in [1, 4] {
-            let opts = MultistartOptions {
-                threads,
-                ..fast_opts.clone()
-            };
-            let (fast, rep) = multistart_fit_report(&TwoBasins, &[-3.0], &opts);
-            assert_eq!(fast.params, full.params, "threads={threads}");
-            assert_eq!(fast.cost.to_bits(), full.cost.to_bits());
-            assert!(rep.early_stopped, "policy should fire at threads={threads}");
-            assert!(rep.starts < 32, "ran {} starts", rep.starts);
-        }
+        let (fast, rep) = multistart_fit_report(&TwoBasins, &[-3.0], &fast_opts);
+        assert_eq!(fast.params, full.params);
+        assert_eq!(fast.cost.to_bits(), full.cost.to_bits());
+        assert!(rep.early_stopped, "policy should fire");
+        assert!(rep.starts < 32, "ran {} starts", rep.starts);
     }
 
     #[test]

@@ -108,8 +108,6 @@ pub struct ScalingFitOptions {
     pub starts: usize,
     /// Seed for start generation.
     pub seed: u64,
-    /// Threads for the multistart (1 = serial).
-    pub threads: usize,
     /// Early-stop policy for the multistart (§III-C fast path). `None`
     /// runs every start; the default policy stops once consecutive starts
     /// confirm the incumbent basin. The fitted curve is bit-identical
@@ -128,7 +126,6 @@ impl Default for ScalingFitOptions {
             c_bounds: (1.0, 3.0),
             starts: 24,
             seed: 0x1234_5678,
-            threads: 1,
             early_stop: None,
             warm_start: None,
         }
@@ -275,7 +272,6 @@ pub fn fit_scaling(data: &[(f64, f64)], opts: &ScalingFitOptions) -> Result<Scal
     let ms = MultistartOptions {
         starts: opts.starts,
         seed: opts.seed,
-        threads: opts.threads,
         early_stop: opts.early_stop,
         lm: LmOptions::default(),
     };

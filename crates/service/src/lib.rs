@@ -20,7 +20,7 @@
 //!   (reusing the telemetry crate's JSON parser — no serde);
 //! * [`loadmix`] — deterministic request mixes and the latency/throughput
 //!   accounting the `loadgen` binary reports into the
-//!   `hslb-bench-pipeline/v8` service block;
+//!   `hslb-bench-pipeline/v9` service block;
 //! * [`reactor`] — the std-only nonblocking readiness loop behind
 //!   `hslb-serve`: one thread multiplexes accept/read/parse/dispatch and
 //!   write-backpressure across thousands of connections, with replies

@@ -45,6 +45,16 @@ fn small_options(workers: usize) -> ServiceOptions {
     }
 }
 
+/// One server at a time: `pipelined_replies_are_bounded_and_correlated`
+/// bounds the thread count of the whole process, so a sibling test's
+/// workers starting mid-run would be counted against it (one run in six
+/// failed that way).
+static ONE_SERVER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_server() -> std::sync::MutexGuard<'static, ()> {
+    ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Threads currently alive in this process (Linux: /proc/self/task).
 fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -61,6 +71,7 @@ fn parse_line(line: &str) -> (bool, Value) {
 /// correct id correlation, replies arriving in any order.
 #[test]
 fn pipelined_replies_are_bounded_and_correlated() {
+    let _one_server = one_server();
     let workers = 2;
     let (addr, handle) = start_server(small_options(workers), ReactorOptions::default());
     let baseline = thread_count();
@@ -136,6 +147,7 @@ fn pipelined_replies_are_bounded_and_correlated() {
 /// client's fault accounting shows the faults actually fired.
 #[test]
 fn reactor_survives_injected_connection_faults() {
+    let _one_server = one_server();
     let faults = ServiceFaultSpec {
         drop_rate: 0.12,
         truncate_rate: 0.12,
@@ -187,6 +199,7 @@ fn reactor_survives_injected_connection_faults() {
 /// bounded and other connections keep serving.
 #[test]
 fn slow_reader_is_disconnected_not_buffered() {
+    let _one_server = one_server();
     let reactor_opts = ReactorOptions {
         max_outbound_bytes: 4 * 1024,
         ..ReactorOptions::default()
@@ -247,6 +260,7 @@ fn slow_reader_is_disconnected_not_buffered() {
 /// in flight.
 #[test]
 fn drain_answers_every_queued_reply_before_ack() {
+    let _one_server = one_server();
     // One worker and distinct scenarios: most submissions are still
     // queued (not yet solving) when the shutdown lands right behind
     // them on the same connection.
@@ -305,6 +319,7 @@ fn drain_answers_every_queued_reply_before_ack() {
 /// `misrouted` rejection naming the owner.
 #[test]
 fn sharded_reactor_rejects_misrouted_keys() {
+    let _one_server = one_server();
     let reactor_opts = ReactorOptions {
         shard: Some(ShardSpec { index: 0, total: 2 }),
         ..ReactorOptions::default()

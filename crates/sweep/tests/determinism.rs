@@ -51,6 +51,29 @@ fn sweep_with(spec: &SweepSpec, workers: usize, caches: bool) -> Portfolio {
     portfolio
 }
 
+/// `hslb-sweep --verify`: every non-pruned entry matches the one-shot
+/// reference pipeline bit for bit. Returns how many were checked.
+fn assert_matches_one_shot_references(spec: &SweepSpec, portfolio: &Portfolio) -> usize {
+    let configs = spec.configs();
+    let mut checked = 0;
+    for entry in portfolio.entries.iter().filter(|e| !e.pruned) {
+        let cfg = configs
+            .iter()
+            .find(|c| c.key() == entry.key)
+            .expect("entry key in spec grid");
+        let reference = reference_response(&request_for(cfg)).expect("reference pipeline");
+        assert_eq!(
+            entry.fingerprint.as_deref(),
+            Some(reference.fingerprint().as_str()),
+            "fingerprint mismatch for {}",
+            entry.key
+        );
+        assert_eq!(entry.makespan.to_bits(), reference.actual_total.to_bits());
+        checked += 1;
+    }
+    checked
+}
+
 /// Non-pruned entries must be bit-identical to standalone one-shot runs,
 /// and the portfolio must not depend on worker count or cache policy.
 #[test]
@@ -86,29 +109,38 @@ fn portfolio_matches_one_shot_reference_at_any_concurrency() {
         );
     }
 
-    // Every non-pruned entry matches the one-shot reference pipeline
-    // bit for bit.
-    let mut checked = 0;
-    for entry in &first.entries {
-        if entry.pruned {
-            continue;
-        }
-        let cfg = configs
-            .iter()
-            .find(|c| c.key() == entry.key)
-            .expect("entry key in spec grid");
-        let reference = reference_response(&request_for(cfg)).expect("reference pipeline");
-        assert_eq!(
-            entry.fingerprint.as_deref(),
-            Some(reference.fingerprint().as_str()),
-            "fingerprint mismatch for {}",
-            entry.key
-        );
-        assert_eq!(entry.makespan.to_bits(), reference.actual_total.to_bits());
-        checked += 1;
-    }
+    let checked = assert_matches_one_shot_references(&spec, first);
     assert!(checked >= 1, "no non-pruned entries to check");
     assert_eq!(first.stats.planned, first.stats.solved + first.stats.pruned);
+}
+
+/// Simulator seed 43 on the bench-suite grid: its
+/// `eighth|sequential|min-max|n4096` member used to dig until the 10 s
+/// watchdog gave up on the worker (twice, then on the bypass rung), and
+/// twelve more seeds of 42..=75 failed on a fully-sequential 1/8° member
+/// with an ocean count the simulator rejects. The whole grid now
+/// completes on the MINLP rung and verifies.
+#[test]
+fn seed_43_bench_grid_completes_and_verifies() {
+    let spec = SweepSpec {
+        one_degree_budgets: vec![48, 64, 96, 128, 160, 192, 224, 256],
+        eighth_degree_budgets: vec![4096, 6144, 8192, 16384],
+        seed: 43,
+        ..SweepSpec::default()
+    };
+    let started = std::time::Instant::now();
+    let portfolio = sweep_with(&spec, 4, true);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "sweep took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(portfolio.stats.planned, 36);
+    let minlp = hslb::SolverRung::Minlp.to_string();
+    for entry in portfolio.entries.iter().filter(|e| !e.pruned) {
+        assert_eq!(entry.rung, minlp, "{} left the MINLP rung", entry.key);
+    }
+    assert!(assert_matches_one_shot_references(&spec, &portfolio) >= 1);
 }
 
 /// Pinned regression: on each shipped scenario's budget neighborhood the

@@ -15,8 +15,8 @@
 # `audit-source`, a token-level scan (hand-rolled lexer, so comments and
 # strings neither create nor mask findings) of the workspace for
 # nondeterminism primitives, raw float equality, lock acquisitions inside
-# the multistart drain (or admission-queue shard) critical sections, and
-# telemetry reads from solver or service code. Level 3 — the same binary's
+# an admission-queue shard critical section, and telemetry reads from
+# solver or service code. Level 3 — the same binary's
 # concurrency audit: a cross-crate lock acquisition graph with cycle,
 # rank-lattice, and held-across-blocking-call checks, plus the zero-raw-
 # locks rule over crates/service/src (every lock there is a ranked
@@ -45,17 +45,21 @@
 # surviving injected panics, hangs, poisoned cache entries, and dropped/
 # truncated connections), kill -9s the server, restarts it from the same
 # snapshot, and re-runs the smoke mix — the restored cache must serve bit
-# for bit. Level 2 of the audit gate now carries seven rules, including
+# for bit. Level 2 of the audit gate carries six rules, including
 # no-unwrap-inside-catch_unwind on the supervised worker paths and the
 # hash-order rule (no HashMap/HashSet/pointer-identity iteration in the
 # simplex crate, whose pivot order must be reproducible).
 #
 # The warm-start gate (DESIGN.md §14) runs the bench smoke twice — warm
-# dual-simplex path on and off — validates both documents against the v8
+# dual-simplex path on and off — validates both documents against the v9
 # schema (which checks the warm_start work counters and the solve ≤ fit
 # phase budget), and bit-compares the incumbents between the two runs:
 # warm starts may change how much work the solver does, never what it
-# returns.
+# returns. It then runs the bench-suite grid for simulator seed 43
+# in-process with `hslb-sweep --verify` under a 10 s timeout: that sweep
+# hung past the 40 s of watchdogs while a warm re-solve could return an
+# unchecked answer (its eighth|sequential|n4096 member dug without end),
+# and twelve more seeds failed on an allocation the simulator rejects.
 #
 # The connection-scale gate (DESIGN.md §15) runs the readiness-loop
 # deployment shape end to end: two `hslb-serve --shard i/2` processes on
@@ -133,6 +137,9 @@ if [[ $fast -eq 0 ]]; then
     cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --no-warm-start --out "$cold_out"
     cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$cold_out"
     cargo run --release -q -p hslb-bench --bin bench-suite -- --compare-incumbents "$smoke_out" "$cold_out"
+    timeout 10 ./target/release/hslb-sweep --seed 43 \
+        --one-degree-nodes 48,64,96,128,160,192,224,256 --eighth-nodes 4096,6144,8192,16384 \
+        --verify --quiet
 
     echo "==> service smoke (hslb-serve + loadgen + graceful drain)"
     port_file="$(mktemp /tmp/hslb_serve_port.XXXXXX)"

@@ -149,21 +149,3 @@ fn tsync_constraint_tightens_balance_but_may_cost_time() {
     // And it can never beat the unconstrained optimum.
     assert!(synced.hslb.predicted_total.unwrap() >= base.hslb.predicted_total.unwrap() - 1e-6);
 }
-
-#[test]
-fn parallel_solver_pipeline_matches_serial() {
-    let sim = Simulator::eighth_degree(42);
-    let serial = Hslb::new(&sim, HslbOptions::new(8192)).run(None).unwrap();
-
-    let mut opts = HslbOptions::new(8192);
-    opts.solver.threads = 4;
-    let parallel = Hslb::new(&sim, opts).run(None).unwrap();
-
-    assert!(
-        (serial.hslb.predicted_total.unwrap() - parallel.hslb.predicted_total.unwrap()).abs()
-            < 1e-6,
-        "serial {} vs parallel {}",
-        serial.hslb.predicted_total.unwrap(),
-        parallel.hslb.predicted_total.unwrap()
-    );
-}
