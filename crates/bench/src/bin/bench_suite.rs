@@ -800,14 +800,71 @@ fn validate_scaling(sv: &Value) -> Vec<String> {
 }
 
 /// Schema check for `hslb-bench-pipeline/v9` documents. Returns every
-/// violation found (empty = valid). Older schema versions are rejected.
+/// violation found (empty = valid). Older schema versions are rejected
+/// with explicit upgrade messages.
 fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     match doc.get("schema").and_then(Value::as_str) {
         Some("hslb-bench-pipeline/v9") => {}
-        Some(old) if old.starts_with("hslb-bench-pipeline/v") => errs.push(format!(
-            "schema {old} is no longer accepted: regenerate with a v9 emitter"
-        )),
+        Some("hslb-bench-pipeline/v1") => errs.push(
+            "schema hslb-bench-pipeline/v1 is no longer accepted: regenerate with a \
+             v9 emitter (adds early_stop, fit accounting, the audit block, the \
+             solver cut_pool summary, the service load block, the recovery/drift \
+             robustness blocks, the solver warm_start block, and the sweep block)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v2") => errs.push(
+            "schema hslb-bench-pipeline/v2 is no longer accepted: regenerate with a \
+             v9 emitter (adds the per-scenario audit block, the solver cut_pool \
+             summary, the service load block, the recovery/drift robustness \
+             blocks, the solver warm_start block, and the sweep block)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v3") => errs.push(
+            "schema hslb-bench-pipeline/v3 is no longer accepted: regenerate with a \
+             v9 emitter (adds the per-scenario solver cut_pool summary with LP \
+             resolves per node, the top-level service load block, the \
+             recovery/drift robustness blocks, the solver warm_start block, and \
+             the sweep block)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v4") => errs.push(
+            "schema hslb-bench-pipeline/v4 is no longer accepted: regenerate with a \
+             v9 emitter (embeds the current hslb-service-load service document \
+             with fault/recovery accounting, and adds the crash-recovery and \
+             drift-rebalance robustness blocks plus the solver warm_start and \
+             sweep blocks)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v5") => errs.push(
+            "schema hslb-bench-pipeline/v5 is no longer accepted: regenerate with a \
+             v9 emitter (adds the top-level warm_start boolean, the per-scenario \
+             solver.warm_start work counters, the solve ≤ fit phase-budget \
+             check, and the sweep block)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v6") => errs.push(
+            "schema hslb-bench-pipeline/v6 is no longer accepted: regenerate with a \
+             v9 emitter (embeds the hslb-service-load/v3 service block with the \
+             connection-scale `connections` accounting — concurrent connections, \
+             server peaks, reply-queue depth percentiles, per-shard throughput — \
+             plus the isolated-shard `scaling` A/B and the sweep block)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v7") => errs.push(
+            "schema hslb-bench-pipeline/v7 is no longer accepted: regenerate with a \
+             v9 emitter (adds the top-level `sweep` block — portfolio-sweep \
+             accounting with shared-work dedup counts, fit/gather cache hit \
+             rates, predictor MAE, and the wall-clock vs Σ-one-shot comparison — \
+             and the `fit_cache` accounting in the service block)"
+                .to_string(),
+        ),
+        Some("hslb-bench-pipeline/v8") => errs.push(
+            "schema hslb-bench-pipeline/v8 is no longer accepted: regenerate with a \
+             v9 emitter (drops solver.warm_start.cuts_retired with the cut-pool \
+             aging it counted)"
+                .to_string(),
+        ),
         other => errs.push(format!(
             "schema must be hslb-bench-pipeline/v9, got {other:?}"
         )),

@@ -280,10 +280,7 @@ impl WarmLp {
         base.chain(cuts)
     }
 
-    /// Does `x` satisfy every kept row and structural bound? (Out of line,
-    /// like the certificate check: both run once per re-solve, not per
-    /// pivot, and `resolve` stays small.)
-    #[inline(never)]
+    /// Does `x` satisfy every kept row and structural bound?
     fn satisfies_rows(&self, x: &[f64]) -> bool {
         let rows_ok = self.rows().all(|(terms, sense, rhs)| {
             let mut act = 0.0;
@@ -317,7 +314,6 @@ impl WarmLp {
     /// tolerance of zero are dropped, as the ratio test that declared the
     /// row stuck dropped them: any `y` gives a valid aggregate, and a
     /// wrong-signed 1e-13 on a slack would make its range unbounded.
-    #[inline(never)]
     fn certifies_infeasible(&self, r: usize, pivot_tol: f64) -> bool {
         let n = self.n;
         let y = &self.tab.t.row(r)[n..];

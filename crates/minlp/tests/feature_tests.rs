@@ -1,5 +1,5 @@
 //! Tests for the solver features beyond the core algorithm: presolve,
-//! pseudo-cost branching, gap reporting.
+//! gap reporting.
 
 use hslb_minlp::{compile, propagate, solve, MinlpOptions, MinlpStatus, PresolveResult};
 use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense};

@@ -96,15 +96,15 @@ impl Collector {
     /// retry pacing — the paced wait the audit's no-sleep rule demands).
     /// Returns at once when a completion is already waiting to be
     /// drained: it was recorded while the driver ran its callbacks, so
-    /// its `notify_all` has come and gone.
-    fn wait_hint(&self, hint_ms: u64) {
+    /// its `notify_all` has come and gone. The bool is "the hint ran out".
+    fn wait_hint(&self, hint_ms: u64) -> bool {
         let st = self.state.lock();
         if !st.fresh.is_empty() {
-            return;
+            return false;
         }
-        let _ = self
-            .ready
-            .wait_timeout(st, Duration::from_millis(hint_ms.clamp(1, 1_000)));
+        self.ready
+            .wait_timeout(st, Duration::from_millis(hint_ms.clamp(1, 1_000)))
+            .1
     }
 }
 
@@ -534,60 +534,28 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceOptions;
 
+    /// Regression for the lost wake-up as `solve_batch` ran into it: a
+    /// completion recorded while the driver is inside `on_done` sends its
+    /// `notify_all` to nobody, and the unconditional wait that followed
+    /// slept its whole 50 ms hint before looking at it. Asserted on what
+    /// the wait reports, not on a clock.
     #[test]
-    fn wait_hint_does_not_park_on_an_undrained_completion() {
-        let collector = Collector::new(1);
-        collector.record(0, Err("recorded before the wait".to_string()));
-        let start = Instant::now();
-        collector.wait_hint(1_000);
-        assert!(start.elapsed() < Duration::from_millis(500));
-        // Drained, the next wait parks for its hint.
-        drain_fresh(&collector);
-        let start = Instant::now();
-        collector.wait_hint(20);
-        assert!(start.elapsed() >= Duration::from_millis(20));
-    }
-
-    /// Regression for the lost wake-up: completions recorded while
-    /// `solve_batch` runs `on_done` have already sent their `notify_all`,
-    /// and the unconditional wait that followed slept its whole 50 ms
-    /// hint before looking at them.
-    #[test]
-    fn completions_landing_during_on_done_are_delivered_without_the_hint_stall() {
-        let service = TuningService::start(ServiceOptions {
-            workers: 1,
-            ..ServiceOptions::default()
-        });
-        let spec = SweepSpec {
-            layouts: vec![hslb_cesm::Layout::Hybrid],
-            one_degree_budgets: vec![48, 64, 96],
-            prune: false,
-            ..SweepSpec::default()
+    fn completion_recorded_during_on_done_is_not_waited_out() {
+        let collector = Collector::new(2);
+        collector.record(0, Err("first".to_string()));
+        assert_eq!(drain_fresh(&collector).len(), 1);
+        // The driver is in its 5 ms `on_done`; a worker resolves slot 1.
+        let worker = {
+            let col = Arc::clone(&collector);
+            std::thread::spawn(move || col.record(1, Err("second".to_string())))
         };
-        let plan = SweepPlan::new(&spec).expect("plan");
-        let indices: Vec<usize> = (0..plan.configs.len()).collect();
-        let before = service.stats().completed;
-        let mut first_done: Option<Instant> = None;
-        let mut delivered = 0usize;
-        solve_batch(&service, &plan, &indices, |_, result| {
-            result.expect("solve");
-            delivered += 1;
-            if first_done.is_none() {
-                // Hold the driver in its callback until every other
-                // solve has completed behind its back.
-                while service.stats().completed < before + indices.len() as u64 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            std::thread::sleep(Duration::from_millis(5));
-            first_done.get_or_insert_with(Instant::now);
-        });
-        let tail = first_done.expect("a completion").elapsed();
-        service.shutdown();
-        assert_eq!(delivered, indices.len());
-        // Two more 5 ms callbacks; the stall was 50 ms on top.
-        assert!(tail < Duration::from_millis(35), "tail took {tail:?}");
+        std::thread::sleep(Duration::from_millis(5));
+        worker.join().expect("worker");
+        assert!(
+            !collector.wait_hint(50),
+            "ran out its hint on a recorded completion"
+        );
+        assert_eq!(drain_fresh(&collector).len(), 1);
     }
 }
