@@ -2,10 +2,10 @@
 //! graph with cycle, rank, and held-across-blocking-call checks.
 //!
 //! The serving stack is the concurrency-densest part of the repo: six
-//! modules in `crates/service/src` hold mutex/condvar state, and ROADMAP
-//! items 4–5 (drift-rebalancing control loop, sweep fan-out) only add
-//! cross-lock interactions. Level 2's `lock-in-queue` rule polices one
-//! anchored critical section; this module generalizes it:
+//! modules in `crates/service/src` hold mutex/condvar state, and the
+//! sweep fan-out only adds cross-lock interactions. Level 2's
+//! `lock-in-queue` rule polices one anchored critical section; this
+//! module generalizes it:
 //!
 //! 1. **Lock-site discovery.** Every `.lock()` / `.try_lock()` (and
 //!    `.read()` / `.write()` on receivers declared as `RwLock`) in the
@@ -1503,7 +1503,7 @@ mod tests {
 
     #[test]
     fn clone_chain_binds_a_value_not_the_guard() {
-        // The service `health()` shape: `let x = m.lock()….clone();`
+        // The clone-read shape: `let x = m.lock()….clone();`
         // binds a copy — no guard survives into the next statement, so
         // sequential clone-reads of two locks create no edge.
         let a = analyze_sources(&[src(
@@ -1511,8 +1511,8 @@ mod tests {
             "\
 fn health(s: &S) {
     let recovery = s.recovery.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let rebalances = s.rebalances.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    use_both(recovery, rebalances);
+    let history = s.history.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    use_both(recovery, history);
 }
 ",
         )]);
@@ -1523,7 +1523,7 @@ fn health(s: &S) {
             "\
 fn f(s: &S) {
     let g = s.recovery.lock().unwrap_or_else(|e| e.into_inner());
-    let h = s.rebalances.lock().unwrap_or_else(|e| e.into_inner());
+    let h = s.history.lock().unwrap_or_else(|e| e.into_inner());
     use_both(g, h);
 }
 ",

@@ -3,7 +3,7 @@
 //! Runs the full gather → fit → solve → execute pipeline at both paper
 //! resolutions across several node budgets, with a telemetry sink
 //! attached to every layer, and writes the per-phase timings plus solver
-//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v9`,
+//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v10`,
 //! documented in DESIGN.md §8; fast-path design in §10, audit gate in
 //! §11, service in §12, supervision/recovery in §13, warm-started dual
 //! simplex in §14, connection-scale serving in §15). v4 added the
@@ -13,20 +13,16 @@
 //! in-process `hslb-service` load run (throughput, queue-wait and
 //! end-to-end latency percentiles, cache-hit tiers, determinism spot
 //! checks). v5 embeds the `hslb-service-load/v2` service document
-//! (profile + fault/recovery accounting) and adds two robustness
-//! blocks: `recovery` — an in-process crash-recovery exercise (populate
-//! a snapshotting service, drain, restart from the snapshot, verify
-//! restored cache hits are bit-identical) — and `drift` — a
-//! drift-detector loop that streams observed timings until rebalances
-//! trigger. Every scenario records its pre-solve instance audit; the
-//! validator rejects documents whose audits did not pass — a benchmark
-//! result without a convexity certificate is not evidence of a global
-//! optimum. The fit layer runs the multistart
-//! early-stop fast path plus a per-resolution warm-start cache by
-//! default; `--no-early-stop` disables the early-stop policy for A/B
-//! comparison (the early-stop A/B leaves the fitted curves bit-identical;
-//! warm starts, by contrast, may move a curve within basin tolerance —
-//! see `WarmStartCache`).
+//! (profile + fault/recovery accounting) and adds the `recovery`
+//! robustness block — an in-process crash-recovery exercise (populate a
+//! snapshotting service, drain, restart from the snapshot, verify
+//! restored cache hits are bit-identical). Every scenario records its
+//! pre-solve instance audit; the validator rejects documents whose
+//! audits did not pass — a benchmark result without a convexity
+//! certificate is not evidence of a global optimum. The fit layer runs
+//! the multistart early-stop fast path by default; `--no-early-stop`
+//! disables the policy for A/B comparison (the fitted curves are
+//! bit-identical either way).
 //!
 //! v6 adds the solver warm-start instrumentation: a top-level
 //! `warm_start` boolean, a per-scenario `solver.warm_start` block
@@ -61,6 +57,10 @@
 //! v9 drops `solver.warm_start.cuts_retired` with the cut-pool aging it
 //! counted (0 on every scenario ever committed).
 //!
+//! v10 drops the `drift` block with the drift → rebalance chain it
+//! exercised, and every scenario fits cold, as the product does (up to
+//! v9 scenarios of one resolution seeded each other's fits).
+//!
 //! ```text
 //! cargo run --release -p hslb-bench --bin bench-suite            # full suite
 //! cargo run --release -p hslb-bench --bin bench-suite -- --smoke # CI subset
@@ -72,11 +72,13 @@
 //! cargo run -p hslb-bench --bin bench-suite -- --compare-incumbents A B
 //! ```
 
-use hslb::{Hslb, HslbOptions, WarmStartCache};
+use hslb::{Hslb, HslbOptions};
 use hslb_bench::simulator_for;
 use hslb_cesm::Resolution;
 use hslb_telemetry::json::Value;
 use hslb_telemetry::{span_tree, Snapshot, Telemetry};
+
+const SCHEMA: &str = "hslb-bench-pipeline/v10";
 
 /// One pipeline configuration the suite measures.
 struct Scenario {
@@ -160,7 +162,7 @@ fn fit_components(snap: &Snapshot) -> Value {
     Value::Arr(out)
 }
 
-fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool, warm: &WarmStartCache) -> Value {
+fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool) -> Value {
     let telemetry = Telemetry::new();
     let sim = simulator_for(s.resolution, true).with_telemetry(telemetry.clone());
     let mut opts = HslbOptions::new(s.target_nodes);
@@ -168,9 +170,6 @@ fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool, warm: &WarmSta
         opts.fit.early_stop = None;
     }
     opts.solver.warm_start = warm_start;
-    // Scenarios of the same resolution share fitted curves: warm-start
-    // each fit from the previous scenario's optimum.
-    opts.warm_cache = Some(warm.clone());
     opts.telemetry = telemetry.clone();
     let pipeline = Hslb::new(&sim, opts);
 
@@ -633,60 +632,6 @@ fn run_recovery_exercise() -> Value {
     ])
 }
 
-/// v5 `drift` block: stream observed timings into the service's drift
-/// detector — a baseline window, then samples with one component slowed
-/// — until re-fit/re-solve rebalances trigger, and report the counters.
-fn run_drift_exercise() -> Value {
-    use hslb_service::{DriftDecision, ServiceOptions, TuneRequest, TuningService};
-
-    let service = TuningService::start(ServiceOptions::default());
-    let req = TuneRequest::new(1, Resolution::OneDegree, 96);
-    // Populate the fit cache (the rebalance path warm-starts from it).
-    let baseline_resp = service
-        .submit(req.clone())
-        .expect("submit")
-        .wait()
-        .expect("pipeline run");
-    let baseline = baseline_resp.payload.actual;
-    let mut drifted = baseline;
-    drifted.atm *= 1.5; // well past the 1.1× trigger threshold
-
-    let mut samples = 0usize;
-    let mut detections = 0usize;
-    let mut rebalances = 0usize;
-    let mut accepted = 0usize;
-    let mut last = Value::Null;
-    let drift_opts = ServiceOptions::default().drift;
-    for _ in 0..drift_opts.min_samples {
-        service.observe_timing(&req, &baseline);
-        samples += 1;
-    }
-    // Enough drifted samples for one trigger plus one full cooldown.
-    for _ in 0..(drift_opts.cooldown_samples + 8) {
-        let (decision, outcome) = service.observe_timing(&req, &drifted);
-        samples += 1;
-        if matches!(decision, DriftDecision::Triggered { .. }) {
-            detections += 1;
-        }
-        if let Some(out) = outcome {
-            rebalances += 1;
-            if out.accepted {
-                accepted += 1;
-            }
-            last = out.to_value();
-        }
-    }
-    service.shutdown();
-
-    obj(vec![
-        ("samples", num(samples as f64)),
-        ("detections", num(detections as f64)),
-        ("rebalances", num(rebalances as f64)),
-        ("accepted", num(accepted as f64)),
-        ("last", last),
-    ])
-}
-
 /// v8 `sweep` block: the portfolio-sweep exercise. A layout × budget
 /// grid runs through one service via the sweep driver; the block
 /// reports the shared-work accounting (fit groups vs configs, fit/gather
@@ -799,75 +744,13 @@ fn validate_scaling(sv: &Value) -> Vec<String> {
     errs
 }
 
-/// Schema check for `hslb-bench-pipeline/v9` documents. Returns every
-/// violation found (empty = valid). Older schema versions are rejected
-/// with explicit upgrade messages.
+/// Schema check for [`SCHEMA`] documents. Returns every violation found
+/// (empty = valid); any other schema version is one of them.
 fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     match doc.get("schema").and_then(Value::as_str) {
-        Some("hslb-bench-pipeline/v9") => {}
-        Some("hslb-bench-pipeline/v1") => errs.push(
-            "schema hslb-bench-pipeline/v1 is no longer accepted: regenerate with a \
-             v9 emitter (adds early_stop, fit accounting, the audit block, the \
-             solver cut_pool summary, the service load block, the recovery/drift \
-             robustness blocks, the solver warm_start block, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v2") => errs.push(
-            "schema hslb-bench-pipeline/v2 is no longer accepted: regenerate with a \
-             v9 emitter (adds the per-scenario audit block, the solver cut_pool \
-             summary, the service load block, the recovery/drift robustness \
-             blocks, the solver warm_start block, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v3") => errs.push(
-            "schema hslb-bench-pipeline/v3 is no longer accepted: regenerate with a \
-             v9 emitter (adds the per-scenario solver cut_pool summary with LP \
-             resolves per node, the top-level service load block, the \
-             recovery/drift robustness blocks, the solver warm_start block, and \
-             the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v4") => errs.push(
-            "schema hslb-bench-pipeline/v4 is no longer accepted: regenerate with a \
-             v9 emitter (embeds the current hslb-service-load service document \
-             with fault/recovery accounting, and adds the crash-recovery and \
-             drift-rebalance robustness blocks plus the solver warm_start and \
-             sweep blocks)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v5") => errs.push(
-            "schema hslb-bench-pipeline/v5 is no longer accepted: regenerate with a \
-             v9 emitter (adds the top-level warm_start boolean, the per-scenario \
-             solver.warm_start work counters, the solve ≤ fit phase-budget \
-             check, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v6") => errs.push(
-            "schema hslb-bench-pipeline/v6 is no longer accepted: regenerate with a \
-             v9 emitter (embeds the hslb-service-load/v3 service block with the \
-             connection-scale `connections` accounting — concurrent connections, \
-             server peaks, reply-queue depth percentiles, per-shard throughput — \
-             plus the isolated-shard `scaling` A/B and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v7") => errs.push(
-            "schema hslb-bench-pipeline/v7 is no longer accepted: regenerate with a \
-             v9 emitter (adds the top-level `sweep` block — portfolio-sweep \
-             accounting with shared-work dedup counts, fit/gather cache hit \
-             rates, predictor MAE, and the wall-clock vs Σ-one-shot comparison — \
-             and the `fit_cache` accounting in the service block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v8") => errs.push(
-            "schema hslb-bench-pipeline/v8 is no longer accepted: regenerate with a \
-             v9 emitter (drops solver.warm_start.cuts_retired with the cut-pool \
-             aging it counted)"
-                .to_string(),
-        ),
-        other => errs.push(format!(
-            "schema must be hslb-bench-pipeline/v9, got {other:?}"
-        )),
+        Some(SCHEMA) => {}
+        other => errs.push(format!("schema must be {SCHEMA}, got {other:?}")),
     }
     // Service block: a TCP hslb-service load run with zero pipeline
     // errors and zero determinism mismatches (v3 load schema: profile
@@ -994,44 +877,6 @@ fn validate(doc: &Value) -> Vec<String> {
         }
         _ => errs
             .push("missing recovery block (v5 requires the crash-recovery exercise)".to_string()),
-    }
-    // v5 drift block: the detector must have fired at least once over
-    // the drifted sample stream, and every trigger must have produced a
-    // rebalance evaluation (accepted or held — but evaluated).
-    match doc.get("drift") {
-        Some(d) if !matches!(d, Value::Null) => {
-            let dnum = |k: &str| d.get(k).and_then(Value::as_f64);
-            match (dnum("samples"), dnum("detections"), dnum("rebalances")) {
-                (Some(s), Some(det), Some(reb)) => {
-                    if s < 1.0 {
-                        errs.push("drift block: no samples streamed".to_string());
-                    }
-                    if det < 1.0 {
-                        errs.push("drift block: detector never triggered".to_string());
-                    }
-                    if reb < det {
-                        errs.push(format!(
-                            "drift block: {det} detections but only {reb} rebalance evaluations"
-                        ));
-                    }
-                }
-                _ => errs
-                    .push("drift block: missing numeric samples/detections/rebalances".to_string()),
-            }
-            match dnum("accepted") {
-                Some(a) => {
-                    if let Some(reb) = dnum("rebalances") {
-                        if a > reb {
-                            errs.push(format!(
-                                "drift block: accepted {a} exceeds rebalances {reb}"
-                            ));
-                        }
-                    }
-                }
-                None => errs.push("drift block: missing numeric `accepted`".to_string()),
-            }
-        }
-        _ => errs.push("missing drift block (v5 requires the drift exercise)".to_string()),
     }
     let early_stop_enabled = doc.get("early_stop").and_then(Value::as_bool);
     if early_stop_enabled.is_none() {
@@ -1398,7 +1243,7 @@ fn main() {
         let errs = validate(&doc);
         if errs.is_empty() {
             println!(
-                "{path}: valid hslb-bench-pipeline/v9 ({} scenarios)",
+                "{path}: valid {SCHEMA} ({} scenarios)",
                 doc.get("scenarios")
                     .and_then(Value::as_arr)
                     .map_or(0, |a| a.len())
@@ -1412,33 +1257,27 @@ fn main() {
     }
 
     let mut results = Vec::new();
-    let mut caches: std::collections::BTreeMap<String, WarmStartCache> =
-        std::collections::BTreeMap::new();
     for s in scenarios(smoke) {
         eprintln!(
             "bench-suite: {} ({} @ {} nodes)...",
             s.name, s.resolution, s.target_nodes
         );
-        let warm = caches.entry(s.resolution.to_string()).or_default();
-        results.push(run_scenario(&s, early_stop, warm_start, warm));
+        results.push(run_scenario(&s, early_stop, warm_start));
     }
     eprintln!("bench-suite: service load run...");
     let service_block = run_service_load(smoke);
     eprintln!("bench-suite: crash-recovery exercise...");
     let recovery_block = run_recovery_exercise();
-    eprintln!("bench-suite: drift/rebalance exercise...");
-    let drift_block = run_drift_exercise();
     eprintln!("bench-suite: portfolio-sweep exercise...");
     let sweep_block = run_sweep_exercise(smoke);
     let doc = obj(vec![
-        ("schema", Value::Str("hslb-bench-pipeline/v9".to_string())),
+        ("schema", Value::Str(SCHEMA.to_string())),
         ("smoke", Value::Bool(smoke)),
         ("early_stop", Value::Bool(early_stop)),
         ("warm_start", Value::Bool(warm_start)),
         ("scenarios", Value::Arr(results)),
         ("service", service_block),
         ("recovery", recovery_block),
-        ("drift", drift_block),
         ("sweep", sweep_block),
     ]);
     let errs = validate(&doc);
@@ -1448,4 +1287,21 @@ fn main() {
     );
     std::fs::write(&out, doc.to_pretty() + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("bench-suite: wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_other_schema_version_is_rejected_by_name() {
+        for version in 1..=9 {
+            let schema = format!("hslb-bench-pipeline/v{version}");
+            let doc = obj(vec![("schema", Value::Str(schema.clone()))]);
+            let want = format!("schema must be {SCHEMA}, got Some({schema:?})");
+            assert!(validate(&doc).contains(&want), "{schema}");
+        }
+        let unversioned = validate(&obj(vec![]));
+        assert!(unversioned.contains(&format!("schema must be {SCHEMA}, got None")));
+    }
 }

@@ -87,33 +87,3 @@ fn pipeline_default_fit_matches_disabled_fast_path() {
         "fast path ran {total_run} starts vs {total_full} full"
     );
 }
-
-#[test]
-fn warm_cache_threads_through_repeated_pipeline_runs() {
-    let sim = Simulator::one_degree(42);
-    let cache = hslb::WarmStartCache::new();
-    let mut opts = HslbOptions::new(128);
-    opts.warm_cache = Some(cache.clone());
-    let h = Hslb::new(&sim, opts);
-    let data = h.gather();
-    let first = h.fit(&data).expect("cold fit");
-    assert_eq!(cache.len(), Component::OPTIMIZED.len());
-    let second = h.fit(&data).expect("warm fit");
-    // The warm re-fit starts at the previous optimum, so it spends far
-    // fewer LM iterations while landing in the same basin.
-    let cold_iters: usize = first.iter().map(|(_, f)| f.lm_iterations).sum();
-    let warm_iters: usize = second.iter().map(|(_, f)| f.lm_iterations).sum();
-    assert!(
-        warm_iters <= cold_iters,
-        "warm {warm_iters} vs cold {cold_iters} LM iterations"
-    );
-    for &c in &Component::OPTIMIZED {
-        // Same basin: within the 0.1 %-cost basin tolerance, point
-        // predictions can move a few tenths of a percent at most.
-        let (a, b) = (first.predict(c, 256), second.predict(c, 256));
-        assert!(
-            (a - b).abs() <= 5e-3 * a.abs(),
-            "{c}: warm refit left the basin ({a} vs {b})"
-        );
-    }
-}

@@ -113,11 +113,6 @@ pub struct ScalingFitOptions {
     /// confirm the incumbent basin. The fitted curve is bit-identical
     /// either way — asserted by the `fast_path` integration tests.
     pub early_stop: Option<EarlyStopPolicy>,
-    /// Warm-start parameters `[a, b, c, d]` from a previous fit of the
-    /// same component. When set, they replace the heuristic initial guess
-    /// as start 0 — near-converged warm starts let the early-stop policy
-    /// confirm the basin in a handful of LM iterations.
-    pub warm_start: Option<[f64; 4]>,
 }
 
 impl Default for ScalingFitOptions {
@@ -127,7 +122,6 @@ impl Default for ScalingFitOptions {
             starts: 24,
             seed: 0x1234_5678,
             early_stop: None,
-            warm_start: None,
         }
     }
 }
@@ -256,18 +250,12 @@ pub fn fit_scaling(data: &[(f64, f64)], opts: &ScalingFitOptions) -> Result<Scal
         .max_by(|a, b| hslb_numerics::float::cmp_f64(a.0, b.0))
         .expect("nonempty")
         .1;
-    let p0 = match opts.warm_start {
-        // A previous fit of the same component seeds start 0; the jittered
-        // starts 1..N are generated from the box alone, so they are
-        // unchanged and the basin scan still probes the space.
-        Some(w) => w.to_vec(),
-        None => vec![
-            (y_at_nmin - y_at_nmax).max(y_at_nmin * 0.5) * n_min_pt,
-            0.0,
-            opts.c_bounds.0,
-            (y_at_nmax * 0.5).max(1e-6),
-        ],
-    };
+    let p0 = vec![
+        (y_at_nmin - y_at_nmax).max(y_at_nmin * 0.5) * n_min_pt,
+        0.0,
+        opts.c_bounds.0,
+        (y_at_nmax * 0.5).max(1e-6),
+    ];
 
     let ms = MultistartOptions {
         starts: opts.starts,

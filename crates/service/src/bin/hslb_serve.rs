@@ -9,7 +9,7 @@
 //! ```text
 //! hslb-serve [--addr 127.0.0.1:7878] [--workers 4] [--shards 2]
 //!            [--queue-capacity 64] [--no-coalesce] [--no-cache]
-//!            [--warm-neighbors] [--port-file PATH] [--shard i/N]
+//!            [--port-file PATH] [--shard i/N]
 //!            [--snapshot PATH] [--snapshot-every N]
 //!            [--fault-seed N] [--fault-rate F]
 //!            [--max-outbound-bytes N] [--drain-deadline-ms N]
@@ -95,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-coalesce" => args.opts.coalesce = false,
             "--no-cache" => args.opts.cache = CachePolicy::disabled(),
-            "--warm-neighbors" => args.opts.cache.warm_neighbors = true,
             "--snapshot" => snapshot_path = Some(value("--snapshot")?),
             "--snapshot-every" => {
                 snapshot_every = Some(
@@ -128,7 +127,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "hslb-serve [--addr HOST:PORT] [--workers N] [--shards N] \
                      [--queue-capacity N] [--no-coalesce] [--no-cache] \
-                     [--warm-neighbors] [--port-file PATH] [--shard i/N] \
+                     [--port-file PATH] [--shard i/N] \
                      [--snapshot PATH] [--snapshot-every N] \
                      [--fault-seed N] [--fault-rate F] \
                      [--max-outbound-bytes N] [--drain-deadline-ms N]"

@@ -10,10 +10,9 @@
 //!   of the key, so replaying a cached artifact produces the same bytes
 //!   as recomputing it (asserted in `tests/determinism.rs`).
 //!
-//! Both tiers use the same capacity-bounded LRU as the reworked
-//! [`hslb::WarmStartCache`]: a `BTreeMap` plus a recency tick, evicting
-//! the least-recently-used entry on overflow — deterministic iteration,
-//! no hashing of float-bearing values.
+//! Both tiers use the same capacity-bounded LRU: a `BTreeMap` plus a
+//! recency tick, evicting the least-recently-used entry on overflow —
+//! deterministic iteration, no hashing of float-bearing values.
 
 use crate::ranked::{rank, RankedGuard, RankedMutex};
 use std::collections::{BTreeMap, HashMap};

@@ -20,7 +20,7 @@
 //!   (reusing the telemetry crate's JSON parser — no serde);
 //! * [`loadmix`] — deterministic request mixes and the latency/throughput
 //!   accounting the `loadgen` binary reports into the
-//!   `hslb-bench-pipeline/v9` service block;
+//!   `hslb-bench-pipeline/v10` service block;
 //! * [`reactor`] — the std-only nonblocking readiness loop behind
 //!   `hslb-serve`: one thread multiplexes accept/read/parse/dispatch and
 //!   write-backpressure across thousands of connections, with replies
@@ -38,8 +38,6 @@
 //! * [`snapshot`] — crash-safe, seal-verified cache snapshots (atomic
 //!   write, checksum footer, never-fail restore with a
 //!   [`snapshot::RecoveryRecord`]);
-//! * [`drift`] — the deterministic EWMA drift detector behind
-//!   drift-triggered rebalancing (first cut of ROADMAP item 4);
 //! * [`sweep_driver`] — the executor behind the `hslb-sweep` portfolio
 //!   crate: runs a [`hslb_sweep::SweepPlan`] through the worker pool and
 //!   cache tiers (calibrate → predict/prune → solve, fail-open to exact
@@ -55,14 +53,9 @@
 //! payload is bit-identical to running the one-shot pipeline for that
 //! request alone ([`service::reference_response`]). The queue, the
 //! coalescer and both cache tiers are passive layers, like the telemetry
-//! and audit layers before them. The one opt-in exception is
-//! [`service::CachePolicy::warm_neighbors`], which seeds fits from a
-//! neighboring scenario's curves — same-basin (≤1e-4 relative), not
-//! bit-identical — and is therefore off by default and excluded from the
-//! bit-identity gate.
+//! and audit layers before them.
 
 pub mod cache;
-pub mod drift;
 pub mod fault;
 pub mod loadclient;
 pub mod loadmix;
@@ -76,7 +69,6 @@ pub mod snapshot;
 pub mod sweep_driver;
 pub mod wire;
 
-pub use drift::{DriftDecision, DriftDetector, DriftOptions, DriftStats, RebalanceOutcome};
 pub use fault::{ConnFault, ServiceFaultSpec, WorkerFault};
 pub use queue::Backpressure;
 pub use reactor::{write_port_file, Reactor, ReactorOptions, ServingStats};

@@ -73,7 +73,7 @@ pub fn force_deadlines(mix: &mut [TuneRequest], deadline_ms: u64) {
 }
 
 /// Deterministic 64-bit LCG (Knuth constants), returning the high bits.
-struct Lcg(u64);
+pub(crate) struct Lcg(pub(crate) u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
@@ -84,7 +84,7 @@ impl Lcg {
         self.0 >> 16
     }
 
-    fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
     }
 }

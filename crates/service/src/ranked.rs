@@ -16,8 +16,7 @@
 //! The lattice (low acquires first; see DESIGN.md §16 for the table and
 //! rationale): queue shards < front-desk cache < fit/sim caches <
 //! ticket slots < completion bus < snapshot/recovery < worker handles <
-//! drift state < rebalance log < load-client accumulators < sweep
-//! result collector. Gaps of 10 between neighbors leave room to slot
+//! load-client accumulators < sweep result collector. Gaps of 10 between neighbors leave room to slot
 //! new locks without renumbering.
 //!
 //! In release builds (`debug_assertions` off) the wrappers are
@@ -50,10 +49,6 @@ pub mod rank {
     pub const SNAPSHOT_RECOVERY: u16 = 400;
     /// Worker join-handle vector (`service.rs`).
     pub const WORKER_HANDLES: u16 = 410;
-    /// Drift-detector per-key state (`drift.rs`).
-    pub const DRIFT_STATE: u16 = 500;
-    /// Rebalance-outcome history (`service.rs`).
-    pub const REBALANCE_LOG: u16 = 510;
     /// Load-client pending work queue (`loadclient.rs`).
     pub const CLIENT_PENDING: u16 = 600;
     /// Load-client result accumulator (`loadclient.rs`).
@@ -75,8 +70,6 @@ pub mod rank {
             COMPLETION_BUS => "COMPLETION_BUS",
             SNAPSHOT_RECOVERY => "SNAPSHOT_RECOVERY",
             WORKER_HANDLES => "WORKER_HANDLES",
-            DRIFT_STATE => "DRIFT_STATE",
-            REBALANCE_LOG => "REBALANCE_LOG",
             CLIENT_PENDING => "CLIENT_PENDING",
             CLIENT_RESULTS => "CLIENT_RESULTS",
             SWEEP_RESULTS => "SWEEP_RESULTS",
@@ -297,10 +290,10 @@ mod tests {
     #[test]
     fn descending_acquisition_panics() {
         let caught = std::panic::catch_unwind(|| {
-            let hi: RankedMutex<u32, { rank::DRIFT_STATE }> = RankedMutex::new(1);
+            let hi: RankedMutex<u32, { rank::WORKER_HANDLES }> = RankedMutex::new(1);
             let lo: RankedMutex<u32, { rank::QUEUE_SHARD }> = RankedMutex::new(2);
             let g = hi.lock();
-            let h = lo.lock(); // inversion: 100 under 500
+            let h = lo.lock(); // inversion: 100 under 410
             *g + *h
         });
         let msg = match caught {
@@ -309,7 +302,7 @@ mod tests {
         };
         assert!(msg.contains("lock rank inversion"), "{msg}");
         assert!(
-            msg.contains("QUEUE_SHARD") && msg.contains("DRIFT_STATE"),
+            msg.contains("QUEUE_SHARD") && msg.contains("WORKER_HANDLES"),
             "{msg}"
         );
     }

@@ -648,10 +648,6 @@ impl Reactor {
                 let reply = wire::health_reply(&self.service.health());
                 self.enqueue_frame(idx, &reply);
             }
-            Ok(wire::Command::Observe(req, times)) => {
-                let (decision, outcome) = self.service.observe_timing(&req, &times);
-                self.enqueue_frame(idx, &wire::observe_reply(&decision, outcome.as_ref()));
-            }
             Ok(wire::Command::Tune(req)) => {
                 let id = req.id;
                 if let Some(spec) = self.opts.shard {

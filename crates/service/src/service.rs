@@ -6,10 +6,9 @@
 //! baseline — fresh simulator, fresh options, no caches. Every response
 //! the service produces must carry a payload bit-identical to that
 //! baseline for the same request, at any worker/shard count, with any
-//! [`CachePolicy`] short of the opt-in `warm_neighbors`, and under any
-//! [`ServiceFaultSpec`] — faults may turn a response into an explicit
-//! typed error, never into different bytes. The pieces keep that bar
-//! individually:
+//! [`CachePolicy`], and under any [`ServiceFaultSpec`] — faults may turn
+//! a response into an explicit typed error, never into different bytes.
+//! The pieces keep that bar individually:
 //!
 //! * scheduling (priority/deadline/backpressure) changes only *when* a
 //!   request is computed, never *what* is computed;
@@ -28,17 +27,13 @@
 //!   only after that fails does the requester see a typed error.
 
 use crate::cache::{AdmitOutcome, FrontDesk, LruCache};
-use crate::drift::{DriftDecision, DriftDetector, DriftOptions, DriftStats, RebalanceOutcome};
 use crate::fault::ServiceFaultSpec;
 use crate::queue::{AdmissionQueue, Backpressure, PushError, Rank};
 use crate::ranked::{rank, RankedCondvar, RankedMutex};
 use crate::request::{resolution_token, CacheTier, TunePayload, TuneRequest, TuneResponse};
 use crate::snapshot::{self, RecoveryRecord, SnapshotPolicy, SnapshotStats};
-use hslb::{BenchmarkData, FitSet, GatherPlan, Hslb, HslbOptions, WarmStartCache};
-use hslb_cesm::layout::ComponentTimes;
-use hslb_cesm::{
-    Allocation, Component, Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator,
-};
+use hslb::{BenchmarkData, FitSet, GatherPlan, Hslb, HslbOptions};
+use hslb_cesm::{Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator};
 use hslb_telemetry::json::Value;
 use hslb_telemetry::Telemetry;
 use std::collections::HashMap;
@@ -55,11 +50,6 @@ pub struct CachePolicy {
     pub exact: bool,
     /// Fit-level artifact cache (gathered data + fitted curves).
     pub fit: bool,
-    /// Seed cache-miss fits from a neighboring scenario's curves via the
-    /// shared [`WarmStartCache`]. **Opt-in and off by default**: warm
-    /// starts are same-basin (≤ 1e-4 relative), not bit-identical, so
-    /// this is the one knob excluded from the bit-identity gate.
-    pub warm_neighbors: bool,
 }
 
 impl Default for CachePolicy {
@@ -67,7 +57,6 @@ impl Default for CachePolicy {
         CachePolicy {
             exact: true,
             fit: true,
-            warm_neighbors: false,
         }
     }
 }
@@ -78,7 +67,6 @@ impl CachePolicy {
         CachePolicy {
             exact: false,
             fit: false,
-            warm_neighbors: false,
         }
     }
 }
@@ -122,16 +110,12 @@ pub struct ServiceOptions {
     pub exact_capacity: usize,
     /// Fit-tier entries kept (LRU beyond this).
     pub fit_capacity: usize,
-    /// Warm-start entries kept per the shared cache (only used with
-    /// `cache.warm_neighbors`).
-    pub warm_capacity: usize,
     pub supervise: SupervisePolicy,
     /// Deterministic service-fault injection (chaos testing; defaults to
     /// no faults).
     pub faults: ServiceFaultSpec,
     /// Crash-safe cache snapshot policy (`None` = no persistence).
     pub snapshot: Option<SnapshotPolicy>,
-    pub drift: DriftOptions,
     pub telemetry: Telemetry,
 }
 
@@ -145,11 +129,9 @@ impl Default for ServiceOptions {
             cache: CachePolicy::default(),
             exact_capacity: 256,
             fit_capacity: 64,
-            warm_capacity: 64,
             supervise: SupervisePolicy::default(),
             faults: ServiceFaultSpec::none(),
             snapshot: None,
-            drift: DriftOptions::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -349,8 +331,6 @@ struct Counters {
     snapshot_saves: AtomicU64,
     snapshot_errors: AtomicU64,
     drained: AtomicU64,
-    rebalances: AtomicU64,
-    rebalances_accepted: AtomicU64,
     /// Simulator-memo (gather-level) accounting: a hit means the machine
     /// configuration's simulator was cloned out instead of rebuilt.
     sim_hits: AtomicU64,
@@ -366,16 +346,13 @@ struct Shared {
     /// Simulators are stateless and deterministic; one per machine
     /// configuration, cloned out per attempt (clones are exact).
     sims: RankedMutex<HashMap<(&'static str, bool, u64), Simulator>, { rank::SIM_CACHE }>,
-    warm: WarmStartCache,
     policy: CachePolicy,
     coalesce: bool,
     supervise: SupervisePolicy,
     faults: ServiceFaultSpec,
     snapshot: Option<SnapshotPolicy>,
     since_flush: AtomicU64,
-    drift: DriftDetector,
     recovery: RankedMutex<RecoveryRecord, { rank::SNAPSHOT_RECOVERY }>,
-    rebalances: RankedMutex<Vec<RebalanceOutcome>, { rank::REBALANCE_LOG }>,
     accepting: AtomicBool,
     telemetry: Telemetry,
     stats: Counters,
@@ -480,7 +457,7 @@ impl ServiceStats {
     }
 }
 
-/// Supervision, recovery and drift accounting — the wire `health` op.
+/// Supervision and recovery accounting — the wire `health` op.
 /// Kept separate from [`ServiceStats`] so the service-load report schema
 /// stays stable.
 #[derive(Debug, Clone)]
@@ -495,9 +472,6 @@ pub struct HealthStats {
     pub snapshot_errors: u64,
     pub drained: u64,
     pub recovery: RecoveryRecord,
-    pub drift: DriftStats,
-    /// Most recent rebalance outcomes, oldest first (bounded).
-    pub recent_rebalances: Vec<RebalanceOutcome>,
 }
 
 impl HealthStats {
@@ -522,22 +496,9 @@ impl HealthStats {
             ),
             ("drained".to_string(), Value::Num(self.drained as f64)),
             ("recovery".to_string(), self.recovery.to_value()),
-            ("drift".to_string(), self.drift.to_value()),
-            (
-                "rebalances".to_string(),
-                Value::Arr(
-                    self.recent_rebalances
-                        .iter()
-                        .map(RebalanceOutcome::to_value)
-                        .collect(),
-                ),
-            ),
         ])
     }
 }
-
-/// Rebalance outcomes kept for the `health` op.
-const REBALANCE_HISTORY: usize = 8;
 
 /// The concurrent tuning service.
 pub struct TuningService {
@@ -570,16 +531,13 @@ impl TuningService {
                 0
             })),
             sims: RankedMutex::new(HashMap::new()),
-            warm: WarmStartCache::with_capacity(opts.warm_capacity),
             policy: opts.cache,
             coalesce: opts.coalesce,
             supervise: opts.supervise,
             faults: opts.faults,
             snapshot: opts.snapshot,
             since_flush: AtomicU64::new(0),
-            drift: DriftDetector::new(opts.drift),
             recovery: RankedMutex::new(RecoveryRecord::default()),
-            rebalances: RankedMutex::new(Vec::new()),
             accepting: AtomicBool::new(true),
             telemetry: opts.telemetry,
             stats: Counters::default(),
@@ -739,12 +697,10 @@ impl TuningService {
         }
     }
 
-    /// Supervision/recovery/drift accounting (the wire `health` op).
+    /// Supervision/recovery accounting (the wire `health` op).
     pub fn health(&self) -> HealthStats {
         let shared = &self.shared;
-        let (tracked_keys, samples, detections) = shared.drift.counters();
         let recovery = shared.recovery.lock().clone();
-        let recent_rebalances = shared.rebalances.lock().clone();
         HealthStats {
             accepting: shared.accepting.load(Ordering::Acquire),
             panics: shared.stats.panics.load(Ordering::Relaxed),
@@ -756,70 +712,7 @@ impl TuningService {
             snapshot_errors: shared.stats.snapshot_errors.load(Ordering::Relaxed),
             drained: shared.stats.drained.load(Ordering::Relaxed),
             recovery,
-            drift: DriftStats {
-                tracked_keys,
-                samples,
-                detections,
-                rebalances: shared.stats.rebalances.load(Ordering::Relaxed),
-                accepted: shared.stats.rebalances_accepted.load(Ordering::Relaxed),
-                held: shared
-                    .stats
-                    .rebalances
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(shared.stats.rebalances_accepted.load(Ordering::Relaxed)),
-            },
-            recent_rebalances,
         }
-    }
-
-    /// Feed one observed timing sample for a deployed scenario into the
-    /// drift detector; when it triggers, re-fit (warm-started from the
-    /// cached fit artifacts), re-solve, and report migration cost vs
-    /// makespan gain. **Advisory**: the serving caches are never touched,
-    /// so observing samples cannot change any tune response.
-    pub fn observe_timing(
-        &self,
-        request: &TuneRequest,
-        times: &ComponentTimes,
-    ) -> (DriftDecision, Option<RebalanceOutcome>) {
-        let shared = &self.shared;
-        let key = request.exact_key();
-        let decision = shared.drift.observe(&key, times);
-        let DriftDecision::Triggered {
-            drift_ratio,
-            ratios,
-        } = &decision
-        else {
-            return (decision, None);
-        };
-        let outcome = run_rebalance(shared, request, *drift_ratio, *ratios);
-        if let Some(o) = &outcome {
-            shared.stats.rebalances.fetch_add(1, Ordering::Relaxed);
-            if o.accepted {
-                shared
-                    .stats
-                    .rebalances_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                // Hysteresis: accepted drift is no longer drift.
-                shared.drift.rebaseline(&key);
-            }
-            shared.telemetry.point(
-                "service.drift.rebalance",
-                &[
-                    ("drift_ratio", o.drift_ratio),
-                    ("migration_nodes", o.migration_nodes as f64),
-                    ("gain_ratio", o.gain_ratio),
-                ],
-                &[("accepted", if o.accepted { "true" } else { "false" })],
-            );
-            let mut history = shared.rebalances.lock();
-            history.push(o.clone());
-            let len = history.len();
-            if len > REBALANCE_HISTORY {
-                history.drain(..len - REBALANCE_HISTORY);
-            }
-        }
-        (decision, outcome)
     }
 
     /// Flush both cache tiers to the configured snapshot now. `None`
@@ -1313,9 +1206,6 @@ fn compute(shared: &Shared, request: &TuneRequest) -> Result<(TunePayload, Cache
             (report, CacheTier::Fit)
         }
         None => {
-            if shared.policy.warm_neighbors {
-                opts.warm_cache = Some(shared.warm.scoped(&request.warm_scope()));
-            }
             let (report, artifacts) = Hslb::new(&sim, opts)
                 .run_with_artifacts(None)
                 .map_err(|e| e.to_string())?;
@@ -1332,100 +1222,6 @@ fn compute(shared: &Shared, request: &TuneRequest) -> Result<(TunePayload, Cache
     // Publication to the exact tier happens in `finish_job` via
     // `FrontDesk::complete`, atomically with follower collection.
     Ok((TunePayload::from_report(&report), tier))
-}
-
-fn allocation_of(a: &Allocation, c: Component) -> i64 {
-    match c {
-        Component::Lnd => a.lnd,
-        Component::Ice => a.ice,
-        Component::Atm => a.atm,
-        Component::Ocn => a.ocn,
-        _ => 0,
-    }
-}
-
-/// Re-fit + re-solve for a drift trigger: scale the cached gather data
-/// by the observed per-component drift ratios, warm-start the re-fit
-/// from the cached curves ([`hslb::rebalance`]), and weigh the re-solved
-/// allocation's makespan gain against its migration cost. Returns `None`
-/// when no fit artifacts are cached for the scenario (nothing to
-/// warm-start from — the trigger is still counted by the detector).
-fn run_rebalance(
-    shared: &Shared,
-    request: &TuneRequest,
-    drift_ratio: f64,
-    ratios: [f64; 4],
-) -> Option<RebalanceOutcome> {
-    let (data, prior) = {
-        let mut fits = shared.fits.lock();
-        fits.get(&request.fit_key())?
-    };
-    // `ratios` is in `Component::OPTIMIZED` order (ice, lnd, atm, ocn).
-    let mut scaled = BenchmarkData::new();
-    for c in data.components() {
-        let ratio = Component::OPTIMIZED
-            .iter()
-            .position(|&o| o == c)
-            .map_or(1.0, |i| ratios[i]);
-        for &(nodes, seconds) in data.of(c) {
-            scaled.push(c, nodes, seconds * ratio);
-        }
-    }
-    let sim = simulator_cached(shared, request);
-    let opts = build_options(request);
-    let key = request.exact_key();
-    let old_allocation = shared
-        .front
-        .cached(&key)
-        .filter(SealedPayload::verified)
-        .map(|sealed| sealed.payload.allocation);
-    match hslb::rebalance(&sim, opts, scaled, &prior) {
-        Ok((report, artifacts)) => {
-            let payload = TunePayload::from_report(&report);
-            let new_fits = artifacts.fits.unwrap_or(prior);
-            // Layout-aware coupled total under the *drifted* curves — a
-            // plain max over component curves would ignore the layout's
-            // concurrency structure and misprice the stale allocation.
-            let makespan = |a: &Allocation| new_fits.predicted_total(request.layout, a);
-            let new_makespan = makespan(&payload.allocation);
-            // Without a cached deployment to compare against, the new
-            // allocation stands in for the old one: zero migration, zero
-            // gain, reported but held.
-            let old = old_allocation.unwrap_or(payload.allocation);
-            let old_makespan = makespan(&old);
-            let migration_nodes = Component::OPTIMIZED
-                .iter()
-                .map(|&c| (allocation_of(&payload.allocation, c) - allocation_of(&old, c)).abs())
-                .sum();
-            let gain_ratio = if old_makespan > 0.0 {
-                (old_makespan - new_makespan) / old_makespan
-            } else {
-                0.0
-            };
-            let accepted =
-                migration_nodes > 0 && gain_ratio >= shared.drift.options().min_gain_ratio;
-            Some(RebalanceOutcome {
-                key,
-                drift_ratio,
-                migration_nodes,
-                old_makespan,
-                new_makespan,
-                gain_ratio,
-                accepted,
-                rung: payload.rung,
-            })
-        }
-        Err(e) => Some(RebalanceOutcome {
-            key,
-            drift_ratio,
-            migration_nodes: 0,
-            old_makespan: f64::NAN,
-            new_makespan: f64::NAN,
-            gain_ratio: 0.0,
-            accepted: false,
-            rung: format!("error: {e}"),
-        }),
-    }
 }
 
 /// The pipeline options for a request — shared by the service workers
@@ -1462,8 +1258,8 @@ fn simulator_for(request: &TuneRequest) -> Simulator {
 }
 
 /// The determinism baseline: run the one-shot pipeline for this request
-/// alone — fresh simulator, no caches, no warm starts — and project the
-/// payload. Every service response must be bit-identical to this.
+/// alone — fresh simulator, no caches — and project the payload. Every
+/// service response must be bit-identical to this.
 pub fn reference_response(request: &TuneRequest) -> Result<TunePayload, String> {
     let sim = simulator_for(request);
     let report = Hslb::new(&sim, build_options(request))

@@ -3,16 +3,12 @@
 //! Grammar (one JSON object per line, compact rendering, UTF-8):
 //!
 //! ```text
-//! command   = tune | observe | sweep | ping | stats | health | shutdown
+//! command   = tune | sweep | ping | stats | health | shutdown
 //! tune      = {"op":"tune","id":N,"resolution":"1deg"|"eighth",
 //!              "layout":"hybrid"|"seq-ocean"|"sequential",
 //!              "objective":"min-max"|"max-min"|"min-sum",
 //!              "nodes":N,"ocean":BOOL,"seed":N,"priority":0..9,
 //!              "deadline_ms":N?}
-//! observe   = {"op":"observe", ...tune fields,
-//!              "times":{"lnd":F,"ice":F,"atm":F,"ocn":F}}
-//!             ; streams one observed timing sample into the drift
-//!             ; detector for the identified scenario
 //! sweep     = {"op":"sweep","spec":SPEC}
 //!             ; SPEC is an hslb-sweep SweepSpec object; the server
 //!             ; streams {"ok":true,"op":"sweep-progress",...} frames
@@ -22,7 +18,7 @@
 //!             ; "portfolio":...} frame
 //! ping      = {"op":"ping"}
 //! stats     = {"op":"stats"}
-//! health    = {"op":"health"}              ; supervision/recovery/drift
+//! health    = {"op":"health"}              ; supervision/recovery
 //! shutdown  = {"op":"shutdown"}            ; drains, acks, then exits
 //!
 //! reply     = ok | err
@@ -38,11 +34,9 @@
 //! fingerprint from the parsed fields and compare it to the `fingerprint`
 //! the server embedded (what `loadgen` does for its determinism check).
 
-use crate::drift::{DriftDecision, RebalanceOutcome};
 use crate::request::{TuneRequest, TuneResponse};
 use crate::service::{HealthStats, ServiceStats, SubmitError};
 use crate::sweep_driver::SweepProgress;
-use hslb_cesm::layout::ComponentTimes;
 use hslb_sweep::{Portfolio, SweepSpec};
 use hslb_telemetry::json::{parse, Value};
 
@@ -50,8 +44,6 @@ use hslb_telemetry::json::{parse, Value};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     Tune(TuneRequest),
-    /// One observed timing sample for a deployed scenario (drift input).
-    Observe(TuneRequest, ComponentTimes),
     /// A portfolio sweep: streamed progress frames, then the portfolio.
     Sweep(SweepSpec),
     Ping,
@@ -60,31 +52,11 @@ pub enum Command {
     Shutdown,
 }
 
-fn parse_times(v: &Value) -> Result<ComponentTimes, String> {
-    let times = v.get("times").ok_or("observe: missing `times`")?;
-    let f = |k: &str| -> Result<f64, String> {
-        times
-            .get(k)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("observe: missing/invalid times.{k}"))
-    };
-    Ok(ComponentTimes {
-        lnd: f("lnd")?,
-        ice: f("ice")?,
-        atm: f("atm")?,
-        ocn: f("ocn")?,
-    })
-}
-
 /// Parse one wire line into a command.
 pub fn parse_command(line: &str) -> Result<Command, String> {
     let v = parse(line).map_err(|e| format!("bad JSON: {e}"))?;
     match v.get("op").and_then(Value::as_str) {
         Some("tune") => Ok(Command::Tune(TuneRequest::from_value(&v)?)),
-        Some("observe") => Ok(Command::Observe(
-            TuneRequest::from_value(&v)?,
-            parse_times(&v)?,
-        )),
         Some("sweep") => {
             let spec = v.get("spec").ok_or("sweep: missing `spec`")?;
             Ok(Command::Sweep(SweepSpec::from_value(spec)?))
@@ -140,23 +112,6 @@ pub fn stats_reply_with(stats: &ServiceStats, serving: Option<Value>) -> String 
 /// Serialize a health reply.
 pub fn health_reply(health: &HealthStats) -> String {
     with_ok("health", vec![("health".to_string(), health.to_value())])
-}
-
-/// Serialize an observe reply: the drift decision plus the rebalance
-/// outcome when one ran.
-pub fn observe_reply(decision: &DriftDecision, outcome: Option<&RebalanceOutcome>) -> String {
-    let mut fields = vec![(
-        "decision".to_string(),
-        Value::Str(decision.token().to_string()),
-    )];
-    if let Some(ratio) = decision.drift_ratio() {
-        fields.push(("drift_ratio".to_string(), Value::Num(ratio)));
-    }
-    fields.push((
-        "rebalance".to_string(),
-        outcome.map_or(Value::Null, RebalanceOutcome::to_value),
-    ));
-    with_ok("observe", fields)
 }
 
 /// Serialize one streamed sweep progress frame.
@@ -283,6 +238,10 @@ mod tests {
         assert_eq!(parse_command("{\"op\":\"ping\"}").unwrap(), Command::Ping);
         assert_eq!(parse_command("{\"op\":\"stats\"}").unwrap(), Command::Stats);
         assert_eq!(
+            parse_command("{\"op\":\"health\"}").unwrap(),
+            Command::Health
+        );
+        assert_eq!(
             parse_command("{\"op\":\"shutdown\"}").unwrap(),
             Command::Shutdown
         );
@@ -291,61 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_health_commands_parse() {
-        assert_eq!(
-            parse_command("{\"op\":\"health\"}").unwrap(),
-            Command::Health
-        );
-        let req = TuneRequest::new(2, Resolution::OneDegree, 96);
-        let mut v = req.to_value();
-        if let Value::Obj(kv) = &mut v {
-            kv.insert(0, ("op".to_string(), Value::Str("observe".to_string())));
-            kv.push((
-                "times".to_string(),
-                Value::Obj(vec![
-                    ("lnd".to_string(), Value::Num(10.0)),
-                    ("ice".to_string(), Value::Num(20.0)),
-                    ("atm".to_string(), Value::Num(60.0)),
-                    ("ocn".to_string(), Value::Num(55.5)),
-                ]),
-            ));
-        }
-        match parse_command(&v.to_string()).unwrap() {
-            Command::Observe(back, times) => {
-                assert_eq!(back, req);
-                assert_eq!(times.ocn, 55.5);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // An observe without times is a protocol error.
-        let line = {
-            let mut v = req.to_value();
-            if let Value::Obj(kv) = &mut v {
-                kv.insert(0, ("op".to_string(), Value::Str("observe".to_string())));
-            }
-            v.to_string()
-        };
-        assert!(parse_command(&line).is_err());
-    }
-
-    #[test]
     fn draining_error_carries_retry_hint() {
         let line = error_reply(Some(4), &SubmitError::Draining { retry_after_ms: 12 });
         let (ok, v) = parse_reply(&line).unwrap();
         assert!(!ok);
         assert_eq!(v.get("retry_after_ms").and_then(Value::as_f64), Some(12.0));
-    }
-
-    #[test]
-    fn observe_reply_carries_decision_and_rebalance() {
-        let line = observe_reply(
-            &crate::drift::DriftDecision::Stable { drift_ratio: 1.01 },
-            None,
-        );
-        let (ok, v) = parse_reply(&line).unwrap();
-        assert!(ok);
-        assert_eq!(v.get("decision").and_then(Value::as_str), Some("stable"));
-        assert!(matches!(v.get("rebalance"), Some(Value::Null)));
     }
 
     #[test]
@@ -448,5 +357,66 @@ mod tests {
         assert!(!ok);
         assert_eq!(v.get("retry_after_ms").and_then(Value::as_f64), Some(40.0));
         assert_eq!(v.get("id").and_then(Value::as_f64), Some(3.0));
+    }
+
+    /// Seeded mutation fuzz (ROADMAP 4e): valid `tune` and `sweep` lines
+    /// truncated, bit-flipped, given a duplicate key or spliced with
+    /// nesting, then decoded the way the reactor decodes a line. Every
+    /// case must come back `Ok(Command)` or `Err(String)` — a panic (or
+    /// a stack overflow) fails the test.
+    #[test]
+    fn mutated_tune_and_sweep_lines_never_panic() {
+        let mut tune = TuneRequest::new(5, Resolution::OneDegree, 96).to_value();
+        if let Value::Obj(kv) = &mut tune {
+            kv.insert(0, ("op".to_string(), Value::Str("tune".to_string())));
+        }
+        let spec = SweepSpec {
+            one_degree_budgets: vec![64, 128],
+            eighth_degree_budgets: vec![8192],
+            ..SweepSpec::default()
+        };
+        let sweep = Value::Obj(vec![
+            ("op".to_string(), Value::Str("sweep".to_string())),
+            ("spec".to_string(), spec.to_value()),
+        ]);
+        let seeds = [tune, sweep];
+
+        let mut rng = crate::loadmix::Lcg(0x5EED_F00D);
+        let (mut accepted, mut rejected) = (0usize, 0usize);
+        for case in 0..6000 {
+            let mut doc = seeds[case % 2].clone();
+            if rng.below(4) == 0 {
+                // Duplicate a key, with some other member's value.
+                let target = match &mut doc {
+                    Value::Obj(kv) if case % 2 == 1 && rng.below(2) == 0 => &mut kv[1].1,
+                    other => other,
+                };
+                if let Value::Obj(kv) = target {
+                    let key = kv[rng.below(kv.len())].0.clone();
+                    let value = kv[rng.below(kv.len())].1.clone();
+                    kv.insert(rng.below(kv.len() + 1), (key, value));
+                }
+            }
+            let mut bytes = doc.to_string().into_bytes();
+            for _ in 0..rng.below(3) {
+                let at = rng.below(bytes.len());
+                match rng.below(3) {
+                    0 => bytes.truncate(at),
+                    1 if !bytes.is_empty() => bytes[at] ^= 1 << rng.below(8),
+                    _ => {
+                        let piece = [&b"["[..], b"{\"a\":", b"]", b"}"][rng.below(4)];
+                        bytes.splice(at..at, piece.repeat(1 + rng.below(200)));
+                    }
+                }
+            }
+            match parse_command(&String::from_utf8_lossy(&bytes)) {
+                Ok(_) => accepted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            accepted > 500 && rejected > 500,
+            "{accepted} ok / {rejected} err"
+        );
     }
 }

@@ -219,39 +219,6 @@ fn shutdown_drains_admitted_work_and_rejects_new() {
     }
 }
 
-/// `warm_neighbors` is the one knob outside the bit-identity gate: warm
-/// starts are same-basin, so the *execution* outcome (the measured times
-/// of the chosen allocation) must stay within a loose relative band of
-/// the cold reference rather than bit-equal.
-#[test]
-fn warm_neighbor_seeding_stays_in_basin() {
-    let mut opts = quiet_options();
-    opts.workers = 2;
-    opts.cache.warm_neighbors = true;
-    let service = TuningService::start(opts);
-
-    // Two neighboring budgets share a warm scope; the second fit is
-    // seeded from the first's curves.
-    let a = TuneRequest::new(1, hslb_cesm::Resolution::OneDegree, 96);
-    let mut b = TuneRequest::new(2, hslb_cesm::Resolution::OneDegree, 128);
-    b.priority = 6;
-    service.submit(a).expect("submit").wait().expect("wait");
-    let warmed = service
-        .submit(b.clone())
-        .expect("submit")
-        .wait()
-        .expect("wait");
-
-    let cold = reference_response(&b).expect("reference");
-    let rel = (warmed.payload.actual_total - cold.actual_total).abs()
-        / cold.actual_total.max(f64::MIN_POSITIVE);
-    assert!(
-        rel <= 1e-3,
-        "warm-seeded outcome drifted out of basin: rel {rel:.3e}"
-    );
-    service.shutdown();
-}
-
 // Satellite 3: N identical + M distinct requests issued concurrently
 // from multiple threads produce payloads bit-identical to serial runs,
 // and the duplicates (submitted after their original resolved) report a

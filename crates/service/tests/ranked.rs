@@ -25,15 +25,15 @@ fn ascending_chains_under_contention() {
         Arc::new(RankedMutex::new(Vec::new()));
     let cache: Arc<RankedMutex<u64, { rank::FRONT_DESK }>> = Arc::new(RankedMutex::new(0));
     let bus: Arc<RankedMutex<u64, { rank::COMPLETION_BUS }>> = Arc::new(RankedMutex::new(0));
-    let drift: Arc<RankedMutex<u64, { rank::DRIFT_STATE }>> = Arc::new(RankedMutex::new(0));
+    let handles: Arc<RankedMutex<u64, { rank::WORKER_HANDLES }>> = Arc::new(RankedMutex::new(0));
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (queue, cache, bus, drift) = (
+            let (queue, cache, bus, handles) = (
                 Arc::clone(&queue),
                 Arc::clone(&cache),
                 Arc::clone(&bus),
-                Arc::clone(&drift),
+                Arc::clone(&handles),
             );
             scope.spawn(move || {
                 for round in 0..ROUNDS {
@@ -42,19 +42,19 @@ fn ascending_chains_under_contention() {
                         let mut q = queue.lock();
                         let mut c = cache.lock();
                         let mut b = bus.lock();
-                        let mut d = drift.lock();
+                        let mut h = handles.lock();
                         q.push((t * ROUNDS + round) as u64);
                         *c += 1;
                         *b += 1;
-                        *d += 1;
+                        *h += 1;
                     }
                     // Out-of-order release: low rank dropped first.
                     {
                         let c = cache.lock();
                         let b = bus.lock();
                         drop(c);
-                        let d = drift.lock();
-                        std::hint::black_box((*b, *d));
+                        let h = handles.lock();
+                        std::hint::black_box((*b, *h));
                     }
                     // Disjoint pairs, sequential same-rank reuse.
                     {
@@ -62,8 +62,8 @@ fn ascending_chains_under_contention() {
                         std::hint::black_box(q.len());
                     }
                     {
-                        let d = drift.lock();
-                        std::hint::black_box(*d);
+                        let h = handles.lock();
+                        std::hint::black_box(*h);
                     }
                 }
             });
@@ -73,7 +73,7 @@ fn ascending_chains_under_contention() {
     assert_eq!(queue.lock().len(), THREADS * ROUNDS);
     assert_eq!(*cache.lock(), (THREADS * ROUNDS) as u64);
     assert_eq!(*bus.lock(), (THREADS * ROUNDS) as u64);
-    assert_eq!(*drift.lock(), (THREADS * ROUNDS) as u64);
+    assert_eq!(*handles.lock(), (THREADS * ROUNDS) as u64);
 }
 
 /// Producer/consumer across threads through the ranked condvar: waits
@@ -123,10 +123,10 @@ fn condvar_handoff_across_threads() {
 #[test]
 fn seeded_inversion_is_rejected() {
     let result = std::thread::spawn(|| {
-        let high: RankedMutex<u32, { rank::REBALANCE_LOG }> = RankedMutex::new(0);
+        let high: RankedMutex<u32, { rank::CLIENT_RESULTS }> = RankedMutex::new(0);
         let low: RankedMutex<u32, { rank::FIT_CACHE }> = RankedMutex::new(0);
         let g = high.lock();
-        let h = low.lock(); // 210 under 510: inversion
+        let h = low.lock(); // 210 under 610: inversion
         *g + *h
     })
     .join();
@@ -137,7 +137,7 @@ fn seeded_inversion_is_rejected() {
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("lock rank inversion"), "{msg}");
     assert!(
-        msg.contains("FIT_CACHE") && msg.contains("REBALANCE_LOG"),
+        msg.contains("FIT_CACHE") && msg.contains("CLIENT_RESULTS"),
         "{msg}"
     );
 }

@@ -368,3 +368,47 @@ fn sharded_reactor_rejects_misrouted_keys() {
     assert!(parse_line(&reply).0);
     handle.join().expect("reactor joins").expect("clean drain");
 }
+
+/// Lines that are not commands get an ordinary error frame and leave
+/// the server answering, on that connection and on new ones. Two of
+/// them matter: 1 MB of `[` (inside the reactor's line limit) used to
+/// overflow the recursive-descent JSON parser's stack and abort the
+/// process, and `observe` was an op until the drift → rebalance chain
+/// it fed was deleted.
+#[test]
+fn hostile_and_retired_lines_get_error_frames_and_the_server_lives() {
+    let _one_server = one_server();
+    let (addr, handle) = start_server(small_options(1), ReactorOptions::default());
+    let mut conn = hslb_service::loadclient::Conn::open(&addr).expect("connect");
+
+    let mut observe = TuneRequest::new(7, hslb_cesm::Resolution::OneDegree, 96).to_value();
+    if let Value::Obj(kv) = &mut observe {
+        kv.insert(0, ("op".to_string(), Value::Str("observe".to_string())));
+        let times = [("lnd", 10.0), ("ice", 20.0), ("atm", 60.0), ("ocn", 55.5)];
+        let times = times.map(|(c, t)| (c.to_string(), Value::Num(t)));
+        kv.push(("times".to_string(), Value::Obj(times.to_vec())));
+    }
+    for (line, want) in [
+        ("[".repeat(1_000_000), "nesting deeper"),
+        (observe.to_string(), "unknown op \"observe\""),
+    ] {
+        let reply = conn.round_trip(&line).expect("reply");
+        let (ok, v) = parse_line(&reply);
+        assert!(!ok, "{reply}");
+        let err = v.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(err.contains(want), "{err}");
+        let pong = conn
+            .round_trip("{\"op\":\"ping\"}")
+            .expect("same connection");
+        assert!(parse_line(&pong).0, "{pong}");
+    }
+
+    let mut fresh = hslb_service::loadclient::Conn::open(&addr).expect("reconnect");
+    let pong = fresh
+        .round_trip("{\"op\":\"ping\"}")
+        .expect("fresh connection");
+    assert!(parse_line(&pong).0, "{pong}");
+    let reply = fresh.round_trip("{\"op\":\"shutdown\"}").expect("shutdown");
+    assert!(parse_line(&reply).0);
+    handle.join().expect("reactor joins").expect("clean drain");
+}

@@ -41,7 +41,6 @@ fn sweep_with(spec: &SweepSpec, workers: usize, caches: bool) -> Portfolio {
         cache: CachePolicy {
             exact: caches,
             fit: caches,
-            warm_neighbors: false,
         },
         ..ServiceOptions::default()
     });

@@ -173,11 +173,21 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser is
+/// recursive descent, so unbounded nesting is unbounded stack: a line of
+/// `[` bytes would overflow it (an abort no `catch_unwind` sees). The
+/// deepest document this workspace writes nests 6.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document. Errors carry the byte offset and a short
-/// description.
+/// description; nesting past [`MAX_DEPTH`] is one of them.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -190,6 +200,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -231,12 +243,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -329,13 +354,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via chars()).
+                    // Copy the run up to the next quote or escape whole
+                    // (both are ASCII, so it ends on a char boundary of
+                    // the `&str` input): one pass over the string, where
+                    // a char at a time re-validates the rest each time.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -418,6 +449,24 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        for doc in [arrays, objects] {
+            assert!(parse(&doc(MAX_DEPTH)).is_ok());
+            for depth in [MAX_DEPTH + 1, 1_000_000] {
+                let err = parse(&doc(depth)).unwrap_err();
+                assert!(err.contains("nesting deeper"), "{err}");
+            }
+        }
+        // Unclosed, as a hostile line arrives: still the depth error.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        // Siblings do not count: depth is what is open, not what was seen.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
     fn round_trips_compact_and_pretty() {
         let v = Value::Obj(vec![
             ("n".into(), Value::Num(42.0)),
@@ -438,6 +487,18 @@ mod tests {
     fn non_finite_numbers_serialize_as_null() {
         let v = Value::Arr(vec![Value::Num(f64::NAN), Value::Num(f64::INFINITY)]);
         assert_eq!(v.to_string(), "[null,null]");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB is the reactor's line limit. Quadratic, this took 22 s
+        // in release; linear it is milliseconds, so the bound is loose.
+        let reps = (1 << 20) / 8;
+        let body = "a½\\n°".repeat(reps);
+        let started = std::time::Instant::now();
+        let v = parse(&format!("\"{body}\"")).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(v.as_str(), Some("a½\n°".repeat(reps).as_str()));
     }
 
     #[test]

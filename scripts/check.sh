@@ -3,13 +3,20 @@
 # this.
 #
 #   scripts/check.sh           # everything
-#   scripts/check.sh --fast    # skip the release build and bench smoke
+#   scripts/check.sh --fast    # skip the release build, the benchmark
+#                              # harness build and the bench smoke
 #
 # The clippy step is strict (-D warnings) across every target, including
 # tests and benches: the workspace carries `warn(clippy::unwrap_used,
 # clippy::expect_used)` on the library crates' non-test code, so a new
 # unwrap on a fault path fails the gate here rather than panicking on a
 # cluster.
+#
+# `benchmark/` is its own workspace, so `cargo test --workspace` never
+# compiles it: the full mode runs `benchmark/run.sh --smoke` (the
+# harness's self-tests, among them its suite at 1/20 of the counts held
+# to BENCHMARK.json) so a public name the harness uses cannot disappear
+# unnoticed until the benchmark run itself.
 #
 # The audit gate (DESIGN.md §11, §16) has three levels. Level 2 —
 # `audit-source`, a token-level scan (hand-rolled lexer, so comments and
@@ -51,7 +58,7 @@
 # simplex crate, whose pivot order must be reproducible).
 #
 # The warm-start gate (DESIGN.md §14) runs the bench smoke twice — warm
-# dual-simplex path on and off — validates both documents against the v9
+# dual-simplex path on and off — validates both documents against the v10
 # schema (which checks the warm_start work counters and the solve ≤ fit
 # phase budget), and bit-compares the incumbents between the two runs:
 # warm starts may change how much work the solver does, never what it
@@ -115,6 +122,16 @@ echo "==> cargo test"
 cargo test -q --workspace
 
 if [[ $fast -eq 0 ]]; then
+    echo "==> benchmark harness builds and passes its self-tests"
+    # The build prunes stale entries from benchmark/Cargo.lock, a file
+    # only a benchmark PR may change: hand it back as it was.
+    bench_lock="$(mktemp /tmp/benchmark_lock.XXXXXX)"
+    cp benchmark/Cargo.lock "$bench_lock"
+    bench_status=0
+    bash benchmark/run.sh --smoke || bench_status=$?
+    cp "$bench_lock" benchmark/Cargo.lock && rm -f "$bench_lock"
+    [[ $bench_status -eq 0 ]] || exit "$bench_status"
+
     echo "==> audit-instances (Level 1: convexity certificates + rejection self-test)"
     cargo run --release -q -p hslb-bench --bin audit-instances
 
