@@ -17,8 +17,9 @@
 //!   * a [`ConvexityCertificate`] — per-component coefficient-sign and
 //!     exponent checks under an explicit [`EpsilonPolicy`] for near-zero
 //!     fitted coefficients;
-//!   * a [`ModelAudit`] — SOS-1 allowed sets nonempty/disjoint/within the
-//!     node budget, the constraint graph matches the declared layout's
+//!   * a [`ModelAudit`] — allowed-set domains nonempty/increasing/within
+//!     the node budget and attached to `n_ocn` / `n_atm` exactly as
+//!     declared, the constraint graph matches the declared layout's
 //!     temporal structure, node-budget inequalities mutually satisfiable,
 //!     and every `Convexity::Convex` declaration verified against the
 //!     expression tree by a structural convexity checker

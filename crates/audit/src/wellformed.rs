@@ -2,7 +2,7 @@
 //!
 //! The solver's exactness argument assumes more than convex curves — it
 //! assumes the generated MINLP *is* the Table I model for the declared
-//! layout: the SOS-1 allowed sets are usable, the temporal constraint
+//! layout: the allowed-set domains are usable, the temporal constraint
 //! graph has the layout's shape, the node-budget inequalities admit a
 //! point at all, and every `Convexity::Convex` declaration is true. This
 //! pass re-derives each of those properties from the model itself, so a
@@ -13,6 +13,7 @@ use crate::certificate::EpsilonPolicy;
 use crate::convexity::{curvature, Curvature};
 use hslb_cesm::Layout;
 use hslb_model::{ConstraintSense, Convexity, Model, VarType};
+use hslb_numerics::float;
 
 /// The objective shapes the layout builder can produce (the audit crate
 /// cannot depend on the pipeline's `Objective`, which lives above it).
@@ -43,7 +44,7 @@ pub struct ModelExpectations {
 /// One failed well-formedness check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelViolation {
-    /// Stable rule id: `sos`, `structure`, `convexity`, `budget`.
+    /// Stable rule id: `domain`, `structure`, `convexity`, `budget`.
     pub rule: &'static str,
     pub message: String,
 }
@@ -61,6 +62,8 @@ pub struct ModelAudit {
     /// Constraints whose `Convexity::Convex` declaration the structural
     /// verifier confirmed.
     pub convex_verified: usize,
+    /// Allowed sets (discrete domains) checked. The name and the `sos_sets`
+    /// JSON key predate the domains: the paper writes these sets as SOS-1.
     pub sos_sets_checked: usize,
     pub linear_rows_checked: usize,
 }
@@ -75,7 +78,7 @@ impl std::fmt::Display for ModelAudit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "  model: {} ({} convex rows verified, {} SOS sets, {} linear rows)",
+            "  model: {} ({} convex rows verified, {} allowed sets, {} linear rows)",
             if self.passed() {
                 "well-formed"
             } else {
@@ -99,14 +102,6 @@ impl std::fmt::Display for ModelAudit {
 fn expected_rows(e: &ModelExpectations) -> Vec<(String, Convexity)> {
     use Convexity::{Convex, Linear, Nonconvex};
     let mut rows: Vec<(String, Convexity)> = Vec::new();
-    if e.ocean_set {
-        rows.push(("ocn_pick_one".into(), Linear));
-        rows.push(("ocn_link".into(), Linear));
-    }
-    if e.atm_set {
-        rows.push(("atm_pick_one".into(), Linear));
-        rows.push(("atm_link".into(), Linear));
-    }
     match e.shape {
         ObjectiveShape::MinMax => match e.layout {
             Layout::Hybrid => {
@@ -168,8 +163,8 @@ fn linear_range(model: &Model, pairs: &[(usize, f64)], constant: f64) -> (f64, f
     (lo, hi)
 }
 
-/// Node-count values a component variable can take: the SOS weights when
-/// an allowed set is attached, else the (integer) bound interval.
+/// Node-count values a component variable can take: the domain when an
+/// allowed set is attached, else the (integer) bound interval.
 enum AllowedValues {
     Set(Vec<f64>),
     Interval(f64, f64),
@@ -188,17 +183,15 @@ impl AllowedValues {
     }
 }
 
-fn allowed_values(model: &Model, label: &str, var: Option<usize>) -> AllowedValues {
-    for s in &model.sos1 {
-        if s.name == format!("{label}_set") {
-            return AllowedValues::Set(s.members.iter().map(|&(_, w)| w).collect());
-        }
-    }
+fn allowed_values(model: &Model, var: Option<usize>) -> AllowedValues {
     match var {
-        Some(v) => {
-            let (lo, hi) = model.bounds(v);
-            AllowedValues::Interval(lo, hi)
-        }
+        Some(v) => match model.domains.iter().find(|d| d.var == v) {
+            Some(d) => AllowedValues::Set(d.values.clone()),
+            None => {
+                let (lo, hi) = model.bounds(v);
+                AllowedValues::Interval(lo, hi)
+            }
+        },
         None => AllowedValues::Interval(1.0, f64::INFINITY),
     }
 }
@@ -214,65 +207,87 @@ pub fn audit_model(model: &Model, expect: &ModelExpectations, eps: EpsilonPolicy
         violations.push(ModelViolation { rule, message });
     };
 
-    // --- SOS-1 allowed sets: nonempty, ordered, binary members, within
-    // the node budget, pairwise disjoint.
+    // --- Allowed sets: each a nonempty, strictly increasing list of
+    // integers within the node budget, on an integer variable; attached
+    // to n_ocn / n_atm exactly when the expectation says so and to
+    // nothing else. The compact model the solver branches on carries no
+    // SOS-1 set (those exist only in `Model::expand_domains`' output).
     let nf = expect.total_nodes as f64;
-    for s in &model.sos1 {
-        if s.members.is_empty() {
-            push("sos", format!("SOS-1 set `{}` is empty", s.name));
+    for d in &model.domains {
+        if d.values.is_empty() {
+            push("domain", format!("allowed set `{}` is empty", d.name));
+        }
+        if let Some(w) = d.values.windows(2).find(|w| w[1] <= w[0]) {
+            push(
+                "domain",
+                format!(
+                    "allowed set `{}` not strictly increasing at {}",
+                    d.name, w[1]
+                ),
+            );
+        }
+        for &v in &d.values {
+            if !float::is_integral(v, 0.0) || !(1.0..=nf).contains(&v) {
+                push(
+                    "domain",
+                    format!(
+                        "allowed set `{}` value {v} is not an integer in the node budget [1, {}]",
+                        d.name, expect.total_nodes
+                    ),
+                );
+            }
+        }
+        if d.var >= model.num_vars() {
+            push(
+                "domain",
+                format!("allowed set `{}` references unknown var {}", d.name, d.var),
+            );
             continue;
         }
-        let mut prev = f64::NEG_INFINITY;
-        for &(v, w) in &s.members {
-            if w <= prev {
-                push(
-                    "sos",
-                    format!(
-                        "SOS-1 set `{}` weights not strictly increasing at {w}",
-                        s.name
-                    ),
-                );
-            }
-            prev = w;
-            if !(1.0..=nf).contains(&w) {
-                push(
-                    "sos",
-                    format!(
-                        "SOS-1 set `{}` weight {w} outside the node budget [1, {}]",
-                        s.name, expect.total_nodes
-                    ),
-                );
-            }
-            if v >= model.num_vars() {
-                push(
-                    "sos",
-                    format!("SOS-1 set `{}` references unknown var {v}", s.name),
-                );
-            } else if model.var_type(v) != VarType::Binary {
-                push(
-                    "sos",
-                    format!(
-                        "SOS-1 set `{}` member `{}` is not binary",
-                        s.name,
-                        model.var_name(v)
-                    ),
-                );
-            }
+        let on = model.var_name(d.var);
+        if model.var_type(d.var) != VarType::Integer {
+            push(
+                "domain",
+                format!(
+                    "allowed set `{}` sits on `{on}`, which is not an integer variable",
+                    d.name
+                ),
+            );
+        }
+        if on != "n_ocn" && on != "n_atm" {
+            push(
+                "domain",
+                format!(
+                    "allowed set `{}` sits on `{on}`, neither n_ocn nor n_atm",
+                    d.name
+                ),
+            );
         }
     }
-    for (i, a) in model.sos1.iter().enumerate() {
-        for b in model.sos1.iter().skip(i + 1) {
-            let overlap = a
-                .members
-                .iter()
-                .any(|&(v, _)| b.members.iter().any(|&(w, _)| v == w));
-            if overlap {
-                push(
-                    "sos",
-                    format!("SOS-1 sets `{}` and `{}` share members", a.name, b.name),
-                );
-            }
+    for (name, expected) in [("n_ocn", expect.ocean_set), ("n_atm", expect.atm_set)] {
+        let attached = model
+            .domains
+            .iter()
+            .filter(|d| d.var < model.num_vars() && model.var_name(d.var) == name)
+            .count();
+        if attached != usize::from(expected) {
+            push(
+                "domain",
+                format!(
+                    "`{name}` carries {attached} allowed set(s), the configuration declares {}",
+                    usize::from(expected)
+                ),
+            );
         }
+    }
+    for s in &model.sos1 {
+        push(
+            "structure",
+            format!(
+                "unexpected SOS-1 set `{}`: allowed sets are stated as domains",
+                s.name
+            ),
+        );
     }
 
     // --- Temporal structure: the constraint graph must match the
@@ -398,8 +413,8 @@ pub fn audit_model(model: &Model, expect: &ModelExpectations, eps: EpsilonPolicy
         floor("n_atm"),
         floor("n_ocn"),
     ) {
-        let atm_vals = allowed_values(model, "atm", find_var(model, "n_atm"));
-        let ocn_vals = allowed_values(model, "ocn", find_var(model, "n_ocn"));
+        let atm_vals = allowed_values(model, find_var(model, "n_atm"));
+        let ocn_vals = allowed_values(model, find_var(model, "n_ocn"));
         match expect.layout {
             Layout::Hybrid => {
                 // Need n_atm ≥ n_ice + n_lnd and n_atm + n_ocn ≤ N with
@@ -472,7 +487,7 @@ pub fn audit_model(model: &Model, expect: &ModelExpectations, eps: EpsilonPolicy
     ModelAudit {
         violations,
         convex_verified,
-        sos_sets_checked: model.sos1.len(),
+        sos_sets_checked: model.domains.len(),
         linear_rows_checked,
     }
 }
@@ -578,36 +593,106 @@ mod tests {
             .any(|v| v.rule == "budget" && v.message.contains("budget")));
     }
 
-    #[test]
-    fn overlapping_sos_sets_are_caught() {
+    /// `tiny_model` with an ocean domain pushed past `add_domain`'s own
+    /// validation — the audit is the builder's second opinion.
+    fn with_ocean_domain(values: Vec<f64>) -> (Model, ModelExpectations) {
         let mut m = tiny_model(true);
-        let z1 = m.binary("z1").unwrap();
-        let z2 = m.binary("z2").unwrap();
-        m.add_sos1("ocn_set", vec![(z1, 2.0), (z2, 4.0)]).unwrap();
-        m.add_sos1("atm_set", vec![(z1, 8.0), (z2, 16.0)]).unwrap();
+        m.domains.push(hslb_model::Domain {
+            name: "ocn".into(),
+            var: 3,
+            values,
+        });
         let mut e = expectations();
         e.ocean_set = true;
-        e.atm_set = true;
-        let audit = audit_model(&m, &e, eps());
-        assert!(audit
+        (m, e)
+    }
+
+    fn domain_violation(m: &Model, e: &ModelExpectations, needle: &str) -> bool {
+        audit_model(m, e, eps())
             .violations
             .iter()
-            .any(|v| v.rule == "sos" && v.message.contains("share")));
+            .any(|v| v.rule == "domain" && v.message.contains(needle))
     }
 
     #[test]
-    fn sos_weight_above_budget_is_caught() {
-        let mut m = tiny_model(true);
-        let z1 = m.binary("z1").unwrap();
-        let z2 = m.binary("z2").unwrap();
-        m.add_sos1("ocn_set", vec![(z1, 2.0), (z2, 768.0)]).unwrap();
-        let mut e = expectations();
-        e.ocean_set = true;
+    fn well_formed_domain_passes_and_is_counted() {
+        let (m, e) = with_ocean_domain(vec![2.0, 4.0, 64.0]);
         let audit = audit_model(&m, &e, eps());
-        assert!(audit
+        assert!(audit.passed(), "{:?}", audit.violations);
+        assert_eq!(audit.sos_sets_checked, 1);
+    }
+
+    #[test]
+    fn malformed_domain_values_are_caught() {
+        for (values, needle) in [
+            (vec![], "is empty"),
+            (vec![4.0, 2.0], "not strictly increasing"),
+            (vec![2.0, 2.0], "not strictly increasing"),
+            (vec![2.5], "not an integer in the node budget"),
+            (vec![2.0, 768.0], "not an integer in the node budget"),
+            (vec![0.0, 2.0], "not an integer in the node budget"),
+        ] {
+            let (m, e) = with_ocean_domain(values.clone());
+            assert!(domain_violation(&m, &e, needle), "{values:?}");
+        }
+    }
+
+    #[test]
+    fn domain_attachment_must_match_the_declaration() {
+        // Declared but missing.
+        let mut e = expectations();
+        e.atm_set = true;
+        assert!(domain_violation(&tiny_model(true), &e, "`n_atm` carries 0"));
+        // Present but undeclared.
+        let (m, _) = with_ocean_domain(vec![2.0, 4.0]);
+        assert!(domain_violation(&m, &expectations(), "`n_ocn` carries 1"));
+        // Two sets on one variable.
+        let (mut m, e) = with_ocean_domain(vec![2.0, 4.0]);
+        m.domains.push(m.domains[0].clone());
+        assert!(domain_violation(&m, &e, "`n_ocn` carries 2"));
+        // On a component that has no allowed set, a continuous variable,
+        // or no variable at all.
+        for (var, needle) in [
+            (0, "neither n_ocn nor n_atm"),
+            (4, "not an integer variable"),
+            (99, "unknown var"),
+        ] {
+            let (mut m, e) = with_ocean_domain(vec![2.0, 4.0]);
+            m.domains[0].var = var;
+            assert!(domain_violation(&m, &e, needle), "var {var}");
+        }
+    }
+
+    #[test]
+    fn literal_sos_machinery_is_not_the_audited_shape() {
+        let (m, e) = with_ocean_domain(vec![2.0, 4.0]);
+        let audit = audit_model(&m.expand_domains(), &e, eps());
+        for needle in ["ocn_pick_one", "ocn_link", "SOS-1 set `ocn_set`"] {
+            assert!(
+                audit
+                    .violations
+                    .iter()
+                    .any(|v| v.rule == "structure" && v.message.contains(needle)),
+                "{needle}: {:?}",
+                audit.violations
+            );
+        }
+    }
+
+    #[test]
+    fn budget_uses_the_domain_not_the_box() {
+        // n_ocn ∈ {60, 64} with floors 1: sequential needs floor + 60 ≤ 64.
+        let (mut m, mut e) = with_ocean_domain(vec![60.0, 64.0]);
+        e.layout = Layout::SequentialWithOcean;
+        assert!(!audit_model(&m, &e, eps())
             .violations
             .iter()
-            .any(|v| v.rule == "sos" && v.message.contains("outside the node budget")));
+            .any(|v| v.rule == "budget"));
+        m.domains[0].values = vec![64.0];
+        assert!(audit_model(&m, &e, eps())
+            .violations
+            .iter()
+            .any(|v| v.rule == "budget" && v.message.contains("smallest ocean 64")));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Microbenchmark: the bounded-variable simplex on the LP shapes the MINLP
-//! solver actually produces (wide SOS-binary columns, few rows).
+//! Microbenchmark: the bounded-variable simplex on the widest LP shape the
+//! MINLP solver meets — the expanded-binaries models of the §III-E ablation
+//! (wide SOS-binary columns, few rows).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hslb_lp::{solve, ConstraintSense, LpProblem, SimplexOptions};

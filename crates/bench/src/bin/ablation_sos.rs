@@ -1,6 +1,9 @@
 //! §III-E ablation: branch on the special-ordered sets vs on individual
 //! binary variables. The paper credits SOS branching with two orders of
-//! magnitude of MINLP solve-time improvement.
+//! magnitude of MINLP solve-time improvement. The `sos` arm is the model
+//! the product solves — the sets as domains on `n_ocn` / `n_atm`, what
+//! Table I's SOS-1 sets project to; the `binary` arm is Table I's literal
+//! binaries (`Model::expand_domains`), branched one by one.
 //!
 //! `cargo run --release -p hslb-bench --bin ablation_sos`
 

@@ -85,7 +85,7 @@ fn audit_scenario(s: &Scenario) -> Result<String, String> {
     let audit = hslb_audit::audit_instance(&curves, &lm.model, &expect);
     if audit.passed() {
         Ok(format!(
-            "{}: PASS ({} components certified, {} convex rows verified, {} SOS sets)",
+            "{}: PASS ({} components certified, {} convex rows verified, {} allowed sets)",
             s.name,
             audit.certificate.components.len(),
             audit.model.convex_verified,

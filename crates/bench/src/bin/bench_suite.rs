@@ -72,9 +72,10 @@
 //! cargo run -p hslb-bench --bin bench-suite -- --compare-incumbents A B
 //! ```
 
-use hslb::{Hslb, HslbOptions};
+use hslb::{FitSet, Hslb, HslbOptions};
 use hslb_bench::simulator_for;
 use hslb_cesm::Resolution;
+use hslb_minlp::Branching;
 use hslb_telemetry::json::Value;
 use hslb_telemetry::{span_tree, Snapshot, Telemetry};
 
@@ -162,6 +163,27 @@ fn fit_components(snap: &Snapshot) -> Value {
     Value::Arr(out)
 }
 
+/// The 1° allowed sets are solved as domains on `n_ocn` / `n_atm`; Table
+/// I's literal binaries, branched one by one (`Branching::IntegerOnly`),
+/// must reach the same incumbent from the same fits — to the microseconds
+/// the solver's tolerances leave open, since the two trees may stop on
+/// different ties.
+fn assert_literal_binaries_agree(s: &Scenario, pipeline: &Hslb, fits: &FitSet, compact: f64) {
+    let mut opts = pipeline.opts.clone();
+    opts.solver.branching = Branching::IntegerOnly;
+    opts.telemetry = Telemetry::disabled();
+    let literal = Hslb::new(pipeline.sim, opts)
+        .solve(fits)
+        .expect("literal-binaries solve");
+    assert!(
+        (compact - literal.predicted_total).abs() <= (1e-9 * compact.abs()).max(4e-6),
+        "{}: domains predict {compact}, literal binaries {} ({})",
+        s.name,
+        literal.predicted_total,
+        literal.allocation
+    );
+}
+
 fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool) -> Value {
     let telemetry = Telemetry::new();
     let sim = simulator_for(s.resolution, true).with_telemetry(telemetry.clone());
@@ -173,7 +195,13 @@ fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool) -> Value {
     opts.telemetry = telemetry.clone();
     let pipeline = Hslb::new(&sim, opts);
 
-    let (report, wall) = criterion::time_once(|| pipeline.run(None).expect("pipeline run"));
+    let ((report, artifacts), wall) =
+        criterion::time_once(|| pipeline.run_with_artifacts(None).expect("pipeline run"));
+    if s.resolution == Resolution::OneDegree {
+        let fits = artifacts.fits.as_ref().expect("fitted curves");
+        let compact = report.hslb.predicted_total.expect("predicted total");
+        assert_literal_binaries_agree(s, &pipeline, fits, compact);
+    }
     let snap = telemetry.snapshot();
     let tree = span_tree(&snap.events);
 

@@ -71,19 +71,27 @@ impl<'a> ExhaustiveOptimizer<'a> {
     }
 
     /// Best ice/land split of `budget` nodes for min-max style scoring:
-    /// minimize `max(T_ice(n_i), T_lnd(n_l))` with `n_i + n_l = budget`.
-    /// Exact by ternary search (unimodal in `n_i`).
+    /// minimize `max(T_ice(n_i), T_lnd(n_l))` with `n_i + n_l ≤ budget`.
+    /// Neither component takes more nodes than its own fastest count (the
+    /// b·n^c term can make that less than the budget); up to there both
+    /// curves fall, so the max is unimodal in `n_i` and ternary search is
+    /// exact.
     fn best_icelnd_split(&self, budget: i64) -> (i64, i64, f64) {
         let (ice_lo, lnd_lo) = (self.floors.ice.max(1), self.floors.lnd.max(1));
         if budget < ice_lo + lnd_lo {
             return (ice_lo, lnd_lo, f64::INFINITY);
         }
+        let fastest =
+            |c: Component, lo: i64, hi: i64| self.fits.optimized_curve(c).argmin_nodes(lo, hi);
+        let ice_best = fastest(Component::Ice, ice_lo, budget - lnd_lo);
+        let lnd_best = fastest(Component::Lnd, lnd_lo, budget - ice_lo);
+        let lnd_for = |ni: i64| (budget - ni).min(lnd_best);
         let f = |ni: i64| {
             self.t(Component::Ice, ni)
-                .max(self.t(Component::Lnd, budget - ni))
+                .max(self.t(Component::Lnd, lnd_for(ni)))
         };
-        let (ni, val) = scalar::integer_ternary_min(f, ice_lo, budget - lnd_lo);
-        (ni, budget - ni, val)
+        let (ni, val) = scalar::integer_ternary_min(f, ice_lo, ice_best);
+        (ni, lnd_for(ni), val)
     }
 
     /// The count in `allowed ∩ [floor, cap]` (all of `[floor, cap]` without
@@ -239,9 +247,14 @@ impl<'a> ExhaustiveOptimizer<'a> {
             });
         }
 
-        let min_atm_side = (self.floors.ice + self.floors.lnd)
-            .max(self.floors.atm)
-            .max(2);
+        // Nodes the non-ocean side needs: layout 1 nests ice + land inside
+        // the atmosphere's, layout 2 runs the three one after another on
+        // the same nodes.
+        let min_atm_side = match self.layout {
+            Layout::Hybrid => (self.floors.ice + self.floors.lnd).max(2),
+            _ => self.floors.ice.max(self.floors.lnd).max(1),
+        }
+        .max(self.floors.atm);
         let ocn_cap = n - min_atm_side; // leave room for the atm side
         let ocn_candidates = Self::candidates(&self.ocean_allowed, self.floors.ocn, ocn_cap);
 

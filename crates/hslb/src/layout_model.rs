@@ -4,9 +4,12 @@
 //! The generated models are line-for-line translations of Table I:
 //! temporal constraints (lines 14–19 / 22–23 / 27), node constraints
 //! (lines 20–21 / 24–26 / 28), the optional ice–land synchronization
-//! window `T_sync` (lines 18–19), and the allowed-set machinery for the
-//! ocean and atmosphere node counts as binaries with a convexity row, a
-//! linking row and an SOS-1 declaration (lines 29–31).
+//! window `T_sync` (lines 18–19), and the ocean and atmosphere allowed
+//! sets (lines 29–31) as discrete domains on `n_ocn` / `n_atm`. The paper
+//! writes those lines with one binary per value under an SOS-1
+//! declaration; projected onto `n` that is exactly "`n` takes one of the
+//! values", and `Model::expand_domains` recovers the literal form for
+//! AMPL and the §III-E ablation.
 
 use crate::fit::FitSet;
 use crate::objective::Objective;
@@ -115,53 +118,43 @@ fn perf_expr(curve: &ScalingCurve, n: VarId) -> Expr {
     Expr::c(curve.a) / Expr::var(n) + Expr::c(curve.b) * Expr::var(n).pow(curve.c) + curve.d
 }
 
-/// A safe upper bound on any component/makespan time: everything run on
-/// one node, summed.
-fn time_upper_bound(fits: &FitSet) -> f64 {
+/// A safe upper bound on any component/makespan time: every component at
+/// its slowest count, summed. A convex curve is slowest at an end of
+/// `[1, N]` — one node, unless the b·n^c term has taken over by `N`.
+fn time_upper_bound(fits: &FitSet, n_total: f64) -> f64 {
     Component::OPTIMIZED
         .iter()
-        .map(|&c| fits.optimized_curve(c).eval(1.0))
+        .map(|&c| {
+            let curve = fits.optimized_curve(c);
+            curve.eval(1.0).max(curve.eval(n_total))
+        })
         .sum::<f64>()
         * 2.0
 }
 
-/// Add allowed-set machinery (Table I lines 29–31) for a node variable:
-/// binaries `z_k`, `Σ z_k = 1`, `Σ z_k·V_k = n`, SOS-1 over the set.
+/// Restrict a node variable to its allowed set (Table I lines 29–31),
+/// trimmed to the memory floor and the node budget. An empty trim is a
+/// config error the solver would otherwise report as infeasible with less
+/// context.
 fn add_allowed_set(
     model: &mut Model,
     label: &str,
     n: VarId,
     values: &[i64],
-) -> Result<(), hslb_model::ModelError> {
-    assert!(!values.is_empty(), "allowed set for {label} is empty");
-    let mut zs: Vec<(VarId, f64)> = Vec::with_capacity(values.len());
-    for &v in values {
-        let z = model.binary(&format!("z_{label}_{v}"))?;
-        zs.push((z, v as f64));
+    floor: i64,
+    n_total: i64,
+) -> Result<(), crate::error::HslbError> {
+    let trimmed: Vec<f64> = values
+        .iter()
+        .filter(|&&v| v <= n_total && v >= floor)
+        .map(|&v| v as f64)
+        .collect();
+    if trimmed.is_empty() {
+        return Err(crate::error::HslbError::Config(format!(
+            "no allowed {label} count fits within {n_total} nodes"
+        )));
     }
-    let convexity_row = zs
-        .iter()
-        .fold(Expr::c(0.0), |acc, &(z, _)| acc + Expr::var(z));
-    model.constrain(
-        &format!("{label}_pick_one"),
-        convexity_row,
-        ConstraintSense::Eq,
-        1.0,
-        Convexity::Linear,
-    )?;
-    let linking = zs
-        .iter()
-        .fold(Expr::c(0.0), |acc, &(z, v)| acc + v * Expr::var(z))
-        - Expr::var(n);
-    model.constrain(
-        &format!("{label}_link"),
-        linking,
-        ConstraintSense::Eq,
-        0.0,
-        Convexity::Linear,
-    )?;
-    model.add_sos1(&format!("{label}_set"), zs)?;
-    Ok(())
+    Ok(model.add_domain(label, n, trimmed)?)
 }
 
 /// Build the MINLP of Table I for the given layout/objective/options.
@@ -196,39 +189,16 @@ pub fn build_layout_model(
     let n_lnd = m.integer("n_lnd", fl.lnd.max(1) as f64, nf)?;
     let n_atm = m.integer("n_atm", fl.atm.max(1) as f64, nf)?;
     let n_ocn = m.integer("n_ocn", fl.ocn.max(1) as f64, nf)?;
-    let t_ub = time_upper_bound(fits);
+    let t_ub = time_upper_bound(fits, nf);
     let t_total = m.continuous("T", 0.0, t_ub)?;
 
     let t_of = |c: Component, n: VarId, fits: &FitSet| perf_expr(&fits.optimized_curve(c), n);
 
-    // Allowed sets (trim to the node budget; an empty trim is a config
-    // error the solver would otherwise report as infeasible with less
-    // context).
     if let Some(values) = &opts.ocean_allowed {
-        let trimmed: Vec<i64> = values
-            .iter()
-            .copied()
-            .filter(|&v| v <= n_total && v >= opts.floors.ocn)
-            .collect();
-        if trimmed.is_empty() {
-            return Err(crate::error::HslbError::Config(format!(
-                "no allowed ocean count fits within {n_total} nodes"
-            )));
-        }
-        add_allowed_set(&mut m, "ocn", n_ocn, &trimmed)?;
+        add_allowed_set(&mut m, "ocn", n_ocn, values, fl.ocn, n_total)?;
     }
     if let Some(values) = &opts.atm_allowed {
-        let trimmed: Vec<i64> = values
-            .iter()
-            .copied()
-            .filter(|&v| v <= n_total && v >= opts.floors.atm)
-            .collect();
-        if trimmed.is_empty() {
-            return Err(crate::error::HslbError::Config(format!(
-                "no allowed atmosphere count fits within {n_total} nodes"
-            )));
-        }
-        add_allowed_set(&mut m, "atm", n_atm, &trimmed)?;
+        add_allowed_set(&mut m, "atm", n_atm, values, fl.atm, n_total)?;
     }
 
     let mut t_icelnd_var = None;
@@ -466,17 +436,27 @@ mod tests {
     }
 
     #[test]
-    fn allowed_sets_create_sos_machinery() {
+    fn allowed_sets_become_domains() {
         let mut opts = LayoutModelOptions::free(Layout::Hybrid, 128);
         opts.ocean_allowed = Some(vec![2, 4, 8, 16, 24, 32, 480, 768]);
         let lm = build_layout_model(&toy_fits(), &opts).unwrap();
-        // Values above 128 are trimmed: 6 binaries remain.
-        let binaries = (0..lm.model.num_vars())
-            .filter(|&v| lm.model.var_type(v) == hslb_model::VarType::Binary)
-            .count();
-        assert_eq!(binaries, 6);
-        assert_eq!(lm.model.sos1.len(), 1);
-        assert_eq!(lm.model.sos1[0].members.len(), 6);
+        // Values above 128 are trimmed: 6 values remain, on n_ocn, and the
+        // model carries no binary for them.
+        assert_eq!(lm.model.domains.len(), 1);
+        assert_eq!(lm.model.domains[0].var, lm.n_ocn);
+        assert_eq!(
+            lm.model.domains[0].values,
+            [2.0, 4.0, 8.0, 16.0, 24.0, 32.0]
+        );
+        assert_eq!(lm.model.num_vars(), 6);
+        assert!(lm.model.sos1.is_empty());
+        let binaries = |m: &Model| {
+            (0..m.num_vars())
+                .filter(|&v| m.var_type(v) == hslb_model::VarType::Binary)
+                .count()
+        };
+        assert_eq!(binaries(&lm.model), 0);
+        assert_eq!(binaries(&lm.model.expand_domains()), 6);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::objective::Objective;
 use crate::report::{ArmReport, ExperimentReport};
 use crate::resilience::{GatherReport, ResilienceReport, RetryPolicy, SolverRung};
 use hslb_cesm::{Allocation, BenchFault, Component, Layout, RunResult, Simulator};
-use hslb_minlp::{MinlpOptions, MinlpStatus};
+use hslb_minlp::{Branching, MinlpOptions, MinlpStatus};
 use hslb_nlsq::ScalingFitOptions;
 
 /// How to choose the benchmark node counts for the gather step.
@@ -469,7 +469,13 @@ impl<'a> Hslb<'a> {
             });
         }
 
-        let ir = hslb_minlp::compile(&lm.model)?;
+        // `Branching::IntegerOnly` asks for the paper's slow baseline:
+        // the allowed sets as Table I's literal binaries, branched one by
+        // one (§III-E). Variable ids survive the expansion.
+        let ir = match self.opts.solver.branching {
+            Branching::SosFirst => hslb_minlp::compile(&lm.model),
+            Branching::IntegerOnly => hslb_minlp::compile(&lm.model.expand_domains()),
+        }?;
         // Hand the pipeline's sink to the solver unless the caller
         // already wired a dedicated one into the solver options.
         let mut solver = self.opts.solver.clone();
@@ -706,8 +712,10 @@ impl<'a> Hslb<'a> {
     ) -> Result<(ExperimentReport, PipelineArtifacts), HslbError> {
         let _pipeline = self.opts.telemetry.span("pipeline");
         let (data, gather) = self.gather_resilient();
-        let mut fallbacks: Vec<String> = Vec::new();
-        let mut degraded = gather.degraded(self.opts.retry.min_points);
+        // A gather that lost accuracy says what it lost, so an
+        // uncertified answer never comes back with no reason given.
+        let mut fallbacks = gather.degradations(self.opts.retry.min_points);
+        let mut degraded = !fallbacks.is_empty();
 
         // Fit when possible; a failed fit drops to the fit-free rung. An
         // injected curve set bypasses the fit entirely (see

@@ -124,10 +124,34 @@ impl GatherReport {
         self.min_component_points() >= d
     }
 
-    /// True when the campaign lost data the fit will feel: a point was
-    /// substituted or abandoned, or a component fell below `min_points`.
-    pub fn degraded(&self, min_points: usize) -> bool {
-        self.substituted_points > 0 || self.abandoned_points > 0 || !self.meets_minimum(min_points)
+    /// What the campaign lost that the fit will feel, one reason each: a
+    /// component below `min_points`, points substituted, points
+    /// abandoned. Empty when accuracy is not degraded — a campaign can be
+    /// degraded without a single fault, when the allowed sets and floors
+    /// project the planned counts of one component onto too few distinct
+    /// values.
+    pub fn degradations(&self, min_points: usize) -> Vec<String> {
+        let mut reasons = Vec::new();
+        for c in Component::OPTIMIZED {
+            let kept = self.points.get(&c).copied().unwrap_or(0);
+            if kept < min_points {
+                reasons.push(format!(
+                    "gather: {c} kept {kept} benchmark points, below the minimum of {min_points}"
+                ));
+            }
+        }
+        for (count, what) in [
+            (
+                self.substituted_points,
+                "substituted at a replacement node count",
+            ),
+            (self.abandoned_points, "abandoned after every retry"),
+        ] {
+            if count > 0 {
+                reasons.push(format!("gather: {count} benchmark point(s) {what}"));
+            }
+        }
+        reasons
     }
 }
 
@@ -178,8 +202,9 @@ impl std::fmt::Display for SolverRung {
 pub struct ResilienceReport {
     pub gather: GatherReport,
     pub rung: SolverRung,
-    /// Human-readable reasons for each fallback, in the order taken
-    /// (empty on the happy path).
+    /// Human-readable reasons for each gather loss
+    /// ([`GatherReport::degradations`]) and each fallback, in the order
+    /// taken (empty on the happy path).
     pub fallbacks: Vec<String>,
     /// True when the reported allocation should not be trusted as
     /// optimal: the gather lost points, the solver stopped at a limit
@@ -244,14 +269,17 @@ mod tests {
         }
         assert!(r.is_clean());
         assert!(r.meets_minimum(4));
-        assert!(!r.degraded(4));
+        assert!(r.degradations(4).is_empty());
 
         r.garbage_discarded = 2; // noisy but nothing lost
         assert!(!r.is_clean());
-        assert!(!r.degraded(4));
+        assert!(r.degradations(4).is_empty());
 
         r.points.insert(Component::Ice, 3); // below the paper's D ≥ 4
-        assert!(r.degraded(4));
+        assert_eq!(
+            r.degradations(4),
+            ["gather: ice kept 3 benchmark points, below the minimum of 4"]
+        );
         assert_eq!(r.min_component_points(), 3);
 
         let mut r2 = GatherReport::default();
@@ -259,7 +287,11 @@ mod tests {
             r2.points.insert(c, 5);
         }
         r2.substituted_points = 1;
-        assert!(r2.degraded(4), "substitution alone marks degradation");
+        r2.abandoned_points = 2;
+        let reasons = r2.degradations(4);
+        assert_eq!(reasons.len(), 2, "each loss alone marks degradation");
+        assert!(reasons[0].contains("1 benchmark point(s) substituted"));
+        assert!(reasons[1].contains("2 benchmark point(s) abandoned"));
     }
 
     #[test]

@@ -169,3 +169,38 @@ fn exhaustive_full_vs_grid_agree_on_mid_sizes() {
         grid.objective
     );
 }
+
+#[test]
+fn uncertified_clean_gather_says_which_component_fell_short() {
+    // 1/8°, fully sequential, the whole 8192-node partition, seed 42: no
+    // run fails, the audit passes, the MINLP rung answers from a one-node
+    // tree — and the answer is not certified, because the atmosphere's
+    // 1,024-node memory floor collapses three of the five planned
+    // benchmark counts into one, leaving it 3 points against the paper's
+    // D ≥ 4. The report must say so.
+    let sim = Simulator::eighth_degree(42);
+    let mut opts = HslbOptions::new(8192);
+    opts.layout = Layout::FullySequential;
+    let min_points = opts.retry.min_points;
+    let report = Hslb::new(&sim, opts).run(None).expect("pipeline");
+    let res = report.resilience.as_ref().expect("run() always reports");
+    assert!(res.gather.is_clean(), "{}", res.gather);
+    assert_eq!(res.rung, hslb::SolverRung::Minlp);
+    assert!(report.audit.as_ref().is_some_and(|a| a.passed()));
+    assert!(res.degraded_accuracy && !report.global_optimum());
+
+    let short: Vec<_> = res
+        .gather
+        .points
+        .iter()
+        .filter(|&(_, &kept)| kept < min_points)
+        .collect();
+    assert_eq!(short, [(&hslb_cesm::Component::Atm, &3)]);
+    assert_eq!(res.fallbacks.len(), short.len(), "{:?}", res.fallbacks);
+    for ((c, kept), reason) in short.into_iter().zip(&res.fallbacks) {
+        assert_eq!(
+            reason,
+            &format!("gather: {c} kept {kept} benchmark points, below the minimum of {min_points}")
+        );
+    }
+}

@@ -24,16 +24,16 @@ struct WarmState {
 }
 
 /// A live tree node. Bounds are stored as deltas against the root —
-/// integer branchings add one `(var, lo, hi)` override each, and SOS
-/// branchings narrow a per-set member index window, so a node costs a few
-/// dozen bytes regardless of how many binaries the SOS sets hold.
+/// integer branchings add one `(var, lo, hi)` override each, and domain
+/// branchings narrow a per-domain value index window, so a node costs a
+/// few dozen bytes regardless of how many values the domains hold.
 #[derive(Debug, Clone)]
 struct Node {
     /// Accumulated variable bound overrides (intersected with root bounds).
     overrides: Vec<(usize, f64, f64)>,
-    /// Inclusive member-index window per SOS set; members outside the
-    /// window are fixed to zero when the node's LP is built.
-    sos_window: Vec<(usize, usize)>,
+    /// Inclusive value-index window per domain; the variable's box is
+    /// pulled in to the window's end values when the node's LP is built.
+    dom_window: Vec<(usize, usize)>,
     /// Lower bound inherited from the parent's relaxation.
     bound: f64,
     /// Nearest ancestor's solved tableau (None at the root or with
@@ -126,9 +126,15 @@ fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &SolveStats) {
     tel.counter_add("minlp.warm_fallbacks", stats.warm_fallbacks as u64);
 }
 
-/// Resolve a node's effective bounds; `None` when an intersection is empty
-/// (node trivially infeasible).
-fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> {
+/// `(lb, ub, domain windows)` of a node.
+type NodeBox = (Vec<f64>, Vec<f64>, Vec<(usize, usize)>);
+
+/// A node's effective box and domain windows. Each window keeps the
+/// values inside the box (presolve or an integer branch may have left the
+/// box between two of them) and the box is pulled in to the window's end
+/// values. `None` when an intersection is empty — no value left, or
+/// crossed overrides — so the node is trivially infeasible.
+fn node_bounds(ir: &Ir, node: &Node) -> Option<NodeBox> {
     let mut lb = ir.lb.clone();
     let mut ub = ir.ub.clone();
     for &(v, lo, hi) in &node.overrides {
@@ -138,21 +144,20 @@ fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> {
             return None;
         }
     }
-    for (s, &(w0, w1)) in node.sos_window.iter().enumerate() {
-        let members = &ir.sos[s].members;
-        for (k, &(v, _)) in members.iter().enumerate() {
-            if k < w0 || k > w1 {
-                // Fix to zero (member bounds always contain zero for the
-                // binaries these sets are built from).
-                lb[v] = lb[v].max(0.0);
-                ub[v] = ub[v].min(0.0);
-                if lb[v] > ub[v] {
-                    return None;
-                }
-            }
+    let mut windows = node.dom_window.clone();
+    for (d, win) in ir.domains.iter().zip(&mut windows) {
+        let v = d.var;
+        let lo = win
+            .0
+            .max(d.values.partition_point(|&val| val < lb[v] - 1e-9));
+        let end = (win.1 + 1).min(d.values.partition_point(|&val| val <= ub[v] + 1e-9));
+        if lo >= end {
+            return None;
         }
+        *win = (lo, end - 1);
+        (lb[v], ub[v]) = (d.values[lo], d.values[end - 1]);
     }
-    Some((lb, ub))
+    Some((lb, ub, windows))
 }
 
 /// The most fractional integer variable, if any.
@@ -170,48 +175,43 @@ fn fractional_int(ir: &Ir, x: &[f64], tol: f64) -> Option<usize> {
     best.map(|(v, _)| v)
 }
 
-/// First SOS set with ≥ 2 members above tolerance inside its window.
-fn violated_sos(ir: &Ir, node: &Node, x: &[f64], tol: f64) -> Option<usize> {
-    for (s, set) in ir.sos.iter().enumerate() {
-        if set.members.is_empty() {
-            continue;
-        }
-        let (w0, w1) = node.sos_window[s];
-        let nonzero = set.members[w0..=w1]
-            .iter()
-            .filter(|&&(v, _)| x[v].abs() > tol)
-            .count();
-        if nonzero >= 2 {
-            return Some(s);
+/// First domain whose variable sits at none of the values in its window,
+/// with the index to split at: the largest value ≤ `x[var]`, clamped so
+/// both children are strict subsets. This is the SOS-1 branching rule of
+/// §III-E projected onto the variable the set selects — the weighted
+/// centroid of the binaries *is* `x[var]`.
+fn violated_domain(
+    ir: &Ir,
+    windows: &[(usize, usize)],
+    x: &[f64],
+    tol: f64,
+) -> Option<(usize, usize)> {
+    for (d, (dom, &(w0, w1))) in ir.domains.iter().zip(windows).enumerate() {
+        let xv = x[dom.var];
+        // Values of the window at or below x (within tolerance).
+        let below = dom.values[w0..=w1].partition_point(|&val| val <= xv + tol);
+        let at_value = below > 0 && dom.values[w0 + below - 1] >= xv - tol;
+        if !at_value && w0 < w1 {
+            return Some((d, (w0 + below).saturating_sub(1).clamp(w0, w1 - 1)));
         }
     }
     None
 }
 
-/// Split SOS set `s` of `node` at the weighted centroid of the LP values.
-fn branch_sos(ir: &Ir, node: &Node, x: &[f64], s: usize, bound: f64) -> Vec<Node> {
-    let (w0, w1) = node.sos_window[s];
-    let members = &ir.sos[s].members[w0..=w1];
-    let mass: f64 = members.iter().map(|&(v, _)| x[v].max(0.0)).sum();
-    let centroid: f64 = if mass > 0.0 {
-        members.iter().map(|&(v, w)| x[v].max(0.0) * w).sum::<f64>() / mass
-    } else {
-        members[members.len() / 2].1
-    };
-    // Largest in-window index whose weight ≤ centroid, clamped so both
-    // children are strict subsets.
-    let mut split = w0;
-    for (k, &(_, w)) in ir.sos[s].members[w0..=w1].iter().enumerate() {
-        if w <= centroid {
-            split = w0 + k;
-        }
-    }
-    let split = split.clamp(w0, w1 - 1);
+/// Split domain `d` of `node` into the windows `[w0, split]` and
+/// `[split + 1, w1]`.
+fn branch_domain(
+    node: &Node,
+    d: usize,
+    (w0, w1): (usize, usize),
+    split: usize,
+    bound: f64,
+) -> Vec<Node> {
     [(w0, split), (split + 1, w1)]
         .into_iter()
         .map(|win| {
             let mut child = node.clone();
-            child.sos_window[s] = win;
+            child.dom_window[d] = win;
             child.bound = bound;
             child
         })
@@ -267,7 +267,7 @@ fn process_node(
         warm_fallbacks: 0,
         warm: None,
     };
-    let Some((lb, ub)) = node_bounds(ir, node) else {
+    let Some((lb, ub, windows)) = node_bounds(ir, node) else {
         return report;
     };
 
@@ -342,36 +342,20 @@ fn process_node(
         }
 
         // --- branching decision on fractional structure ---
-        let sos_choice = match opts.branching {
-            Branching::SosFirst => violated_sos(ir, node, &x, opts.int_tol),
-            // Even in IntegerOnly mode the SOS condition must be enforced;
-            // it only loses its *priority*. With the usual Σz=1 convexity
-            // row, integral binaries always satisfy it.
-            Branching::IntegerOnly => None,
+        // Under `IntegerOnly` a violated domain is still enforced; it
+        // only loses its priority over fractional integers.
+        let domain = violated_domain(ir, &windows, &x, opts.int_tol);
+        let frac = fractional_int(ir, &x, opts.int_tol);
+        let branched = match (domain, frac) {
+            (Some((d, split)), f) if f.is_none() || opts.branching == Branching::SosFirst => {
+                Some((branch_domain(node, d, windows[d], split, bound), true))
+            }
+            (_, Some(v)) => Some((branch_int(node, v, x[v], lb[v], ub[v], bound), false)),
+            _ => None,
         };
-        if let Some(s) = sos_choice {
+        if let Some((children, sos)) = branched {
             report.warm = ladder.into_lp();
-            report.outcome = NodeOutcome::Branched {
-                children: branch_sos(ir, node, &x, s, bound),
-                sos: true,
-            };
-            return report;
-        }
-        if let Some(v) = fractional_int(ir, &x, opts.int_tol) {
-            report.warm = ladder.into_lp();
-            report.outcome = NodeOutcome::Branched {
-                children: branch_int(node, v, x[v], lb[v], ub[v], bound),
-                sos: false,
-            };
-            return report;
-        }
-        // Integral: late SOS check (IntegerOnly mode, or degenerate sets).
-        if let Some(s) = violated_sos(ir, node, &x, opts.int_tol) {
-            report.warm = ladder.into_lp();
-            report.outcome = NodeOutcome::Branched {
-                children: branch_sos(ir, node, &x, s, bound),
-                sos: true,
-            };
+            report.outcome = NodeOutcome::Branched { children, sos };
             return report;
         }
 
@@ -466,21 +450,22 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
     let t0 = std::time::Instant::now();
     let mut stats = SolveStats::default();
     let mut pool = nlp::CutPool::default();
+    let infeasible = |mut stats: SolveStats| {
+        stats.wall = t0.elapsed();
+        MinlpSolution {
+            status: MinlpStatus::Infeasible,
+            x: vec![],
+            objective: f64::INFINITY,
+            best_bound: f64::INFINITY,
+            stats,
+        }
+    };
 
     // Root presolve: tighten the box by propagating the linear rows.
     let tightened;
     let ir = if opts.presolve {
         match crate::presolve::propagate(ir, 20) {
-            crate::presolve::PresolveResult::Infeasible { .. } => {
-                stats.wall = t0.elapsed();
-                return MinlpSolution {
-                    status: MinlpStatus::Infeasible,
-                    x: vec![],
-                    objective: f64::INFINITY,
-                    best_bound: f64::INFINITY,
-                    stats,
-                };
-            }
+            crate::presolve::PresolveResult::Infeasible { .. } => return infeasible(stats),
             crate::presolve::PresolveResult::Tightened { lb, ub, changes } => {
                 stats.presolve_changes = changes;
                 tightened = Ir {
@@ -495,10 +480,23 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
         ir
     };
 
-    // Root: continuous NLP relaxation (Kelley). Its cuts seed the pool —
-    // the paper's "initial linearization point".
-    let root_bounds = (ir.lb.clone(), ir.ub.clone());
-    let mut root_relax = nlp::solve_relaxation(ir, &root_bounds.0, &root_bounds.1, &[], opts);
+    // Root: continuous NLP relaxation (Kelley) over the box pulled in to
+    // the domains. Its cuts seed the pool — the paper's "initial
+    // linearization point".
+    let mut root = Node {
+        overrides: Vec::new(),
+        dom_window: ir
+            .domains
+            .iter()
+            .map(|d| (0usize, d.values.len().saturating_sub(1)))
+            .collect(),
+        bound: f64::NEG_INFINITY,
+        warm: None,
+    };
+    let Some((root_lb, root_ub, _)) = node_bounds(ir, &root) else {
+        return infeasible(stats);
+    };
+    let mut root_relax = nlp::solve_relaxation(ir, &root_lb, &root_ub, &[], opts);
     stats.lp_solves += root_relax.lp_solves;
     stats.simplex_iters += root_relax.simplex_iters;
     stats.warm_resolves += root_relax.warm_resolves;
@@ -506,16 +504,7 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
     pool.absorb_cuts(root_relax.new_cuts.clone(), 1e-9);
     stats.cuts = pool.len();
     match root_relax.status {
-        NlpStatus::Infeasible => {
-            stats.wall = t0.elapsed();
-            return MinlpSolution {
-                status: MinlpStatus::Infeasible,
-                x: vec![],
-                objective: f64::INFINITY,
-                best_bound: f64::INFINITY,
-                stats,
-            };
-        }
+        NlpStatus::Infeasible => return infeasible(stats),
         NlpStatus::Unbounded => {
             panic!("MINLP relaxation unbounded: give every variable finite-ish bounds")
         }
@@ -527,24 +516,16 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
         f64::NEG_INFINITY
     };
 
-    let root = Node {
-        overrides: Vec::new(),
-        sos_window: ir
-            .sos
-            .iter()
-            .map(|s| (0usize, s.members.len().saturating_sub(1)))
-            .collect(),
-        bound: root_bound,
-        // The root relaxation's final tableau already covers every pool
-        // entry (the pool was just seeded from its cuts), so the first
-        // tree solve repairs bounds instead of rebuilding two-phase.
-        warm: root_relax.warm.take().map(|lp| {
-            Rc::new(WarmState {
-                lp,
-                covered: pool.len(),
-            })
-        }),
-    };
+    root.bound = root_bound;
+    // The root relaxation's final tableau already covers every pool entry
+    // (the pool was just seeded from its cuts), so the first tree solve
+    // repairs bounds instead of rebuilding two-phase.
+    root.warm = root_relax.warm.take().map(|lp| {
+        Rc::new(WarmState {
+            lp,
+            covered: pool.len(),
+        })
+    });
 
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
     let mut stack: Vec<Node> = Vec::new();
@@ -722,5 +703,188 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
             best_bound: best_open_bound,
             stats,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::compile;
+    use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense};
+
+    /// min T, T ≥ a/n, n ∈ `values` inside the box `[lo, hi]`.
+    fn domain_model(values: &[f64], lo: f64, hi: f64) -> (Model, usize) {
+        let mut m = Model::new();
+        let n = m.integer("n", lo, hi).unwrap();
+        let t = m.continuous("T", 0.0, 1e6).unwrap();
+        m.add_domain("alloc", n, values.to_vec()).unwrap();
+        m.constrain(
+            "perf",
+            100.0 / Expr::var(n) - Expr::var(t),
+            ConstraintSense::Le,
+            0.0,
+            Convexity::Convex,
+        )
+        .unwrap();
+        m.set_objective(Expr::var(t), ObjectiveSense::Minimize)
+            .unwrap();
+        (m, n)
+    }
+
+    fn root_of(ir: &Ir) -> Node {
+        Node {
+            overrides: Vec::new(),
+            dom_window: ir.domains.iter().map(|d| (0, d.values.len() - 1)).collect(),
+            bound: f64::NEG_INFINITY,
+            warm: None,
+        }
+    }
+
+    #[test]
+    fn box_between_two_values_is_infeasible_not_a_panic() {
+        let (m, _) = domain_model(&[2.0, 4.0, 16.0, 32.0], 5.0, 15.0);
+        let ir = compile(&m).unwrap();
+        assert!(node_bounds(&ir, &root_of(&ir)).is_none());
+        for presolve in [true, false] {
+            let opts = MinlpOptions {
+                presolve,
+                ..Default::default()
+            };
+            assert_eq!(solve(&ir, &opts).status, MinlpStatus::Infeasible);
+        }
+    }
+
+    #[test]
+    fn integer_branch_between_values_snaps_inward() {
+        let (m, n) = domain_model(&[2.0, 4.0, 16.0, 32.0], 1.0, 64.0);
+        let ir = compile(&m).unwrap();
+        let root = root_of(&ir);
+        let (lb, ub, win) = node_bounds(&ir, &root).unwrap();
+        assert_eq!((lb[n], ub[n], win[0]), (2.0, 32.0, (0, 3)));
+        // n ≤ 9 / n ≥ 10, as `branch_int` leaves them at x = 9.5.
+        let kids = branch_int(&root, n, 9.5, lb[n], ub[n], 0.0);
+        let (lb, ub, win) = node_bounds(&ir, &kids[0]).unwrap();
+        assert_eq!((lb[n], ub[n], win[0]), (2.0, 4.0, (0, 1)));
+        let (lb, ub, win) = node_bounds(&ir, &kids[1]).unwrap();
+        assert_eq!((lb[n], ub[n], win[0]), (16.0, 32.0, (2, 3)));
+        // A later set branch inside the override keeps both in force.
+        let grandkids = branch_domain(&kids[1], 0, win[0], 2, 0.0);
+        let (lb, ub, _) = node_bounds(&ir, &grandkids[0]).unwrap();
+        assert_eq!((lb[n], ub[n]), (16.0, 16.0));
+    }
+
+    #[test]
+    fn split_is_the_largest_value_below_the_point() {
+        let (m, n) = domain_model(&[2.0, 4.0, 16.0, 32.0], 1.0, 64.0);
+        let ir = compile(&m).unwrap();
+        let at = |xv: f64, win: (usize, usize)| {
+            let mut x = vec![0.0; ir.num_vars()];
+            x[n] = xv;
+            violated_domain(&ir, &[win], &x, 1e-6)
+        };
+        assert_eq!(at(9.5, (0, 3)), Some((0, 1)));
+        assert_eq!(at(16.0 + 1e-8, (0, 3)), None, "within tolerance of 16");
+        assert_eq!(at(3.0, (0, 3)), Some((0, 0)), "integral but not allowed");
+        assert_eq!(at(31.0, (2, 3)), Some((0, 2)));
+        // LP noise outside the window still splits it properly.
+        assert_eq!(at(1.0, (0, 3)), Some((0, 0)));
+        assert_eq!(at(40.0, (0, 3)), Some((0, 2)));
+        assert_eq!(at(9.5, (2, 2)), None, "a fixed variable cannot branch");
+    }
+
+    #[test]
+    fn one_value_domain_fixes_the_variable_without_branching() {
+        let (m, n) = domain_model(&[2.0, 4.0, 16.0, 32.0], 10.0, 20.0);
+        let ir = compile(&m).unwrap();
+        let sol = solve(&ir, &MinlpOptions::default());
+        assert_eq!(sol.status, MinlpStatus::Optimal);
+        assert_eq!(sol.int_value(n), 16);
+        assert_eq!(sol.stats.sos_branches + sol.stats.int_branches, 0);
+        assert_eq!(sol.stats.nodes, 1);
+    }
+
+    #[test]
+    fn set_branching_finds_the_best_allowed_value() {
+        // T ≥ 100/n + n has its continuous minimum at 10, between values.
+        let mut m = Model::new();
+        let n = m.integer("n", 1.0, 64.0).unwrap();
+        let t = m.continuous("T", 0.0, 1e6).unwrap();
+        m.add_domain("alloc", n, vec![2.0, 4.0, 16.0, 32.0])
+            .unwrap();
+        m.constrain(
+            "perf",
+            100.0 / Expr::var(n) + Expr::var(n) - Expr::var(t),
+            ConstraintSense::Le,
+            0.0,
+            Convexity::Convex,
+        )
+        .unwrap();
+        m.set_objective(Expr::var(t), ObjectiveSense::Minimize)
+            .unwrap();
+        let ir = compile(&m).unwrap();
+        for branching in [Branching::SosFirst, Branching::IntegerOnly] {
+            let opts = MinlpOptions {
+                branching,
+                ..Default::default()
+            };
+            let sol = solve(&ir, &opts);
+            assert_eq!(sol.status, MinlpStatus::Optimal);
+            // 100/16 + 16 = 22.25 beats 100/4 + 4 = 29.
+            assert_eq!(sol.int_value(n), 16, "{branching:?}");
+            assert!((sol.objective - 22.25).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn domain_variable_in_a_nonconvex_row_is_enforced_by_branching() {
+        // T ≥ 60/a with a ∈ {2, 4, 8, 16}, a + b ≤ 24, and a T_sync-style
+        // window |60/a − 60/b| ≤ 2 over integers only. The relaxation
+        // wants a = 16, but then b ≤ 8 runs at least 7.5 s against 3.75 s.
+        // The window offers no cut, so the solver branches `a` as a plain
+        // integer — a ≤ 15 lands between allowed values and must snap to
+        // 8 — until a = 8 with b ∈ 7..=10 balances within 2 s.
+        let mut m = Model::new();
+        let a = m.integer("a", 1.0, 24.0).unwrap();
+        let b = m.integer("b", 1.0, 24.0).unwrap();
+        let t = m.continuous("T", 0.0, 1e6).unwrap();
+        m.add_domain("a_set", a, vec![2.0, 4.0, 8.0, 16.0]).unwrap();
+        m.constrain(
+            "perf_a",
+            60.0 / Expr::var(a) - Expr::var(t),
+            ConstraintSense::Le,
+            0.0,
+            Convexity::Convex,
+        )
+        .unwrap();
+        m.constrain(
+            "budget",
+            Expr::var(a) + Expr::var(b),
+            ConstraintSense::Le,
+            24.0,
+            Convexity::Linear,
+        )
+        .unwrap();
+        for (name, fast, slow) in [("sync_ab", a, b), ("sync_ba", b, a)] {
+            m.constrain(
+                name,
+                60.0 / Expr::var(fast) - 60.0 / Expr::var(slow),
+                ConstraintSense::Le,
+                2.0,
+                Convexity::Nonconvex,
+            )
+            .unwrap();
+        }
+        m.set_objective(Expr::var(t), ObjectiveSense::Minimize)
+            .unwrap();
+        let sol = solve(&compile(&m).unwrap(), &MinlpOptions::default());
+        assert_eq!(sol.status, MinlpStatus::Optimal);
+        assert!((sol.objective - 7.5).abs() < 1e-6, "{}", sol.objective);
+        assert_eq!(sol.int_value(a), 8);
+        assert!(
+            (7..=10).contains(&sol.int_value(b)),
+            "b = {}",
+            sol.int_value(b)
+        );
+        assert!(sol.stats.int_branches > 0, "{:?}", sol.stats);
     }
 }

@@ -1,6 +1,6 @@
 //! Compilation of a declarative [`hslb_model::Model`] into solver IR.
 
-use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense, VarType};
+use hslb_model::{ConstraintSense, Convexity, Domain, Expr, Model, ObjectiveSense, VarType};
 
 /// A linear row in `terms ⟨sense⟩ rhs` form.
 #[derive(Debug, Clone)]
@@ -27,15 +27,9 @@ pub struct NlCon {
     pub name: String,
 }
 
-/// An SOS-1 set: members sorted by strictly increasing weight.
-#[derive(Debug, Clone)]
-pub struct SosSet {
-    pub members: Vec<(usize, f64)>,
-    pub name: String,
-}
-
 /// Solver intermediate representation: bounds, integrality, linear rows,
-/// normalized nonlinear constraints, SOS sets and a linear objective.
+/// normalized nonlinear constraints, discrete domains and a linear
+/// objective.
 #[derive(Debug, Clone)]
 pub struct Ir {
     pub lb: Vec<f64>,
@@ -43,7 +37,9 @@ pub struct Ir {
     pub is_int: Vec<bool>,
     pub linear: Vec<LinRow>,
     pub nonlinear: Vec<NlCon>,
-    pub sos: Vec<SosSet>,
+    /// Discrete domains (values strictly increasing, variable integer);
+    /// the tree search branches on these as sets.
+    pub domains: Vec<Domain>,
     /// Minimization objective `Σ terms + constant` (already negated for
     /// maximize models; see `negated`).
     pub obj_terms: Vec<(usize, f64)>,
@@ -95,6 +91,13 @@ pub enum CompileError {
     /// requires models to epigraph-reformulate nonlinear objectives into a
     /// constraint on an auxiliary variable (all HSLB models do).
     NonlinearObjective,
+    /// A domain is not a strictly increasing list on an integer variable.
+    BadDomain { set: String },
+    /// An SOS-1 declaration the solver would have to enforce by itself: it
+    /// branches on domains, not on SOS-1 sets, so a set is accepted only
+    /// when a convexity row `Σ members = 1` over binaries already implies
+    /// it (as in [`Model::expand_domains`]).
+    UnenforcedSos1 { set: String },
 }
 
 impl std::fmt::Display for CompileError {
@@ -113,6 +116,15 @@ impl std::fmt::Display for CompileError {
                 "nonlinear objective: reformulate as `minimize t` with a \
                  constraint `f(x) − t ≤ 0` (epigraph form)"
             ),
+            CompileError::BadDomain { set } => write!(
+                f,
+                "domain `{set}` must be strictly increasing values on an integer variable"
+            ),
+            CompileError::UnenforcedSos1 { set } => write!(
+                f,
+                "SOS-1 set `{set}` has no convexity row over binary members; \
+                 state the choice as a domain on the linked variable instead"
+            ),
         }
     }
 }
@@ -128,7 +140,9 @@ impl std::error::Error for CompileError {}
 ///   in both cases [`Convexity::Convex`] declares that the *normalized*
 ///   `g` is convex;
 /// * linear constraints (auto-detected by the model layer) go straight to
-///   LP rows, whatever convexity was declared.
+///   LP rows, whatever convexity was declared;
+/// * SOS-1 declarations are checked redundant and dropped (see
+///   [`CompileError::UnenforcedSos1`]).
 pub fn compile(model: &Model) -> Result<Ir, CompileError> {
     let n = model.num_vars();
     let mut lb = Vec::with_capacity(n);
@@ -193,14 +207,37 @@ pub fn compile(model: &Model) -> Result<Ir, CompileError> {
         .as_linear()
         .ok_or(CompileError::NonlinearObjective)?;
 
-    let sos = model
-        .sos1
-        .iter()
-        .map(|s| SosSet {
-            members: s.members.clone(),
-            name: s.name.clone(),
-        })
-        .collect();
+    for d in &model.domains {
+        let ok = is_int.get(d.var) == Some(&true) && d.values.windows(2).all(|w| w[0] < w[1]);
+        if !ok {
+            return Err(CompileError::BadDomain {
+                set: d.name.clone(),
+            });
+        }
+    }
+    for s in &model.sos1 {
+        let mut members: Vec<usize> = s.members.iter().map(|&(v, _)| v).collect();
+        members.sort_unstable();
+        let binary = members
+            .iter()
+            .all(|&v| v < n && is_int[v] && lb[v] >= 0.0 && ub[v] <= 1.0);
+        // Row terms come out of `LinExpr::pairs` sorted by variable.
+        let implied = |row: &LinRow| {
+            matches!(row.sense, ConstraintSense::Eq | ConstraintSense::Le)
+                && row.rhs == 1.0
+                && row.terms.len() == members.len()
+                && row
+                    .terms
+                    .iter()
+                    .zip(&members)
+                    .all(|(&(v, a), &m)| v == m && a == 1.0)
+        };
+        if !(binary && linear.iter().any(implied)) {
+            return Err(CompileError::UnenforcedSos1 {
+                set: s.name.clone(),
+            });
+        }
+    }
 
     Ok(Ir {
         lb,
@@ -208,7 +245,7 @@ pub fn compile(model: &Model) -> Result<Ir, CompileError> {
         is_int,
         linear,
         nonlinear,
-        sos,
+        domains: model.domains.clone(),
         obj_terms: lin.pairs(),
         obj_constant: lin.constant,
         negated,
@@ -347,5 +384,95 @@ mod tests {
             compile(&m2),
             Err(CompileError::NonlinearObjective)
         ));
+    }
+
+    /// Table I's literal shape: binaries, convexity row, SOS-1 over them.
+    fn sos_over_binaries(convexity_row: bool) -> Model {
+        let mut m = Model::new();
+        let z1 = m.binary("z1").unwrap();
+        let z2 = m.binary("z2").unwrap();
+        if convexity_row {
+            m.constrain(
+                "pick_one",
+                Expr::var(z1) + Expr::var(z2),
+                ConstraintSense::Eq,
+                1.0,
+                Convexity::Linear,
+            )
+            .unwrap();
+        }
+        m.add_sos1("s", vec![(z1, 2.0), (z2, 4.0)]).unwrap();
+        m.set_objective(Expr::var(z1), ObjectiveSense::Minimize)
+            .unwrap();
+        m
+    }
+
+    #[test]
+    fn sos1_is_accepted_only_when_a_convexity_row_implies_it() {
+        assert!(compile(&sos_over_binaries(true)).is_ok());
+        assert!(matches!(
+            compile(&sos_over_binaries(false)),
+            Err(CompileError::UnenforcedSos1 { set }) if set == "s"
+        ));
+        // A convexity row over *other* variables does not count…
+        let mut m = sos_over_binaries(false);
+        let z3 = m.binary("z3").unwrap();
+        m.constrain(
+            "pick_one",
+            Expr::var(0) + Expr::var(z3),
+            ConstraintSense::Eq,
+            1.0,
+            Convexity::Linear,
+        )
+        .unwrap();
+        assert!(matches!(
+            compile(&m),
+            Err(CompileError::UnenforcedSos1 { .. })
+        ));
+        // …nor does one over members that are not 0/1.
+        let mut m = Model::new();
+        let a = m.integer("a", 0.0, 5.0).unwrap();
+        let b = m.integer("b", 0.0, 5.0).unwrap();
+        m.constrain(
+            "pick_one",
+            Expr::var(a) + Expr::var(b),
+            ConstraintSense::Eq,
+            1.0,
+            Convexity::Linear,
+        )
+        .unwrap();
+        m.add_sos1("s", vec![(a, 1.0), (b, 2.0)]).unwrap();
+        m.set_objective(Expr::var(a), ObjectiveSense::Minimize)
+            .unwrap();
+        // (a + b = 1 over non-negative integers does imply it, but the
+        // check is syntactic: binaries or nothing.)
+        assert!(matches!(
+            compile(&m),
+            Err(CompileError::UnenforcedSos1 { .. })
+        ));
+    }
+
+    #[test]
+    fn expanded_domains_compile_and_malformed_ones_do_not() {
+        let mut m = Model::new();
+        let n = m.integer("n", 1.0, 64.0).unwrap();
+        m.add_domain("alloc", n, vec![2.0, 4.0, 8.0]).unwrap();
+        m.set_objective(Expr::var(n), ObjectiveSense::Minimize)
+            .unwrap();
+        let compact = compile(&m).unwrap();
+        assert_eq!(compact.num_vars(), 1);
+        assert_eq!(compact.domains.len(), 1);
+        let literal = compile(&m.expand_domains()).unwrap();
+        assert_eq!(literal.num_vars(), 4);
+        assert!(literal.domains.is_empty());
+        assert_eq!(literal.linear.len(), 2);
+
+        // The field is public; what `add_domain` would have refused must
+        // not reach the tree search.
+        m.domains[0].values = vec![4.0, 2.0];
+        assert!(matches!(compile(&m), Err(CompileError::BadDomain { .. })));
+        m.domains[0].values = vec![2.0];
+        m.domains[0].var = 7;
+        assert!(matches!(compile(&m), Err(CompileError::BadDomain { .. })));
     }
 }

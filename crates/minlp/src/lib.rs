@@ -16,6 +16,14 @@
 //! 3. branch on **special-ordered sets** for the large discrete
 //!    atmosphere/ocean allocation choices instead of individual binaries —
 //!    the trick §III-E credits with two orders of magnitude of speedup.
+//!    Here the sets arrive as discrete domains on the node-count
+//!    variables (`n ∈ {V_1 < … < V_k}`, [`hslb_model::Domain`]) and a
+//!    node keeps a window of values per domain: exactly what an SOS-1
+//!    set with a convexity and a linking row projects to on `n`, without
+//!    the `k` binary columns. An SOS-1 declaration over binaries is
+//!    accepted by [`compile`] only when a convexity row already implies
+//!    it (the shape [`hslb_model::Model::expand_domains`] produces, which
+//!    the §III-E ablation branches binary by binary).
 //!
 //! Because the fitted performance curves have non-negative coefficients
 //! (and exponent ≥ 1), every nonlinear constraint is convex and the
@@ -31,9 +39,9 @@
 //!   checks plus branching, which is exact once the involved integers are
 //!   fixed.
 //!
-//! There is one driver ([`solve`]), one branching rule per entity (SOS
-//! sets split at the weighted centroid, integers at the most fractional
-//! variable) and one cut pool that only grows. Node LPs go through one
+//! There is one driver ([`solve`]), one branching rule per entity
+//! (domains split at the largest value below the relaxation's, integers
+//! at the most fractional variable) and one cut pool that only grows. Node LPs go through one
 //! warm→cold ladder: a checked dual-simplex re-solve of the ancestor's
 //! tableau, else a cold rebuild (DESIGN.md §14).
 //!

@@ -184,11 +184,12 @@ pub struct NlpResult {
 }
 
 /// Iteration budget for a warm dual resolve. Most repairs take a handful
-/// of pivots, but an SOS branch that cuts off the parent vertex can send
-/// the dual simplex on a walk longer than a cold two-phase solve (seen:
-/// 317 warm iterations where cold took 79). Past ~2 pivots per row the
-/// warm path has lost its advantage, so bail out and let the ladder do a
-/// bounded cold rebuild instead.
+/// of pivots, but a branch that cuts off the parent vertex can send the
+/// dual simplex on a walk longer than a cold two-phase solve (on the
+/// expanded-binaries models of the §III-E ablation about one node in six
+/// ends that way). Past ~2 pivots per row the warm path has lost its
+/// advantage, so bail out and let the ladder do a bounded cold rebuild
+/// instead.
 fn warm_budget(rows: usize, opts: &SimplexOptions) -> SimplexOptions {
     SimplexOptions {
         max_iters: opts.max_iters.min(2 * rows + 32),

@@ -16,14 +16,18 @@ pub enum Algorithm {
 /// How to pick the branching entity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Branching {
-    /// Prefer branching on violated SOS-1 sets (split at the weighted
-    /// centroid), falling back to the most fractional integer variable.
-    /// §III-E: "we … forced the MINLP solver to branch on the
-    /// special-ordered set, rather than on individual binary variables,
-    /// which improved the runtime … by two orders of magnitude".
+    /// Prefer branching on a violated discrete domain (the window of
+    /// values splits at the relaxation's value — the SOS-1 rule projected
+    /// onto the variable the set selects), falling back to the most
+    /// fractional integer variable. §III-E: "we … forced the MINLP solver
+    /// to branch on the special-ordered set, rather than on individual
+    /// binary variables, which improved the runtime … by two orders of
+    /// magnitude".
     SosFirst,
-    /// Ignore SOS structure: branch only on individual variables (the
-    /// paper's slow baseline, kept for the ablation).
+    /// Branch on individual variables first (the paper's slow baseline,
+    /// kept for the ablation): the pipeline hands the solver Table I's
+    /// literal binaries (`Model::expand_domains`), which carry no domain.
+    /// A domain left in the model is still enforced, after the integers.
     IntegerOnly,
 }
 

@@ -1,7 +1,7 @@
 //! Root presolve: activity-based bound propagation on the linear rows.
 //!
 //! The layout models chain node budgets (`n_ice + n_lnd ≤ n_atm`,
-//! `n_atm + n_ocn ≤ N`, SOS linking rows), so propagating row activities
+//! `n_atm + n_ocn ≤ N`), so propagating row activities
 //! tightens every component's box before the tree search starts — fewer
 //! LP columns can move, and integer rounding sharpens the bounds further.
 //! Classic MINLP presolve, same spirit as MINOTAUR's.
@@ -37,8 +37,8 @@ fn contribution(terms: &[(usize, f64)], lb: &[f64], ub: &[f64], i: usize) -> (f6
 /// Prefix/suffix activity sums for one row: after the call,
 /// `pre[i] = Σ contributions 0..i` and `suf[i] = Σ contributions i..k`,
 /// so the activity of every term's complement is `pre[i] + suf[i + 1]` —
-/// O(1) per term instead of the O(len) rescans that made wide SOS link
-/// rows quadratic to propagate.
+/// O(1) per term instead of the O(len) rescans that make wide rows (the
+/// linking rows of an expanded allowed set) quadratic to propagate.
 #[allow(clippy::too_many_arguments)]
 fn build_activity_sums(
     terms: &[(usize, f64)],
@@ -75,9 +75,8 @@ fn build_activity_sums(
 /// Re-evaluating a row is a pure function of its variables' current
 /// bounds, so a row none of whose variables changed since its last
 /// evaluation is skipped — it would recompute the identical activities
-/// and tighten nothing. This keeps later rounds near-free (the SOS link
-/// rows are wide, and the per-term activity scan is quadratic in row
-/// length) while producing bit-identical bounds to the exhaustive sweep.
+/// and tighten nothing. This keeps later rounds near-free while producing
+/// bit-identical bounds to the exhaustive sweep.
 pub fn propagate(ir: &Ir, max_rounds: usize) -> PresolveResult {
     let mut lb = ir.lb.clone();
     let mut ub = ir.ub.clone();

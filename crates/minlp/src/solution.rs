@@ -63,7 +63,7 @@ pub struct SolveStats {
     pub pruned_infeasible: usize,
     /// Incumbent improvements.
     pub incumbents: usize,
-    /// SOS branchings performed.
+    /// Set (discrete-domain) branchings performed.
     pub sos_branches: usize,
     /// Integer-variable branchings performed.
     pub int_branches: usize,

@@ -1,7 +1,7 @@
 //! Property tests: the branch-and-bound must match brute-force enumeration
 //! on randomly generated convex MINLPs of the paper's structural family.
 
-use hslb_minlp::{compile, solve, MinlpOptions, MinlpStatus};
+use hslb_minlp::{compile, solve, Branching, MinlpOptions, MinlpStatus};
 use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense};
 use proptest::prelude::*;
 
@@ -82,15 +82,7 @@ proptest! {
         let mut m = Model::new();
         let n = m.integer("n", 4.0, 128.0).unwrap();
         let t = m.continuous("T", 0.0, 1e9).unwrap();
-        let mut zs = Vec::new();
-        for (k, &v) in allowed.iter().enumerate() {
-            zs.push((m.binary(&format!("z{k}")).unwrap(), v));
-        }
-        let conv = zs.iter().fold(Expr::c(0.0), |acc, &(z, _)| acc + Expr::var(z));
-        m.constrain("conv", conv, ConstraintSense::Eq, 1.0, Convexity::Linear).unwrap();
-        let link = zs.iter().fold(Expr::c(0.0), |acc, &(z, v)| acc + v * Expr::var(z)) - Expr::var(n);
-        m.constrain("link", link, ConstraintSense::Eq, 0.0, Convexity::Linear).unwrap();
-        m.add_sos1("s", zs.clone()).unwrap();
+        m.add_domain("s", n, allowed.clone()).unwrap();
         m.constrain("budget", Expr::var(n), ConstraintSense::Le, budget, Convexity::Linear).unwrap();
         m.constrain(
             "perf",
@@ -107,5 +99,12 @@ proptest! {
         let best_allowed = allowed.iter().copied().filter(|&v| v <= budget + 1e-9)
             .fold(0.0_f64, f64::max);
         prop_assert_eq!(sol.int_value(n) as f64, best_allowed);
+        // Table I's literal binaries, branched one by one, agree.
+        let literal = solve(
+            &compile(&m.expand_domains()).unwrap(),
+            &MinlpOptions { branching: Branching::IntegerOnly, ..Default::default() },
+        );
+        prop_assert_eq!(literal.status, MinlpStatus::Optimal);
+        prop_assert_eq!(literal.int_value(n) as f64, best_allowed);
     }
 }

@@ -117,32 +117,15 @@ fn min_max_split_matches_brute_force() {
     }
 }
 
-/// SOS-selected allocation: n must equal one of the allowed values.
+/// Set-selected allocation: n must equal one of the allowed values
+/// (Table I, lines 29–31, as a domain on n).
 fn sos_model(allowed: &[f64], a: f64, budget: f64) -> (Model, usize) {
     let mut m = Model::new();
     let n = m
         .integer("n", allowed[0], *allowed.last().unwrap())
         .unwrap();
     let t = m.continuous("T", 0.0, 1e9).unwrap();
-    let mut zs = Vec::new();
-    for (k, &v) in allowed.iter().enumerate() {
-        let z = m.binary(&format!("z{k}")).unwrap();
-        zs.push((z, v));
-    }
-    // Σ z = 1 ; Σ z·v = n   (Table I, lines 29–31)
-    let conv = zs
-        .iter()
-        .fold(Expr::c(0.0), |acc, &(z, _)| acc + Expr::var(z));
-    m.constrain("conv", conv, ConstraintSense::Eq, 1.0, Convexity::Linear)
-        .unwrap();
-    let link = zs
-        .iter()
-        .fold(Expr::c(0.0), |acc, &(z, v)| acc + v * Expr::var(z))
-        - Expr::var(n);
-    m.constrain("link", link, ConstraintSense::Eq, 0.0, Convexity::Linear)
-        .unwrap();
-    m.add_sos1("alloc", zs.iter().map(|&(z, v)| (z, v)).collect())
-        .unwrap();
+    m.add_domain("alloc", n, allowed.to_vec()).unwrap();
     m.constrain(
         "budget",
         Expr::var(n),
@@ -178,17 +161,18 @@ fn sos_set_restricts_to_allowed_values() {
 #[test]
 fn sos_branching_beats_integer_branching() {
     let allowed: Vec<f64> = (1..=200).map(|k| (2 * k) as f64).collect();
-    let (m, _) = sos_model(&allowed, 5000.0, 399.0);
-    let ir = compile(&m).unwrap();
+    let (m, nvar) = sos_model(&allowed, 5000.0, 399.0);
+    // Branch on the set…
     let sos = solve(
-        &ir,
+        &compile(&m).unwrap(),
         &MinlpOptions {
             branching: Branching::SosFirst,
             ..Default::default()
         },
     );
+    // …against Table I's literal binaries, branched one by one.
     let plain = solve(
-        &ir,
+        &compile(&m.expand_domains()).unwrap(),
         &MinlpOptions {
             branching: Branching::IntegerOnly,
             ..Default::default()
@@ -197,6 +181,8 @@ fn sos_branching_beats_integer_branching() {
     assert_eq!(sos.status, MinlpStatus::Optimal);
     assert_eq!(plain.status, MinlpStatus::Optimal);
     assert!((sos.objective - plain.objective).abs() < 1e-6);
+    assert_eq!(sos.int_value(nvar), 398);
+    assert_eq!(plain.int_value(nvar), 398);
     // The paper's §III-E claim, qualitatively: branching on the set
     // explores far fewer nodes than branching on individual binaries.
     assert!(
@@ -205,6 +191,8 @@ fn sos_branching_beats_integer_branching() {
         sos.stats.nodes,
         plain.stats.nodes
     );
+    assert_eq!(plain.stats.sos_branches, 0);
+    assert_eq!(sos.stats.int_branches, 0);
 }
 
 #[test]

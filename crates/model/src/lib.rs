@@ -13,8 +13,11 @@
 //!   overloads make model construction read like the paper's Table I.
 //! * [`Model`] — a container of typed variables (continuous / integer /
 //!   binary), linear and nonlinear constraints with declared convexity,
-//!   SOS-1 sets (the paper's "special ordered sets" for the atmosphere and
-//!   ocean allowed node counts), and a minimize/maximize objective.
+//!   discrete domains on integer variables (the atmosphere and ocean
+//!   allowed node counts, `n ∈ {V_1 < … < V_k}`), and a minimize/maximize
+//!   objective. [`Model::expand_domains`] rewrites the domains into the
+//!   paper's "special ordered sets" of binaries (Table I lines 29–31);
+//!   that is what [`to_ampl`] prints and what the §III-E ablation solves.
 //! * [`LinExpr`] — the linear fragment, extracted automatically so the
 //!   MINLP solver can route linear rows straight to the LP.
 //!
@@ -30,6 +33,6 @@ pub use ampl::to_ampl;
 pub use expr::Expr;
 pub use linear::LinExpr;
 pub use model::{
-    Constraint, ConstraintSense, Convexity, Model, ModelError, Objective, ObjectiveSense, Sos1,
-    VarId, VarType,
+    Constraint, ConstraintSense, Convexity, Domain, Model, ModelError, Objective, ObjectiveSense,
+    Sos1, VarId, VarType,
 };

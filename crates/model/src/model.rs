@@ -1,6 +1,7 @@
 //! The optimization model container (AMPL-model equivalent).
 
 use crate::expr::Expr;
+use hslb_numerics::float;
 
 /// Index of a variable within a [`Model`].
 pub type VarId = usize;
@@ -66,11 +67,33 @@ pub struct Constraint {
 /// solver to branch on the *set* rather than on individual binaries —
 /// "which improved the runtime of the MINLP solver by two orders of
 /// magnitude". The weights order the members for the split.
+///
+/// The layout models state such a choice as a [`Domain`] instead; an
+/// `Sos1` is what [`Model::expand_domains`] declares over the binaries it
+/// creates, so that the AMPL export carries the `.sosno` / `.ref`
+/// suffixes MINOTAUR reads.
 #[derive(Debug, Clone)]
 pub struct Sos1 {
     pub name: String,
     /// `(variable, weight)` pairs; weights must be strictly increasing.
     pub members: Vec<(VarId, f64)>,
+}
+
+/// A discrete domain on an integer variable: `var ∈ {V_1 < … < V_k}`.
+///
+/// This is how the layout models carry the ocean/atmosphere allowed node
+/// counts. The solver branches on the domain directly (a window of values,
+/// split at the relaxation value of `var`); [`Model::expand_domains`]
+/// rewrites it into Table I's binaries for AMPL and for the §III-E
+/// ablation.
+#[derive(Debug, Clone)]
+pub struct Domain {
+    /// Label the expansion derives its names from (`z_{name}_{V}`,
+    /// `{name}_pick_one`, `{name}_link`, `{name}_set`).
+    pub name: String,
+    pub var: VarId,
+    /// Allowed values; integral and strictly increasing.
+    pub values: Vec<f64>,
 }
 
 /// Objective direction.
@@ -94,6 +117,9 @@ pub enum ModelError {
     BadBounds { var: String },
     /// SOS weights not strictly increasing.
     BadSosWeights { set: String },
+    /// Domain empty, not integral and strictly increasing, or attached to
+    /// a variable that is not `Integer` or already has a domain.
+    BadDomain { set: String },
     /// Expression references a variable id not in this model.
     UnknownVariable { id: VarId },
 }
@@ -105,6 +131,10 @@ impl std::fmt::Display for ModelError {
             ModelError::BadSosWeights { set } => {
                 write!(f, "SOS-1 weights not strictly increasing in set {set}")
             }
+            ModelError::BadDomain { set } => write!(
+                f,
+                "domain {set} must hold strictly increasing integers for one Integer variable"
+            ),
             ModelError::UnknownVariable { id } => write!(f, "unknown variable id {id}"),
         }
     }
@@ -121,11 +151,12 @@ pub(crate) struct VarDef {
 }
 
 /// A mixed-integer nonlinear model: typed variables, linear/nonlinear
-/// constraints, SOS-1 sets and an objective.
+/// constraints, discrete domains, SOS-1 sets and an objective.
 #[derive(Debug, Clone)]
 pub struct Model {
     pub(crate) vars: Vec<VarDef>,
     pub constraints: Vec<Constraint>,
+    pub domains: Vec<Domain>,
     pub sos1: Vec<Sos1>,
     pub objective: Objective,
 }
@@ -142,6 +173,7 @@ impl Model {
         Model {
             vars: Vec::new(),
             constraints: Vec::new(),
+            domains: Vec::new(),
             sos1: Vec::new(),
             objective: Objective {
                 expr: Expr::Const(0.0),
@@ -244,6 +276,76 @@ impl Model {
         Ok(())
     }
 
+    /// Restrict integer variable `var` to `values` (integral, strictly
+    /// increasing, non-empty); one domain per variable.
+    pub fn add_domain(
+        &mut self,
+        name: &str,
+        var: VarId,
+        values: Vec<f64>,
+    ) -> Result<(), ModelError> {
+        if var >= self.vars.len() {
+            return Err(ModelError::UnknownVariable { id: var });
+        }
+        let ok = self.vars[var].vtype == VarType::Integer
+            && !values.is_empty()
+            && values.iter().all(|&v| float::is_integral(v, 0.0))
+            && values.windows(2).all(|w| w[0] < w[1])
+            && self.domains.iter().all(|d| d.var != var);
+        if !ok {
+            return Err(ModelError::BadDomain {
+                set: name.to_string(),
+            });
+        }
+        self.domains.push(Domain {
+            name: name.to_string(),
+            var,
+            values,
+        });
+        Ok(())
+    }
+
+    /// The same model with every domain spelled out as Table I lines
+    /// 29–31 write it: one binary `z_{name}_{V}` per value, the convexity
+    /// row `Σ z = 1`, the linking row `Σ V·z = var`, and an SOS-1
+    /// declaration over the binaries. Existing variable ids are kept (the
+    /// binaries are appended), so a solution of the expansion reads with
+    /// the compact model's ids. This is the only place the product builds
+    /// those binaries: [`crate::to_ampl`] prints through it, and the
+    /// pipeline solves it when asked to branch on individual binaries.
+    pub fn expand_domains(&self) -> Model {
+        let mut m = self.clone();
+        for d in std::mem::take(&mut m.domains) {
+            let mut members = Vec::with_capacity(d.values.len());
+            for &v in &d.values {
+                members.push((m.vars.len(), v));
+                m.vars.push(VarDef {
+                    name: format!("z_{}_{v}", d.name),
+                    lb: 0.0,
+                    ub: 1.0,
+                    vtype: VarType::Binary,
+                });
+            }
+            let pick = Expr::Sum(members.iter().map(|&(z, _)| Expr::var(z)).collect());
+            let mut link: Vec<Expr> = members.iter().map(|&(z, v)| v * Expr::var(z)).collect();
+            link.push(-Expr::var(d.var));
+            for (suffix, expr, rhs) in [("pick_one", pick, 1.0), ("link", Expr::Sum(link), 0.0)] {
+                m.constraints.push(Constraint {
+                    name: format!("{}_{suffix}", d.name),
+                    expr,
+                    sense: ConstraintSense::Eq,
+                    rhs,
+                    convexity: Convexity::Linear,
+                });
+            }
+            m.sos1.push(Sos1 {
+                name: format!("{}_set", d.name),
+                members,
+            });
+        }
+        m
+    }
+
     /// Set the objective.
     pub fn set_objective(&mut self, expr: Expr, sense: ObjectiveSense) -> Result<(), ModelError> {
         self.check_vars(&expr)?;
@@ -341,6 +443,16 @@ impl std::fmt::Display for Model {
                 c.convexity
             )?;
         }
+        for d in &self.domains {
+            let values: Vec<String> = d.values.iter().map(|v| v.to_string()).collect();
+            writeln!(
+                f,
+                "set {}: {} in {{{}}};",
+                d.name,
+                namer(d.var),
+                values.join(", ")
+            )?;
+        }
         for s in &self.sos1 {
             let names: Vec<String> = s.members.iter().map(|&(v, _)| namer(v)).collect();
             writeln!(f, "sos1 {}: {{{}}};", s.name, names.join(", "))?;
@@ -399,6 +511,61 @@ mod tests {
         let b = m.binary("b").unwrap();
         assert!(m.add_sos1("bad", vec![(a, 2.0), (b, 1.0)]).is_err());
         assert!(m.add_sos1("good", vec![(a, 1.0), (b, 2.0)]).is_ok());
+    }
+
+    #[test]
+    fn domains_are_validated() {
+        let mut m = Model::new();
+        let n = m.integer("n", 1.0, 64.0).unwrap();
+        let k = m.integer("k", 1.0, 64.0).unwrap();
+        let x = m.continuous("x", 0.0, 1.0).unwrap();
+        for bad in [
+            vec![],
+            vec![4.0, 2.0],
+            vec![2.0, 2.0],
+            vec![2.5],
+            vec![f64::NAN],
+        ] {
+            assert!(
+                matches!(
+                    m.add_domain("d", n, bad.clone()),
+                    Err(ModelError::BadDomain { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+        assert!(m.add_domain("d", x, vec![1.0]).is_err(), "continuous var");
+        assert!(matches!(
+            m.add_domain("d", 9, vec![1.0]),
+            Err(ModelError::UnknownVariable { id: 9 })
+        ));
+        m.add_domain("d", n, vec![2.0, 4.0]).unwrap();
+        assert!(
+            m.add_domain("again", n, vec![8.0]).is_err(),
+            "one per variable"
+        );
+        m.add_domain("e", k, vec![8.0]).unwrap();
+        assert!(format!("{m}").contains("set d: n in {2, 4};"));
+    }
+
+    #[test]
+    fn expansion_spells_out_table_i_and_keeps_ids() {
+        let mut m = Model::new();
+        let n = m.integer("n_ocn", 1.0, 64.0).unwrap();
+        m.add_domain("ocn", n, vec![2.0, 4.0, 8.0]).unwrap();
+        let e = m.expand_domains();
+        assert!(e.domains.is_empty());
+        assert_eq!(e.num_vars(), 4);
+        assert_eq!(e.var_name(n), "n_ocn");
+        assert_eq!(e.var_name(3), "z_ocn_8");
+        assert_eq!(e.var_type(3), VarType::Binary);
+        let names: Vec<&str> = e.constraints.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["ocn_pick_one", "ocn_link"]);
+        assert_eq!(e.sos1[0].name, "ocn_set");
+        assert_eq!(e.sos1[0].members, vec![(1, 2.0), (2, 4.0), (3, 8.0)]);
+        // z picks 4 ⇒ both rows hold exactly at n = 4.
+        assert_eq!(e.max_violation(&[4.0, 0.0, 1.0, 0.0]), 0.0);
+        assert!(e.max_violation(&[5.0, 0.0, 1.0, 0.0]) > 0.5);
     }
 
     #[test]

@@ -62,7 +62,10 @@
 # schema (which checks the warm_start work counters and the solve ≤ fit
 # phase budget), and bit-compares the incumbents between the two runs:
 # warm starts may change how much work the solver does, never what it
-# returns. It then runs the bench-suite grid for simulator seed 43
+# returns. Every bench-suite run, these included, also solves its 1°
+# scenarios a second time with Branching::IntegerOnly (Table I's literal
+# binaries in place of the allowed-set domains) and aborts unless the
+# two incumbents predict the same total. It then runs the bench-suite grid for simulator seed 43
 # in-process with `hslb-sweep --verify` under a 10 s timeout: that sweep
 # hung past the 40 s of watchdogs while a warm re-solve could return an
 # unchecked answer (its eighth|sequential|n4096 member dug without end),

@@ -12,7 +12,7 @@
 //! * [`cesm`] — the CESM execution simulator calibrated from the paper's
 //!   published Table III timings;
 //! * [`minlp`] — LP/NLP-based branch-and-bound with outer approximation
-//!   and SOS-1 branching (the MINOTAUR stand-in);
+//!   and set branching over discrete domains (the MINOTAUR stand-in);
 //! * [`nlsq`] — box-constrained Levenberg–Marquardt curve fitting;
 //! * [`model`] — expression AST + autodiff modeling layer (the AMPL
 //!   stand-in);
