@@ -812,8 +812,9 @@ fn validate(doc: &Value) -> Vec<String> {
     // v8 sweep block: the portfolio-sweep exercise. The accounting must
     // be conservative (planned == solved + pruned — nothing vanishes),
     // the shared-work dedup must have collapsed the grid into fewer fit
-    // groups than configs, and the cache blocks must be present. The
-    // fit-hit-rate and wall-clock acceptance bars live in
+    // groups than configs, the cache blocks must be present, and the
+    // fit tier must have missed exactly once per fit group (a count, not
+    // a timing). The wall-clock acceptance bar lives in
     // `scripts/check.sh`, not here — a schema validator must not fail
     // on a loaded CI runner's timing.
     match doc.get("sweep") {
@@ -861,6 +862,21 @@ fn validate(doc: &Value) -> Vec<String> {
                         }
                     }
                     _ => errs.push(format!("sweep block: missing `{cache}`")),
+                }
+            }
+            // The sharing the plan promised is the sharing that happened:
+            // the exercise runs on a cold service, whose single-flight fit
+            // tier computes one gather+fit per fit group at any width.
+            let misses = sw
+                .get("fit_cache")
+                .and_then(|c| c.get("misses"))
+                .and_then(Value::as_f64);
+            if let (Some(m), Some(g)) = (misses, n("fit_groups")) {
+                if m != g {
+                    errs.push(format!(
+                        "sweep fit_cache: {m} misses for {g} fit groups — a cold sweep fits \
+                         once per group"
+                    ));
                 }
             }
             for key in ["wall_ms", "sum_one_shot_ms"] {

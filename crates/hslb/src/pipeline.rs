@@ -702,10 +702,12 @@ impl<'a> Hslb<'a> {
 
     /// [`Self::run`], additionally handing back the gathered benchmark
     /// data and the fitted curves it used. The report is bit-identical to
-    /// `run`'s — this only exposes the intermediates so a caller (the
-    /// tuning service's fit-level cache) can replay the solve step for a
-    /// *compatible* request via [`GatherPlan::Reuse`] +
-    /// [`HslbOptions::curve_override`] without re-gathering or re-fitting.
+    /// `run`'s — this only exposes the intermediates so a caller can
+    /// replay the solve step for a *compatible* request via
+    /// [`GatherPlan::Reuse`] + [`HslbOptions::curve_override`] without
+    /// re-gathering or re-fitting. (The tuning service's fit tier replays
+    /// that way too, but calls [`Self::gather`] and [`Self::fit`] itself,
+    /// to publish the artifacts before its own solve.)
     pub fn run_with_artifacts(
         &self,
         manual: Option<Allocation>,

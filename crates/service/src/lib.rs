@@ -11,8 +11,10 @@
 //!   *ordering* and explicit backpressure (reject-with-retry-after;
 //!   depth never grows without limit);
 //! * [`cache`] — a two-level result cache (exact-key
-//!   [`request::TunePayload`]s, fit-level gather/fit artifacts) plus the
-//!   in-flight registry the request coalescer runs on;
+//!   [`request::TunePayload`]s, fit-level gather/fit artifacts), each
+//!   tier with the in-flight registry that makes it single-flight: the
+//!   request coalescer on the exact tier, one gather+fit per fit key
+//!   however many workers meet it cold on the fit tier;
 //! * [`service`] — the sharded worker pool driving the pipeline, with
 //!   per-request telemetry (queue wait, cache tier, coalesce batch size,
 //!   end-to-end latency) through `hslb-telemetry`;

@@ -18,6 +18,11 @@
 //!   entry is detected and recomputed instead of served;
 //! * coalescing hands followers the leader's payload — the same bytes a
 //!   separate run would have produced;
+//! * the fit tier is single-flight: a job that meets its fit key cold
+//!   leads (gathers, fits, publishes), one that meets it in flight is
+//!   parked and re-admitted when the leader lets go — replaying
+//!   published artifacts is bit-identical to recomputing them, and a
+//!   parked job that finds nothing published simply leads in its turn;
 //! * simulators are stateless (noise is a pure function of seed and
 //!   inputs), so the shared simulator cache is exact;
 //! * supervision (DESIGN.md §13) only ever *re-runs* the deterministic
@@ -26,7 +31,7 @@
 //!   rung — one fault-injection-free, cache-bypass reference run — and
 //!   only after that fails does the requester see a typed error.
 
-use crate::cache::{AdmitOutcome, FrontDesk, LruCache};
+use crate::cache::{AdmitOutcome, FrontDesk};
 use crate::fault::ServiceFaultSpec;
 use crate::queue::{AdmissionQueue, Backpressure, PushError, Rank};
 use crate::ranked::{rank, RankedCondvar, RankedMutex};
@@ -308,9 +313,70 @@ impl SealedPayload {
 struct Job {
     request: TuneRequest,
     ticket: Arc<TicketInner>,
+    /// First admission — never reset, so a requeued or parked job's
+    /// queue wait is everything up to the pop that finally serves it.
     enqueued: Instant,
+    /// The queue shard it was admitted to and goes back to.
+    shard: usize,
     /// Supervision attempt counter (0 on first admission).
     attempts: u32,
+}
+
+impl Job {
+    fn rank(&self) -> Rank {
+        Rank {
+            priority: self.request.priority,
+            deadline_ms: self.request.deadline_ms,
+        }
+    }
+}
+
+/// What the fit tier holds per fit key: steps 1–2 of the pipeline.
+type FitArtifacts = (BenchmarkData, FitSet);
+
+/// A leader's hold on its fit key, shared by the worker supervising the
+/// job and the attempt thread computing it. Whichever lets go first
+/// frees the key and puts the parked followers back in line; every exit
+/// of the leader goes through [`FitLead::release`], so a follower never
+/// outwaits its leader's watchdog.
+struct FitLead {
+    key: String,
+    released: AtomicBool,
+}
+
+impl FitLead {
+    /// Publish `artifacts` (when the fit produced any) and re-admit
+    /// whoever parked behind this key. After the first call the key is
+    /// no longer this leader's to free, so a later call without
+    /// artifacts does nothing; a later call *with* them — an attempt
+    /// abandoned as hung that finished after all — still publishes, and
+    /// re-admits anyone parked behind a successor onto the now-cached
+    /// key.
+    fn release(&self, shared: &Shared, artifacts: Option<Arc<FitArtifacts>>) {
+        // The flag only elects who frees the key; the registry and the
+        // cache it guards are published by the desk's own mutex.
+        let already = self.released.swap(true, Ordering::AcqRel);
+        if already && artifacts.is_none() {
+            return;
+        }
+        for job in shared.fits.complete(&self.key, artifacts) {
+            let (shard, rank) = (job.shard, job.rank());
+            if let Err(job) = shared.queue.push_back(shard, rank, job) {
+                // The shard closed while the job was parked: it was
+                // admitted but never started — the drain's own verdict.
+                reject_draining(shared, job);
+            }
+        }
+    }
+}
+
+/// How a popped job met the fit tier.
+#[derive(Clone)]
+enum FitRole {
+    /// The artifacts are cached: replay them.
+    Replay(Arc<FitArtifacts>),
+    /// The key was free: gather, fit, publish.
+    Lead(Arc<FitLead>),
 }
 
 #[derive(Default)]
@@ -331,6 +397,8 @@ struct Counters {
     snapshot_saves: AtomicU64,
     snapshot_errors: AtomicU64,
     drained: AtomicU64,
+    /// Jobs parked behind another job's in-flight fit.
+    fit_coalesced: AtomicU64,
     /// Simulator-memo (gather-level) accounting: a hit means the machine
     /// configuration's simulator was cloned out instead of rebuilt.
     sim_hits: AtomicU64,
@@ -341,12 +409,14 @@ struct Shared {
     workers: usize,
     shards: usize,
     queue: AdmissionQueue<Job>,
-    front: FrontDesk<SealedPayload, Follower>,
-    fits: RankedMutex<LruCache<(BenchmarkData, FitSet)>, { rank::FIT_CACHE }>,
+    front: FrontDesk<SealedPayload, Follower, { rank::FRONT_DESK }>,
+    fits: FrontDesk<Arc<FitArtifacts>, Job, { rank::FIT_CACHE }>,
+    /// Whether the fit tier can hold what a leader publishes. When it
+    /// cannot, parking behind a leader would only serialize the fits.
+    fit_tier: bool,
     /// Simulators are stateless and deterministic; one per machine
     /// configuration, cloned out per attempt (clones are exact).
     sims: RankedMutex<HashMap<(&'static str, bool, u64), Simulator>, { rank::SIM_CACHE }>,
-    policy: CachePolicy,
     coalesce: bool,
     supervise: SupervisePolicy,
     faults: ServiceFaultSpec,
@@ -363,9 +433,15 @@ struct Shared {
 pub struct ServiceStats {
     pub workers: usize,
     pub shards: usize,
+    /// Every request `submit` accepted for accounting; each ends in
+    /// exactly one of `completed`, `rejected` or `errors`.
     pub submitted: u64,
     pub completed: u64,
+    /// Turned away unstarted: backpressure, a closed queue, or a drain
+    /// that found the job still queued or parked.
     pub rejected: u64,
+    /// Exact-key followers (requests that attached to an identical
+    /// in-flight one).
     pub coalesced: u64,
     pub errors: u64,
     pub tier_exact: u64,
@@ -376,11 +452,16 @@ pub struct ServiceStats {
     pub ewma_service_ms: f64,
     pub exact_entries: usize,
     pub fit_entries: usize,
-    /// Fit-level cache accounting (hits/misses/evictions from the LRU
-    /// itself, so coalesced and re-checked lookups are all counted).
+    /// Fit-level cache accounting: a hit replayed cached artifacts, a
+    /// miss led its key's gather+fit, so `fit_hits + fit_misses` is the
+    /// jobs that reached the tier and a cold sweep misses once per fit
+    /// group.
     pub fit_hits: u64,
     pub fit_misses: u64,
     pub fit_evictions: u64,
+    /// Jobs that parked behind an in-flight fit (each later counted as
+    /// the hit, or the miss, of the lookup that served it).
+    pub fit_coalesced: u64,
     /// Gather-level (simulator memo) accounting.
     pub gather_hits: u64,
     pub gather_misses: u64,
@@ -435,6 +516,10 @@ impl ServiceStats {
                     (
                         "evictions".to_string(),
                         Value::Num(self.fit_evictions as f64),
+                    ),
+                    (
+                        "coalesced".to_string(),
+                        Value::Num(self.fit_coalesced as f64),
                     ),
                     (
                         "hit_rate".to_string(),
@@ -516,6 +601,7 @@ impl TuningService {
         if opts.faults.is_active() {
             quiet_attempt_panics();
         }
+        let fit_capacity = if opts.cache.fit { opts.fit_capacity } else { 0 };
         let shared = Arc::new(Shared {
             workers,
             shards,
@@ -525,13 +611,9 @@ impl TuningService {
             } else {
                 0
             }),
-            fits: RankedMutex::new(LruCache::new(if opts.cache.fit {
-                opts.fit_capacity
-            } else {
-                0
-            })),
+            fits: FrontDesk::new(fit_capacity),
+            fit_tier: fit_capacity > 0,
             sims: RankedMutex::new(HashMap::new()),
-            policy: opts.cache,
             coalesce: opts.coalesce,
             supervise: opts.supervise,
             faults: opts.faults,
@@ -551,10 +633,13 @@ impl TuningService {
                     .map(|(k, p)| (k, SealedPayload::new(p)))
                     .collect(),
             );
-            {
-                let mut fits = shared.fits.lock();
-                fits.import(restored.fits);
-            }
+            shared.fits.restore_cached(
+                restored
+                    .fits
+                    .into_iter()
+                    .map(|(k, artifacts)| (k, Arc::new(artifacts)))
+                    .collect(),
+            );
             shared.telemetry.point(
                 "service.recovery",
                 &[
@@ -639,23 +724,19 @@ impl TuningService {
                     // Enqueue, rolling the registration back on reject so
                     // no follower is left waiting on a leader that never
                     // ran.
-                    let rank = Rank {
-                        priority: request.priority,
-                        deadline_ms: request.deadline_ms,
-                    };
                     let shard = shard_of(&key, shared.queue.shard_count());
                     let job = Job {
                         request,
                         ticket: follower.ticket,
                         enqueued: now,
+                        shard,
                         attempts: 0,
                     };
-                    if let Err(err) = shared.queue.push(shard, rank, job) {
-                        let submit_err = push_error(shared, err);
+                    if let Err(err) = shared.queue.push(shard, job.rank(), job) {
                         for orphan in shared.front.abandon(&key) {
-                            orphan.ticket.resolve(Err(submit_err.clone()));
+                            orphan.ticket.resolve(Err(push_error(shared, err)));
                         }
-                        return Err(submit_err);
+                        return Err(push_error(shared, err));
                     }
                 }
             }
@@ -668,11 +749,8 @@ impl TuningService {
     pub fn stats(&self) -> ServiceStats {
         let shared = &self.shared;
         let (exact_entries, inflight) = shared.front.depths();
-        let (fit_entries, fit_hits, fit_misses, fit_evictions) = {
-            let fits = shared.fits.lock();
-            let (h, m, e) = fits.counters();
-            (fits.len(), h, m, e)
-        };
+        let (fit_entries, _) = shared.fits.depths();
+        let fit = shared.fits.counters();
         ServiceStats {
             workers: shared.workers,
             shards: shared.shards,
@@ -689,9 +767,10 @@ impl TuningService {
             ewma_service_ms: shared.queue.ewma_service_ms(),
             exact_entries,
             fit_entries,
-            fit_hits,
-            fit_misses,
-            fit_evictions,
+            fit_hits: fit.hits,
+            fit_misses: fit.misses,
+            fit_evictions: fit.evictions,
+            fit_coalesced: shared.stats.fit_coalesced.load(Ordering::Relaxed),
             gather_hits: shared.stats.sim_hits.load(Ordering::Relaxed),
             gather_misses: shared.stats.sim_misses.load(Ordering::Relaxed),
         }
@@ -732,19 +811,8 @@ impl TuningService {
     pub fn shutdown(&self) {
         let shared = &self.shared;
         shared.accepting.store(false, Ordering::Release);
-        let drained = shared.queue.close_now();
-        if !drained.is_empty() {
-            let retry_after_ms = (shared.queue.ewma_service_ms().round() as u64).max(1);
-            let err = SubmitError::Draining { retry_after_ms };
-            for job in drained {
-                shared.stats.drained.fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.counter_add("service.drained", 1);
-                let key = job.request.exact_key();
-                for orphan in shared.front.abandon(&key) {
-                    orphan.ticket.resolve(Err(err.clone()));
-                }
-                job.ticket.resolve(Err(err.clone()));
-            }
+        for job in shared.queue.close_now() {
+            reject_draining(shared, job);
         }
         let handles: Vec<JoinHandle<()>> = {
             let mut workers = self.workers.lock();
@@ -759,9 +827,11 @@ impl TuningService {
 
 impl Drop for TuningService {
     fn drop(&mut self) {
-        // Un-joined workers must still observe the close and exit (they
-        // drain whatever is queued — Drop without `shutdown` keeps the
-        // old complete-everything semantics).
+        // Un-joined workers must still observe the close and exit. They
+        // compute whatever is still queued first — Drop without
+        // `shutdown` rejects nothing that sits in the queue; only a job
+        // parked behind a fit that outlives the close comes back
+        // `Draining`.
         self.shared.accepting.store(false, Ordering::Release);
         self.shared.queue.close();
     }
@@ -785,6 +855,23 @@ fn quiet_attempt_panics() {
             }
         }));
     });
+}
+
+/// Resolve a job that was admitted but will not be started — still
+/// queued, or parked behind another job's fit, when the drain closed its
+/// shard — with the typed `Draining` error, and with it every identical
+/// request that attached to it on the exact tier: rejected, never
+/// dropped.
+fn reject_draining(shared: &Shared, job: Job) {
+    let retry_after_ms = (shared.queue.ewma_service_ms().round() as u64).max(1);
+    let followers = shared.front.abandon(&job.request.exact_key());
+    let tickets = followers.iter().map(|f| &f.ticket).chain([&job.ticket]);
+    for ticket in tickets {
+        shared.stats.drained.fetch_add(1, Ordering::Relaxed);
+        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.counter_add("service.drained", 1);
+        ticket.resolve(Err(SubmitError::Draining { retry_after_ms }));
+    }
 }
 
 fn push_error(shared: &Shared, err: PushError) -> SubmitError {
@@ -874,10 +961,12 @@ fn flush_snapshot(shared: &Shared) -> Option<SnapshotStats> {
         .filter(|(_, sealed)| sealed.verified())
         .map(|(k, sealed)| (k, sealed.payload))
         .collect();
-    let fit_entries = {
-        let fits = shared.fits.lock();
-        fits.export()
-    };
+    let fit_entries: Vec<(String, FitArtifacts)> = shared
+        .fits
+        .export_cached()
+        .into_iter()
+        .map(|(k, artifacts)| (k, FitArtifacts::clone(&artifacts)))
+        .collect();
     match snapshot::save_snapshot(&policy.path, &exact, &fit_entries) {
         Ok(stats) => {
             shared.stats.snapshot_saves.fetch_add(1, Ordering::Relaxed);
@@ -933,7 +1022,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A panic is contained; an attempt that outlives `watchdog` is
 /// abandoned (the detached thread finishes or exits on its own — any
 /// late cache inserts it makes are bit-identical, hence harmless) and
-/// reported as hung.
+/// reported as hung. An attempt that reported back is joined before the
+/// worker moves on, so a worker never has two attempt threads alive:
+/// the next attempt reuses this one's stack and allocator arena instead
+/// of racing its exit for a fresh pair (10 arenas where 15 accumulated
+/// over a run of sweeps, ~1 MB of resident memory).
 fn supervised_attempt<F>(label: String, watchdog: Duration, f: F) -> AttemptOutcome
 where
     F: FnOnce() -> Result<(TunePayload, CacheTier), String> + Send + 'static,
@@ -944,10 +1037,16 @@ where
         // A hung attempt's late send lands in a dropped receiver: ignored.
         let _ = tx.send(result);
     });
-    if spawned.is_err() {
+    let Ok(attempt) = spawned else {
         return AttemptOutcome::Panicked("could not spawn attempt thread".to_string());
+    };
+    let reported = rx.recv_timeout(watchdog);
+    if !matches!(reported, Err(mpsc::RecvTimeoutError::Timeout)) {
+        // The thread has sent its result (or died trying) and is on its
+        // way out; the payload of a panic was already caught and sent.
+        let _ = attempt.join();
     }
-    match rx.recv_timeout(watchdog) {
+    match reported {
         Ok(Ok(result)) => AttemptOutcome::Done(result),
         Ok(Err(panic_payload)) => AttemptOutcome::Panicked(panic_message(panic_payload.as_ref())),
         Err(mpsc::RecvTimeoutError::Timeout) => AttemptOutcome::Hung,
@@ -959,22 +1058,64 @@ where
 
 fn worker_loop(shared: &Arc<Shared>, shard: usize) {
     while let Some(job) = shared.queue.pop(shard) {
-        process_job(shared, shard, job);
+        process_job(shared, job);
     }
 }
 
-/// Supervise one popped job: one attempt behind `catch_unwind` + the
-/// watchdog; panic/hang requeues (bounded), then the bypass rung; only a
-/// typed pipeline error (deterministic — retrying cannot help) or an
-/// exhausted ladder reaches the requester as an error.
-fn process_job(shared: &Arc<Shared>, shard: usize, job: Job) {
+/// Serve one popped job. Before an attempt thread or a watchdog is
+/// spent, the job meets the cache tiers: an exact-tier hit answers it on
+/// the spot; then its fit key is either cached (replay), free (lead), or
+/// in flight on another worker — in which case the job is **parked on
+/// the fit desk's registry and this worker pops its next job** (a worker
+/// that waited could not start another key's fit). What runs is
+/// supervised: one attempt behind `catch_unwind` + the watchdog;
+/// panic/hang requeues (bounded), then the bypass rung; only a typed
+/// pipeline error (deterministic — retrying cannot help) or an exhausted
+/// ladder reaches the requester as an error.
+fn process_job(shared: &Arc<Shared>, job: Job) {
     let popped = Instant::now();
     let queue_wait_ms = popped.duration_since(job.enqueued).as_secs_f64() * 1e3;
+
+    // Re-check the exact tier: with coalescing off, an identical request
+    // may have completed while this one sat in the queue. (With the
+    // exact tier off the front desk's capacity is 0 and this is `None`.)
+    let exact_key = job.request.exact_key();
+    if let Some(sealed) = shared.front.cached(&exact_key) {
+        if sealed.verified() {
+            let hit = Ok((sealed.payload, CacheTier::Exact));
+            finish_job(shared, job, hit, queue_wait_ms, popped);
+            return;
+        }
+        record_poison(shared);
+        shared.front.invalidate(&exact_key);
+    }
+
+    let fit_key = job.request.fit_key();
+    let (job, role) = match shared.fits.admit(&fit_key, job, shared.fit_tier) {
+        AdmitOutcome::Cached(artifacts, job) => (job, FitRole::Replay(artifacts)),
+        AdmitOutcome::Lead(job) => {
+            let lead = FitLead {
+                key: fit_key,
+                released: AtomicBool::new(false),
+            };
+            (job, FitRole::Lead(Arc::new(lead)))
+        }
+        AdmitOutcome::Followed => {
+            // Parked: the leader's release puts the job back on its
+            // shard, where the pop that serves it finds the artifacts
+            // cached (or, if the leader published none, the key free).
+            shared.stats.fit_coalesced.fetch_add(1, Ordering::Relaxed);
+            shared.telemetry.counter_add("service.fit_coalesced", 1);
+            return;
+        }
+    };
+
     let watchdog = watchdog_for(shared, &job.request);
     let attempt = job.attempts;
     let outcome = {
         let shared_attempt = Arc::clone(shared);
         let request = job.request.clone();
+        let role = role.clone();
         supervised_attempt(
             format!("hslb-attempt-{}-{attempt}", request.id),
             watchdog,
@@ -982,10 +1123,17 @@ fn process_job(shared: &Arc<Shared>, shard: usize, job: Job) {
                 shared_attempt
                     .faults
                     .inject_worker(request.id, attempt, watchdog);
-                compute(&shared_attempt, &request)
+                compute(&shared_attempt, &request, role)
             },
         )
     };
+    // However the attempt ended — answered, errored, panicked, abandoned
+    // as hung — a leader lets go of its key here, before any requeue or
+    // bypass: nothing below publishes to the fit tier. (A no-op when the
+    // attempt already published.)
+    if let FitRole::Lead(lead) = &role {
+        lead.release(shared, None);
+    }
     match outcome {
         AttemptOutcome::Done(result) => {
             finish_job(
@@ -1001,7 +1149,6 @@ fn process_job(shared: &Arc<Shared>, shard: usize, job: Job) {
             shared.telemetry.counter_add("service.panics", 1);
             retry_or_bypass(
                 shared,
-                shard,
                 job,
                 queue_wait_ms,
                 popped,
@@ -1013,7 +1160,6 @@ fn process_job(shared: &Arc<Shared>, shard: usize, job: Job) {
             shared.telemetry.counter_add("service.hangs", 1);
             retry_or_bypass(
                 shared,
-                shard,
                 job,
                 queue_wait_ms,
                 popped,
@@ -1028,7 +1174,6 @@ fn process_job(shared: &Arc<Shared>, shard: usize, job: Job) {
 
 fn retry_or_bypass(
     shared: &Arc<Shared>,
-    shard: usize,
     mut job: Job,
     queue_wait_ms: f64,
     popped: Instant,
@@ -1038,14 +1183,10 @@ fn retry_or_bypass(
         job.attempts += 1;
         shared.stats.requeues.fetch_add(1, Ordering::Relaxed);
         shared.telemetry.counter_add("service.requeues", 1);
-        let rank = Rank {
-            priority: job.request.priority,
-            deadline_ms: job.request.deadline_ms,
-        };
-        match shared.queue.push_back(shard, rank, job) {
+        match shared.queue.push_back(job.shard, job.rank(), job) {
             Ok(()) => return,
             // Drain under way: the shard refused the requeue. The job was
-            // admitted before the drain, so it still deserves an answer —
+            // started before the drain, so it still deserves an answer —
             // fall through to the bypass rung instead of dropping it.
             Err(returned) => job = returned,
         }
@@ -1139,8 +1280,11 @@ fn finish_job(
             }));
         }
         Err(err) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            shared.telemetry.counter_add("service.errors", 1);
+            // One per ticket, like `completed`: every submitted request
+            // ends in exactly one of completed / rejected / errors.
+            let failed = 1 + followers.len() as u64;
+            shared.stats.errors.fetch_add(failed, Ordering::Relaxed);
+            shared.telemetry.counter_add("service.errors", failed);
             for follower in &followers {
                 follower.ticket.resolve(Err(err.clone()));
             }
@@ -1172,52 +1316,40 @@ fn simulator_cached(shared: &Shared, request: &TuneRequest) -> Simulator {
     }
 }
 
-/// Run (or replay) the pipeline for one request under the cache policy.
-fn compute(shared: &Shared, request: &TuneRequest) -> Result<(TunePayload, CacheTier), String> {
-    // Re-check the exact tier: with coalescing off, an identical request
-    // may have completed while this one sat in the queue. (With the
-    // exact tier off the front desk's capacity is 0 and this is `None`.)
-    if let Some(sealed) = shared.front.cached(&request.exact_key()) {
-        if sealed.verified() {
-            return Ok((sealed.payload, CacheTier::Exact));
-        }
-        record_poison(shared);
-        shared.front.invalidate(&request.exact_key());
-    }
-
+/// Run the pipeline for one request from its fit-tier role. A leader
+/// pays steps 1–2 once for everyone who asks about its machine
+/// configuration and publishes the artifacts the moment they exist, so
+/// the jobs parked behind it replay while it is still solving; after
+/// that leader and replayer are the same code: solve and execute over
+/// `GatherPlan::Reuse` + `curve_override`.
+fn compute(
+    shared: &Shared,
+    request: &TuneRequest,
+    role: FitRole,
+) -> Result<(TunePayload, CacheTier), String> {
     let sim = simulator_cached(shared, request);
-
-    let fit_hit = if shared.policy.fit {
-        let mut fits = shared.fits.lock();
-        fits.get(&request.fit_key())
-    } else {
-        None
-    };
-
     let mut opts = build_options(request);
-    let (report, tier) = match fit_hit {
-        Some((data, fitset)) => {
-            // Replay: skip gather (reuse the cached data) and fit (inject
-            // the cached curves). Both artifacts are pure functions of
-            // the fit key, so this is bit-identical to recomputing.
-            opts.gather = GatherPlan::Reuse(data);
-            opts.curve_override = Some(fitset);
-            let report = Hslb::new(&sim, opts).run(None).map_err(|e| e.to_string())?;
-            (report, CacheTier::Fit)
-        }
-        None => {
-            let (report, artifacts) = Hslb::new(&sim, opts)
-                .run_with_artifacts(None)
-                .map_err(|e| e.to_string())?;
-            if shared.policy.fit {
-                if let Some(fitset) = artifacts.fits {
-                    let mut fits = shared.fits.lock();
-                    fits.insert(request.fit_key(), (artifacts.data, fitset));
-                }
-            }
-            (report, CacheTier::Miss)
+    let (artifacts, tier) = match role {
+        FitRole::Replay(artifacts) => (Some(artifacts), CacheTier::Fit),
+        FitRole::Lead(lead) => {
+            let pipeline = Hslb::new(&sim, opts.clone());
+            let data = pipeline.gather();
+            // A fit that fails has no curves to share: the key is freed
+            // and the run below is the plain one-shot pipeline, whose own
+            // fit fails the same way and lands on the fit-free rung.
+            let fitted = pipeline.fit(&data).ok().map(|fits| Arc::new((data, fits)));
+            lead.release(shared, fitted.clone());
+            (fitted, CacheTier::Miss)
         }
     };
+    // Both artifacts are pure functions of the fit key, so this is
+    // bit-identical to gathering and fitting afresh.
+    if let Some(artifacts) = artifacts {
+        let (data, fits) = FitArtifacts::clone(&artifacts);
+        opts.gather = GatherPlan::Reuse(data);
+        opts.curve_override = Some(fits);
+    }
+    let report = Hslb::new(&sim, opts).run(None).map_err(|e| e.to_string())?;
 
     // Publication to the exact tier happens in `finish_job` via
     // `FrontDesk::complete`, atomically with follower collection.

@@ -5,11 +5,16 @@
 //! executes; this module is the executor. It phrases each configuration
 //! as a [`TuneRequest`] and pushes it through [`TuningService::submit`],
 //! so every sweep solve gets the full serving treatment for free: the
-//! FrontDesk coalescer, both cache tiers, bounded admission, worker
-//! supervision. Shared work falls out of the satellite fit-key fix —
-//! every configuration in a fit group carries the same fit key, so the
-//! group's first solve pays gather+fit once and the rest replay the
-//! cached artifacts (`CacheTier::Fit`).
+//! exact-tier coalescer, both cache tiers, bounded admission, worker
+//! supervision. Shared work falls out of the fit key — every
+//! configuration in a fit group carries the same one, and the service's
+//! fit tier is single-flight (`service::process_job`): whichever member
+//! a worker pops first leads the group's gather+fit, members popped
+//! while it runs are parked (their workers move on, so the *other*
+//! group's fit starts at once), and everyone replays what the leader
+//! published (`CacheTier::Fit`). The driver does nothing to arrange
+//! this — it submits the whole batch at once, at any width — and a cold
+//! sweep's `fit_misses` equals the plan's `fit_groups`.
 //!
 //! Batches run with bounded parallelism enforced by the service's own
 //! admission queue: on [`SubmitError::Backpressure`] the driver parks on

@@ -219,6 +219,117 @@ fn shutdown_drains_admitted_work_and_rejects_new() {
     }
 }
 
+/// Twelve distinct questions about one machine configuration: every
+/// layout, both MINLP objectives plus one max-min (the exhaustive rung),
+/// five budgets — twelve exact keys, one fit key.
+fn one_fit_key_dozen() -> Vec<TuneRequest> {
+    use hslb::Objective::{MaxMin, MinMax, SumTime};
+    use hslb_cesm::Layout::{FullySequential, Hybrid, SequentialWithOcean};
+    let questions = [
+        (Hybrid, MinMax, 64),
+        (Hybrid, MinMax, 96),
+        (Hybrid, SumTime, 128),
+        (Hybrid, MaxMin, 64),
+        (SequentialWithOcean, MinMax, 64),
+        (SequentialWithOcean, MinMax, 192),
+        (SequentialWithOcean, SumTime, 96),
+        (SequentialWithOcean, SumTime, 256),
+        (FullySequential, MinMax, 96),
+        (FullySequential, MinMax, 128),
+        (FullySequential, SumTime, 64),
+        (FullySequential, SumTime, 192),
+    ];
+    let requests: Vec<TuneRequest> = questions
+        .iter()
+        .enumerate()
+        .map(|(id, &(layout, objective, nodes))| TuneRequest {
+            layout,
+            objective,
+            ..TuneRequest::new(id as u64, hslb_cesm::Resolution::OneDegree, nodes)
+        })
+        .collect();
+    let fit_key = requests[0].fit_key();
+    assert!(requests.iter().all(|r| r.fit_key() == fit_key));
+    requests
+}
+
+/// The fit tier is single-flight: however many workers meet a cold fit
+/// key at once, one of them gathers and fits and the rest replay what it
+/// published — a count that used to depend on scheduling is a constant.
+#[test]
+fn a_cold_fit_key_is_fitted_once_at_any_width() {
+    let requests = one_fit_key_dozen();
+    let refs = references(&requests);
+    for workers in [1, 2, 4, 8] {
+        let mut opts = quiet_options();
+        opts.workers = workers;
+        let service = TuningService::start(opts);
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|req| service.submit(req.clone()).expect("twelve fit the queue"))
+            .collect();
+        let mut tiers = Vec::new();
+        for (req, ticket) in requests.iter().zip(tickets) {
+            let resp = ticket.wait().expect("pipeline succeeds");
+            assert_eq!(
+                resp.payload.fingerprint(),
+                refs[&req.exact_key()],
+                "workers={workers}: {} differs from the one-shot pipeline",
+                req.exact_key()
+            );
+            tiers.push(resp.tier);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.fit_misses, 1, "workers={workers}: {stats:?}");
+        assert_eq!(stats.fit_hits, 11, "workers={workers}: {stats:?}");
+        assert!(stats.fit_coalesced <= 11, "workers={workers}: {stats:?}");
+        if workers == 1 {
+            assert_eq!(
+                stats.fit_coalesced, 0,
+                "a lone worker has nobody to wait for"
+            );
+        }
+        // The replies say the same: one leader, eleven replays, nothing
+        // coalesced on the exact tier (the twelve exact keys differ).
+        let led = tiers.iter().filter(|&&t| t == CacheTier::Miss).count();
+        let replayed = tiers.iter().filter(|&&t| t == CacheTier::Fit).count();
+        assert_eq!((led, replayed), (1, 11), "workers={workers}: {tiers:?}");
+        assert_eq!(stats.coalesced, 0);
+        assert_eq!(stats.completed, 12);
+        service.shutdown();
+    }
+}
+
+/// With the fit tier off there is nothing for a parked job to replay, so
+/// nobody parks: every job leads its own fit, as before.
+#[test]
+fn a_disabled_fit_tier_parks_nobody() {
+    let requests = one_fit_key_dozen();
+    let refs = references(&requests);
+    let mut opts = quiet_options();
+    opts.cache = CachePolicy {
+        exact: true,
+        fit: false,
+    };
+    let service = TuningService::start(opts);
+    let tickets: Vec<_> = requests
+        .iter()
+        .map(|req| service.submit(req.clone()).expect("submit"))
+        .collect();
+    for (req, ticket) in requests.iter().zip(tickets) {
+        let resp = ticket.wait().expect("pipeline succeeds");
+        assert_eq!(resp.tier, CacheTier::Miss);
+        assert_eq!(resp.payload.fingerprint(), refs[&req.exact_key()]);
+    }
+    let stats = service.stats();
+    assert_eq!(
+        (stats.fit_hits, stats.fit_misses, stats.fit_coalesced),
+        (0, 12, 0),
+        "{stats:?}"
+    );
+    service.shutdown();
+}
+
 // Satellite 3: N identical + M distinct requests issued concurrently
 // from multiple threads produce payloads bit-identical to serial runs,
 // and the duplicates (submitted after their original resolved) report a

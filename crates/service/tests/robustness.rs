@@ -11,14 +11,16 @@
 use hslb_cesm::{layout::ComponentTimes, Allocation};
 use hslb_service::loadmix::{self, force_deadlines, MixSpec};
 use hslb_service::request::TunePayload;
+use hslb_service::service::TicketResult;
 use hslb_service::snapshot::{load_snapshot, save_snapshot};
 use hslb_service::{
-    reference_response, CacheTier, ServiceFaultSpec, ServiceOptions, SnapshotPolicy, TuneRequest,
-    TuningService,
+    reference_response, CacheTier, ServiceFaultSpec, ServiceOptions, SnapshotPolicy, SubmitError,
+    Ticket, TuneRequest, TuneResponse, TuningService, WorkerFault,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Any `f64` bit pattern — negative, subnormal, huge, NaN, ±inf. The
 /// snapshot codec stores floats as hex bits, so even non-finite values
@@ -169,6 +171,344 @@ fn hung_workers_are_reaped_and_the_bypass_rung_answers() {
     assert!(health.hangs >= 1, "watchdog never fired: {health:?}");
     assert!(health.bypasses >= 1, "bypass rung never ran: {health:?}");
     service.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The single-flight fit tier under faults: a leader that fails must not
+// strand the jobs parked behind its fit key.
+// ---------------------------------------------------------------------
+
+/// Fault draws are a pure function of `(seed, request id, attempt)`, so
+/// a scenario casts its roles by *choosing ids*: the first `n` ids from
+/// `from` on whose draws satisfy `want`.
+fn ids_where(from: u64, n: usize, want: impl Fn(u64) -> bool) -> Vec<u64> {
+    let ids: Vec<u64> = (from..from + 100_000)
+        .filter(|&id| want(id))
+        .take(n)
+        .collect();
+    assert_eq!(ids.len(), n, "fault stream never produced the wanted draws");
+    ids
+}
+
+/// Ids from `from` on that never fault on any attempt the ladder can
+/// give them.
+fn healthy_ids(spec: &ServiceFaultSpec, from: u64, n: usize) -> Vec<u64> {
+    ids_where(from, n, |id| {
+        (0..=3).all(|attempt| spec.worker(id, attempt) == WorkerFault::None)
+    })
+}
+
+/// Twelve distinct questions about one machine configuration (3 layouts
+/// × 4 budgets: twelve exact keys, one fit key), one per id. The first
+/// carries a 250 ms deadline, which keys its watchdog.
+fn fit_family(ids: impl IntoIterator<Item = u64>) -> Vec<TuneRequest> {
+    use hslb_cesm::Layout::{FullySequential, Hybrid, SequentialWithOcean};
+    let questions = [Hybrid, SequentialWithOcean, FullySequential]
+        .into_iter()
+        .flat_map(|layout| [64i64, 96, 128, 192].map(|nodes| (layout, nodes)));
+    let mut family: Vec<TuneRequest> = ids
+        .into_iter()
+        .zip(questions)
+        .map(|(id, (layout, nodes))| TuneRequest {
+            layout,
+            ..TuneRequest::new(id, hslb_cesm::Resolution::OneDegree, nodes)
+        })
+        .collect();
+    assert_eq!(family.len(), 12, "one id per question");
+    family[0].deadline_ms = Some(250);
+    assert!(family.iter().all(|r| r.fit_key() == family[0].fit_key()));
+    family
+}
+
+/// A follower must never outwait its leader's watchdog by much: every
+/// wait in these scenarios is bounded, and running out is the failure.
+fn wait_bounded(ticket: Ticket) -> TicketResult {
+    let (tx, rx) = std::sync::mpsc::channel();
+    ticket.on_resolve(move |result| {
+        let _ = tx.send(result);
+    });
+    rx.recv_timeout(Duration::from_secs(20))
+        .expect("a ticket was left unresolved: stranded behind its fit leader?")
+}
+
+/// Poll `cond` (a stats read) until it holds; running out of patience is
+/// the failure.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !cond() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "never saw: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Submit the family's first member alone and wait until it has led its
+/// fit key — which request leads is otherwise up to which worker wakes
+/// first — then the other eleven.
+fn submit_leader_first(service: &TuningService, family: &[TuneRequest]) -> Vec<Ticket> {
+    let mut tickets = vec![service.submit(family[0].clone()).expect("submit leader")];
+    wait_until("the leader leading", || service.stats().fit_misses >= 1);
+    for req in &family[1..] {
+        tickets.push(service.submit(req.clone()).expect("twelve fit the queue"));
+    }
+    tickets
+}
+
+/// Wait (bounded) for all twelve and hold every answer to its one-shot
+/// reference.
+fn collect_family(family: &[TuneRequest], tickets: Vec<Ticket>) -> Vec<TuneResponse> {
+    let refs = references(family);
+    family
+        .iter()
+        .zip(tickets)
+        .map(|(req, ticket)| {
+            let resp = wait_bounded(ticket)
+                .unwrap_or_else(|e| panic!("{} failed under faults: {e}", req.exact_key()));
+            assert_eq!(
+                resp.payload.fingerprint(),
+                refs[&req.exact_key()],
+                "{} diverged from the one-shot pipeline",
+                req.exact_key()
+            );
+            resp
+        })
+        .collect()
+}
+
+fn tier_counts(responses: &[TuneResponse]) -> (usize, usize) {
+    let count = |tier| responses.iter().filter(|r| r.tier == tier).count();
+    (count(CacheTier::Miss), count(CacheTier::Fit))
+}
+
+/// (a) The leader panics on its first attempt — here every request
+/// does, so whichever leads first certainly does, and so does each
+/// follower that is put back in line and leads in its turn. Nobody is
+/// stranded, and exactly one fit is computed: by the first leader on a
+/// second attempt, the one that survives.
+#[test]
+fn panicking_fit_leaders_release_their_followers() {
+    let faults = ServiceFaultSpec {
+        seed: 21,
+        panic_rate: 0.3,
+        ..ServiceFaultSpec::none()
+    };
+    let ids = ids_where(1, 12, |id| {
+        faults.worker(id, 0) == WorkerFault::Panic
+            && (1..=3).all(|attempt| faults.worker(id, attempt) == WorkerFault::None)
+    });
+    let family = fit_family(ids);
+    let service = TuningService::start(ServiceOptions {
+        faults,
+        ..ServiceOptions::default()
+    });
+    let tickets: Vec<Ticket> = family
+        .iter()
+        .map(|req| service.submit(req.clone()).expect("twelve fit the queue"))
+        .collect();
+    let responses = collect_family(&family, tickets);
+    assert_eq!(tier_counts(&responses), (1, 11));
+    let health = service.health();
+    assert_eq!(
+        (health.panics, health.requeues, health.bypasses),
+        (12, 12, 0),
+        "{health:?}"
+    );
+    service.shutdown();
+}
+
+/// Every attempt of every request panics: no leader ever publishes, each
+/// one frees its key on the way down, and all twelve reach the bypass
+/// rung. A single missed release would park a job for good.
+#[test]
+fn a_storm_of_panicking_leaders_strands_nobody() {
+    let family = fit_family(1..=12);
+    let service = TuningService::start(ServiceOptions {
+        faults: ServiceFaultSpec {
+            seed: 9,
+            panic_rate: 1.0,
+            ..ServiceFaultSpec::none()
+        },
+        ..ServiceOptions::default()
+    });
+    let tickets: Vec<Ticket> = family
+        .iter()
+        .map(|req| service.submit(req.clone()).expect("twelve fit the queue"))
+        .collect();
+    let responses = collect_family(&family, tickets);
+    assert_eq!(tier_counts(&responses), (12, 0), "the bypass rung's tier");
+    let stats = service.stats();
+    assert_eq!((stats.fit_hits, stats.fit_entries), (0, 0), "{stats:?}");
+    let health = service.health();
+    assert_eq!((health.panics, health.bypasses), (36, 12), "{health:?}");
+    service.shutdown();
+}
+
+/// (b) The leader hangs past its 250 ms watchdog with all eleven
+/// followers parked behind it; the supervisor abandons the attempt and
+/// frees the key. (e) The abandoned attempt then wakes, fits and
+/// publishes after a successor already did: harmless, and it leaves
+/// nothing behind in the registry for a later job to park on.
+#[test]
+fn a_hung_fit_leader_releases_its_followers_and_its_late_publish_is_harmless() {
+    let faults = ServiceFaultSpec {
+        seed: 22,
+        hang_rate: 0.3,
+        ..ServiceFaultSpec::none()
+    };
+    let leader = ids_where(1, 1, |id| {
+        faults.worker(id, 0) == WorkerFault::Hang
+            && (1..=3).all(|attempt| faults.worker(id, attempt) == WorkerFault::None)
+    })[0];
+    let family = fit_family(std::iter::once(leader).chain(healthy_ids(&faults, 1_000, 11)));
+    let service = TuningService::start(ServiceOptions {
+        faults,
+        ..ServiceOptions::default()
+    });
+    let tickets = submit_leader_first(&service, &family);
+    let responses = collect_family(&family, tickets);
+    // One answer came from the surviving leader, eleven replayed it —
+    // whether the survivor was a follower or the leader's own retry.
+    assert_eq!(tier_counts(&responses), (1, 11));
+    let stats = service.stats();
+    // Two jobs led: the one that hung before computing anything and the
+    // one that fitted. Every other look at the tier was a hit.
+    assert_eq!((stats.fit_misses, stats.fit_hits), (2, 11), "{stats:?}");
+    // The hang holds the key for the whole watchdog: three idle workers
+    // have a quarter of a second to pop and park eleven jobs.
+    assert!(stats.fit_coalesced >= 11, "{stats:?}");
+    let health = service.health();
+    assert_eq!((health.hangs, health.bypasses), (1, 0), "{health:?}");
+    for resp in &responses[1..] {
+        assert!(
+            resp.queue_wait_ms >= 100.0,
+            "a parked job's queue wait includes its time parked: {resp:?}"
+        );
+    }
+
+    // The hung attempt sleeps 120 ms past the watchdog, then runs to
+    // completion as the leader it no longer is. Let it, then ask the
+    // same machine configuration something new.
+    std::thread::sleep(Duration::from_millis(400));
+    let late_id = healthy_ids(&faults, 2_000, 1)[0];
+    let late = TuneRequest::new(late_id, hslb_cesm::Resolution::OneDegree, 224);
+    let resp = wait_bounded(service.submit(late.clone()).expect("submit"))
+        .expect("served after the late publish");
+    assert_eq!(resp.tier, CacheTier::Fit);
+    assert_eq!(
+        resp.payload.fingerprint(),
+        reference_response(&late).expect("reference").fingerprint()
+    );
+    assert_eq!(
+        service.stats().fit_misses,
+        2,
+        "the late publish led nothing"
+    );
+    service.shutdown();
+}
+
+/// (c) The leader panics on every attempt it is given and answers from
+/// the bypass rung, which publishes nothing to either tier's registry.
+/// Its followers still get exactly one fit between them.
+#[test]
+fn a_fit_leader_that_ends_on_the_bypass_rung_strands_nobody() {
+    let faults = ServiceFaultSpec {
+        seed: 23,
+        panic_rate: 0.5,
+        ..ServiceFaultSpec::none()
+    };
+    let leader = ids_where(1, 1, |id| {
+        (0..=2).all(|attempt| faults.worker(id, attempt) == WorkerFault::Panic)
+    })[0];
+    let family = fit_family(std::iter::once(leader).chain(healthy_ids(&faults, 1_000, 11)));
+    let service = TuningService::start(ServiceOptions {
+        faults,
+        ..ServiceOptions::default()
+    });
+    let tickets = submit_leader_first(&service, &family);
+    let responses = collect_family(&family, tickets);
+    assert_eq!(responses[0].tier, CacheTier::Miss, "the bypass rung's tier");
+    assert_eq!(
+        tier_counts(&responses[1..]),
+        (1, 10),
+        "one surviving leader among the followers, ten replays"
+    );
+    let health = service.health();
+    assert_eq!(
+        (health.panics, health.requeues, health.bypasses),
+        (3, 2, 1),
+        "{health:?}"
+    );
+    service.shutdown();
+}
+
+/// (d) `shutdown()` while followers are parked: the leader, already
+/// started, finishes; its release finds the shards closed and every
+/// parked job resolves with the drain's typed rejection — and with it
+/// the identical request that had attached to one of them on the exact
+/// tier. None is left waiting, and the accounting closes.
+#[test]
+fn shutdown_resolves_parked_followers_with_draining() {
+    let faults = ServiceFaultSpec {
+        seed: 24,
+        slow_rate: 0.3,
+        slow_ms: 400,
+        ..ServiceFaultSpec::none()
+    };
+    let leader = ids_where(1, 1, |id| faults.worker(id, 0) == WorkerFault::Slow)[0];
+    let mut family = fit_family(std::iter::once(leader).chain(healthy_ids(&faults, 1_000, 11)));
+    family[0].deadline_ms = None; // a slow leader, not a hung one
+    let service = TuningService::start(ServiceOptions {
+        faults,
+        ..ServiceOptions::default()
+    });
+    let mut tickets = submit_leader_first(&service, &family);
+    // The leader sleeps 400 ms before it gathers: ample for the other
+    // three workers to park all eleven followers behind it.
+    wait_until("eleven parked followers", || {
+        service.stats().fit_coalesced == 11
+    });
+    // A duplicate of a parked job coalesces onto it: two tickets now
+    // hang on that one parked `Job`.
+    family.push(TuneRequest {
+        id: healthy_ids(&faults, 2_000, 1)[0],
+        ..family[1].clone()
+    });
+    tickets.push(
+        service
+            .submit(family[12].clone())
+            .expect("submit duplicate"),
+    );
+    assert_eq!(service.stats().coalesced, 1);
+    service.shutdown();
+
+    let mut answered = 0;
+    let mut drained = 0;
+    for (req, ticket) in family.iter().zip(tickets) {
+        match wait_bounded(ticket) {
+            Ok(resp) => {
+                answered += 1;
+                assert_eq!(
+                    resp.payload.fingerprint(),
+                    reference_response(req).expect("reference").fingerprint()
+                );
+            }
+            Err(SubmitError::Draining { retry_after_ms }) => {
+                assert!(retry_after_ms >= 1, "drain rejection carries a retry hint");
+                drained += 1;
+            }
+            Err(other) => panic!("parked work must resolve Ok or Draining, got {other}"),
+        }
+    }
+    assert_eq!((answered, drained), (1, 12));
+    let stats = service.stats();
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.rejected + stats.errors,
+        "{stats:?}"
+    );
+    assert_eq!(service.health().drained, 12);
 }
 
 /// Kill-and-restart bit-identity: a service restarted from a valid

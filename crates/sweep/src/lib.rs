@@ -13,7 +13,7 @@
 //! The crate is deliberately *pure*: it plans, predicts, and collects —
 //! it never runs a solve itself. Execution lives in
 //! `hslb-service::sweep_driver`, which pushes the planned work through
-//! the existing worker pool, FrontDesk coalescer, and fit cache. That
+//! the existing worker pool, coalescer, and single-flight fit tier. That
 //! split keeps the dependency graph acyclic (service → sweep) while the
 //! determinism tests in this crate pull the service in as a
 //! dev-dependency to compare portfolio entries against standalone

@@ -142,6 +142,50 @@ fn seed_43_bench_grid_completes_and_verifies() {
     assert!(assert_matches_one_shot_references(&spec, &portfolio) >= 1);
 }
 
+/// The plan groups the bench grid's 36 configurations into 2 fit groups
+/// and promises one gather+fit per group. The service's single-flight
+/// fit tier keeps that promise at any width: a cold sweep misses the fit
+/// tier exactly `fit_groups` times — not once per worker that happened
+/// to meet the key cold — and every run's portfolio is the same bits.
+#[test]
+fn a_cold_sweep_fits_once_per_fit_group_at_any_width() {
+    for seed in [42, 55, 67] {
+        let spec = SweepSpec {
+            one_degree_budgets: vec![48, 64, 96, 128, 160, 192, 224, 256],
+            eighth_degree_budgets: vec![4096, 6144, 8192, 16384],
+            seed,
+            ..SweepSpec::default()
+        };
+        let mut first: Option<Portfolio> = None;
+        for workers in [1, 2, 4, 8] {
+            for run in 0..5 {
+                let p = sweep_with(&spec, workers, true);
+                let st = &p.stats;
+                assert_eq!((st.planned, st.fit_groups), (36, 2));
+                assert_eq!(
+                    st.fit_misses, st.fit_groups as u64,
+                    "seed {seed} workers {workers} run {run}: {st:?}"
+                );
+                assert_eq!(
+                    st.fit_hits + st.fit_misses,
+                    st.solved as u64,
+                    "every solve met the fit tier once: {st:?}"
+                );
+                match &first {
+                    None => {
+                        assert!(assert_matches_one_shot_references(&spec, &p) >= 1);
+                        first = Some(p);
+                    }
+                    Some(first) => assert_eq!(
+                        p.entries, first.entries,
+                        "seed {seed} workers {workers} run {run}: entries diverged"
+                    ),
+                }
+            }
+        }
+    }
+}
+
 /// Pinned regression: on each shipped scenario's budget neighborhood the
 /// pruned sweep must keep (exactly solve) every budget group's true
 /// winner, established by a prune-off sweep of the same grid.
