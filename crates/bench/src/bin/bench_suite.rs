@@ -3,7 +3,7 @@
 //! Runs the full gather → fit → solve → execute pipeline at both paper
 //! resolutions across several node budgets, with a telemetry sink
 //! attached to every layer, and writes the per-phase timings plus solver
-//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v10`,
+//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v11`,
 //! documented in DESIGN.md §8; fast-path design in §10, audit gate in
 //! §11, service in §12, supervision/recovery in §13, warm-started dual
 //! simplex in §14, connection-scale serving in §15). v4 added the
@@ -49,7 +49,7 @@
 //! `sweep` block from an in-process `hslb-sweep` run over a layout ×
 //! budget grid — configurations planned/solved/pruned (the validator
 //! demands they reconcile), shared-work dedup counts (fit groups vs
-//! configs), fit/gather cache hit rates, predictor MAE against the
+//! configs), fit cache hit rate, predictor MAE against the
 //! exact solves it ranked, the sweep wall-clock vs the Σ-one-shot
 //! estimate, and each resolution's winner plus Pareto frontier — and a
 //! `fit_cache` accounting block inside the service block.
@@ -60,6 +60,9 @@
 //! v10 drops the `drift` block with the drift → rebalance chain it
 //! exercised, and every scenario fits cold, as the product does (up to
 //! v9 scenarios of one resolution seeded each other's fits).
+//!
+//! v11 drops `sweep.gather_cache` with the service's simulator memo it
+//! counted (a simulator is built per attempt; there is no third tier).
 //!
 //! ```text
 //! cargo run --release -p hslb-bench --bin bench-suite            # full suite
@@ -79,7 +82,7 @@ use hslb_minlp::Branching;
 use hslb_telemetry::json::Value;
 use hslb_telemetry::{span_tree, Snapshot, Telemetry};
 
-const SCHEMA: &str = "hslb-bench-pipeline/v10";
+const SCHEMA: &str = "hslb-bench-pipeline/v11";
 
 /// One pipeline configuration the suite measures.
 struct Scenario {
@@ -662,8 +665,8 @@ fn run_recovery_exercise() -> Value {
 
 /// v8 `sweep` block: the portfolio-sweep exercise. A layout × budget
 /// grid runs through one service via the sweep driver; the block
-/// reports the shared-work accounting (fit groups vs configs, fit/gather
-/// cache hit rates), the predictor's calibration quality, the pruning
+/// reports the shared-work accounting (fit groups vs configs, fit cache
+/// hit rate), the predictor's calibration quality, the pruning
 /// counts, and the wall-clock vs Σ-one-shot comparison, plus each
 /// resolution's winner and Pareto frontier.
 fn run_sweep_exercise(smoke: bool) -> Value {
@@ -852,17 +855,15 @@ fn validate(doc: &Value) -> Vec<String> {
                 }
                 _ => errs.push("sweep block: missing numeric fit_groups/dedup_saved".to_string()),
             }
-            for cache in ["fit_cache", "gather_cache"] {
-                match sw.get(cache) {
-                    Some(c) if !matches!(c, Value::Null) => {
-                        for key in ["hits", "misses", "hit_rate"] {
-                            if c.get(key).and_then(Value::as_f64).is_none() {
-                                errs.push(format!("sweep {cache}: missing numeric `{key}`"));
-                            }
+            match sw.get("fit_cache") {
+                Some(c) if !matches!(c, Value::Null) => {
+                    for key in ["hits", "misses", "hit_rate"] {
+                        if c.get(key).and_then(Value::as_f64).is_none() {
+                            errs.push(format!("sweep fit_cache: missing numeric `{key}`"));
                         }
                     }
-                    _ => errs.push(format!("sweep block: missing `{cache}`")),
                 }
+                _ => errs.push("sweep block: missing `fit_cache`".to_string()),
             }
             // The sharing the plan promised is the sharing that happened:
             // the exercise runs on a cold service, whose single-flight fit
@@ -1339,7 +1340,7 @@ mod tests {
 
     #[test]
     fn every_other_schema_version_is_rejected_by_name() {
-        for version in 1..=9 {
+        for version in 1..=10 {
             let schema = format!("hslb-bench-pipeline/v{version}");
             let doc = obj(vec![("schema", Value::Str(schema.clone()))]);
             let want = format!("schema must be {SCHEMA}, got Some({schema:?})");

@@ -258,13 +258,10 @@ fn print_summary(portfolio: &Portfolio) {
         s.planned, s.solved, s.pruned, s.fit_groups, s.dedup_saved
     );
     println!(
-        "cache: fit {}/{} (rate {:.3})  gather {}/{} (rate {:.3})",
+        "cache: fit {}/{} (rate {:.3})",
         s.fit_hits,
         s.fit_hits + s.fit_misses,
-        s.fit_hit_rate(),
-        s.gather_hits,
-        s.gather_hits + s.gather_misses,
-        s.gather_hit_rate()
+        s.fit_hit_rate()
     );
     match s.predictor_mae {
         Some(mae) => println!("predictor: mae={mae:.4}"),

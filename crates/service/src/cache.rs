@@ -446,16 +446,16 @@ mod tests {
         #[cfg(debug_assertions)]
         {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let above: RankedMutex<(), { rank::SIM_CACHE }> = RankedMutex::new(());
+                let above: RankedMutex<(), { rank::TICKET_SLOT }> = RankedMutex::new(());
                 let _held = above.lock();
                 fit.depths()
             }));
             let msg = match caught {
-                Ok(_) => panic!("taking FIT_CACHE under SIM_CACHE was not caught"),
+                Ok(_) => panic!("taking FIT_CACHE under TICKET_SLOT was not caught"),
                 Err(e) => e.downcast_ref::<String>().cloned().unwrap_or_default(),
             };
             assert!(
-                msg.contains("FIT_CACHE") && msg.contains("SIM_CACHE"),
+                msg.contains("FIT_CACHE") && msg.contains("TICKET_SLOT"),
                 "{msg}"
             );
         }

@@ -14,7 +14,9 @@
 //!   [`request::TunePayload`]s, fit-level gather/fit artifacts), each
 //!   tier with the in-flight registry that makes it single-flight: the
 //!   request coalescer on the exact tier, one gather+fit per fit key
-//!   however many workers meet it cold on the fit tier;
+//!   however many workers meet it cold on the fit tier. Both are
+//!   capacity-bounded LRUs and the only collections keyed by anything a
+//!   client chooses;
 //! * [`service`] — the sharded worker pool driving the pipeline, with
 //!   per-request telemetry (queue wait, cache tier, coalesce batch size,
 //!   end-to-end latency) through `hslb-telemetry`;
@@ -22,7 +24,7 @@
 //!   (reusing the telemetry crate's JSON parser — no serde);
 //! * [`loadmix`] — deterministic request mixes and the latency/throughput
 //!   accounting the `loadgen` binary reports into the
-//!   `hslb-bench-pipeline/v10` service block;
+//!   `hslb-bench-pipeline/v11` service block;
 //! * [`reactor`] — the std-only nonblocking readiness loop behind
 //!   `hslb-serve`: one thread multiplexes accept/read/parse/dispatch and
 //!   write-backpressure across thousands of connections, with replies

@@ -14,7 +14,7 @@
 //! harness instead of a rare production hang.
 //!
 //! The lattice (low acquires first; see DESIGN.md §16 for the table and
-//! rationale): queue shards < front-desk cache < fit/sim caches <
+//! rationale): queue shards < front-desk cache < fit cache <
 //! ticket slots < completion bus < snapshot/recovery < worker handles <
 //! load-client accumulators < sweep result collector. Gaps of 10 between neighbors leave room to slot
 //! new locks without renumbering.
@@ -39,8 +39,6 @@ pub mod rank {
     pub const FRONT_DESK: u16 = 200;
     /// Fit-result LRU (`service.rs`).
     pub const FIT_CACHE: u16 = 210;
-    /// Simulator memo table (`service.rs`).
-    pub const SIM_CACHE: u16 = 220;
     /// Per-ticket result slot (`service.rs`).
     pub const TICKET_SLOT: u16 = 300;
     /// Reactor completion bus (`reactor.rs`).
@@ -65,7 +63,6 @@ pub mod rank {
             QUEUE_SHARD => "QUEUE_SHARD",
             FRONT_DESK => "FRONT_DESK",
             FIT_CACHE => "FIT_CACHE",
-            SIM_CACHE => "SIM_CACHE",
             TICKET_SLOT => "TICKET_SLOT",
             COMPLETION_BUS => "COMPLETION_BUS",
             SNAPSHOT_RECOVERY => "SNAPSHOT_RECOVERY",

@@ -62,8 +62,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Hard cap on one wire line; a frame that grows past this without a
-/// newline is a protocol error and closes the connection.
+/// Hard cap on one wire frame (a line and its newline): a longer one,
+/// terminated or not, is a protocol error and closes the connection.
+/// The cap is on each line, never on how many short lines a client has
+/// pipelined: reading pauses while the buffer holds this many unsplit
+/// bytes and resumes once they are split (TCP holds the rest back).
 const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Read chunk size per `read` call.
@@ -243,6 +246,8 @@ impl Bus {
 /// bytes, and the bookkeeping the sweep needs.
 struct Conn {
     stream: TcpStream,
+    /// Holds only an unterminated tail between sweeps: `process_lines`
+    /// splits off every complete line each time it runs.
     rbuf: Vec<u8>,
     /// rbuf prefix already scanned for a newline (avoids re-scanning on
     /// every partial read of a long line).
@@ -293,6 +298,9 @@ pub struct Reactor {
     depth_hist: Vec<u64>,
     depth_max: usize,
     active_sweeps: Arc<AtomicUsize>,
+    /// Scratch for `read`, shared by every connection (the loop is one
+    /// thread, and a chunk is copied into `rbuf` before the next read).
+    read_chunk: Vec<u8>,
 }
 
 impl Reactor {
@@ -331,6 +339,7 @@ impl Reactor {
             depth_hist: vec![0; DEPTH_BUCKETS + 1],
             depth_max: 0,
             active_sweeps: Arc::new(AtomicUsize::new(0)),
+            read_chunk: vec![0; READ_CHUNK],
         })
     }
 
@@ -559,7 +568,10 @@ impl Reactor {
         progress
     }
 
-    /// Pull every readable byte into the connection's parse buffer.
+    /// Pull readable bytes into the connection's parse buffer, until the
+    /// socket runs dry or the buffer holds a full frame's worth of bytes
+    /// nobody has split yet; `process_lines` runs next and decides
+    /// whether those are many short lines or one endless one.
     fn read_available(&mut self, idx: usize) -> bool {
         let mut progress = false;
         let mut close = false;
@@ -567,22 +579,16 @@ impl Reactor {
             if conn.peer_eof {
                 return false;
             }
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut chunk) {
+            while conn.rbuf.len() <= MAX_LINE_BYTES {
+                match conn.stream.read(&mut self.read_chunk) {
                     Ok(0) => {
                         conn.peer_eof = true;
                         progress = true;
                         break;
                     }
                     Ok(n) => {
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
+                        conn.rbuf.extend_from_slice(&self.read_chunk[..n]);
                         progress = true;
-                        if conn.rbuf.len() > MAX_LINE_BYTES {
-                            // Endless line: protocol violation.
-                            close = true;
-                            break;
-                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -599,37 +605,51 @@ impl Reactor {
         progress
     }
 
-    /// Parse complete lines out of the read buffer and dispatch them.
+    /// Split every complete line out of the read buffer and dispatch it.
+    /// A cursor walks the batch and the buffer is drained once at the
+    /// end, so a pipeline of n lines costs O(bytes), not n memmoves.
     /// Returns `Some(())` when a `shutdown` command arrived.
     fn process_lines(&mut self, idx: usize, progress: &mut bool) -> Option<()> {
-        loop {
-            let line = {
-                let conn = self.conns.get_mut(idx).and_then(Option::as_mut)?;
-                let rest = &conn.rbuf[conn.scanned..];
-                match rest.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        let end = conn.scanned + pos;
-                        let line = String::from_utf8_lossy(&conn.rbuf[..end])
-                            .trim_end_matches('\r')
-                            .to_string();
-                        conn.rbuf.drain(..=end);
-                        conn.scanned = 0;
-                        line
-                    }
-                    None => {
-                        conn.scanned = conn.rbuf.len();
-                        return None;
-                    }
-                }
-            };
+        // The buffer leaves the connection for the batch: `dispatch`
+        // needs the whole reactor, and may close this very connection.
+        let (mut rbuf, mut from) = {
+            let conn = self.conns.get_mut(idx).and_then(Option::as_mut)?;
+            (std::mem::take(&mut conn.rbuf), conn.scanned)
+        };
+        let mut start = 0; // everything before it has been dispatched
+        let mut shutdown = false;
+        while let Some(pos) = rbuf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + pos;
+            if end - start >= MAX_LINE_BYTES {
+                break; // left in the buffer for the check below
+            }
+            let line = String::from_utf8_lossy(&rbuf[start..end]);
+            start = end + 1;
+            from = start;
             *progress = true;
+            let line = line.trim_end_matches('\r');
             if line.trim().is_empty() {
                 continue;
             }
-            if self.dispatch(idx, &line) {
-                return Some(());
+            if self.dispatch(idx, line) {
+                shutdown = true;
+                break;
             }
+            // Gone when the reply tripped the slow-reader cap.
+            self.conns[idx].as_ref()?;
         }
+        rbuf.drain(..start);
+        if !shutdown && rbuf.len() > MAX_LINE_BYTES {
+            // What is left starts with a line longer than a frame may
+            // be, terminated or not: protocol violation.
+            self.close(idx, CloseReason::Normal);
+            return None;
+        }
+        let conn = self.conns.get_mut(idx).and_then(Option::as_mut)?;
+        // Scanned to the end unless a shutdown cut the batch short.
+        conn.scanned = if shutdown { 0 } else { rbuf.len() };
+        conn.rbuf = rbuf;
+        shutdown.then_some(())
     }
 
     /// Dispatch one command line; `true` means a shutdown was requested.

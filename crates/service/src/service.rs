@@ -24,7 +24,8 @@
 //!   published artifacts is bit-identical to recomputing them, and a
 //!   parked job that finds nothing published simply leads in its turn;
 //! * simulators are stateless (noise is a pure function of seed and
-//!   inputs), so the shared simulator cache is exact;
+//!   inputs) and cost two small allocations, so every attempt builds its
+//!   own with [`simulator_for`], exactly as the reference does;
 //! * supervision (DESIGN.md §13) only ever *re-runs* the deterministic
 //!   computation: a panicked or hung attempt is requeued up to
 //!   [`SupervisePolicy::max_requeues`] times, then routed to the bypass
@@ -35,13 +36,12 @@ use crate::cache::{AdmitOutcome, FrontDesk};
 use crate::fault::ServiceFaultSpec;
 use crate::queue::{AdmissionQueue, Backpressure, PushError, Rank};
 use crate::ranked::{rank, RankedCondvar, RankedMutex};
-use crate::request::{resolution_token, CacheTier, TunePayload, TuneRequest, TuneResponse};
+use crate::request::{CacheTier, TunePayload, TuneRequest, TuneResponse};
 use crate::snapshot::{self, RecoveryRecord, SnapshotPolicy, SnapshotStats};
 use hslb::{BenchmarkData, FitSet, GatherPlan, Hslb, HslbOptions};
 use hslb_cesm::{Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator};
 use hslb_telemetry::json::Value;
 use hslb_telemetry::Telemetry;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Once};
@@ -399,12 +399,24 @@ struct Counters {
     drained: AtomicU64,
     /// Jobs parked behind another job's in-flight fit.
     fit_coalesced: AtomicU64,
-    /// Simulator-memo (gather-level) accounting: a hit means the machine
-    /// configuration's simulator was cloned out instead of rebuilt.
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
 }
 
+/// Everything the workers, `submit` and the snapshot flush share.
+///
+/// What it holds that can grow, and what bounds each:
+///
+/// * `queue` — at most `queue_capacity` jobs per shard (beyond it:
+///   backpressure), plus the parked jobs `push_back` re-admits, each of
+///   which was admitted under that bound once;
+/// * `front` — at most `exact_capacity` payloads (LRU) and one registry
+///   entry per in-flight exact key, i.e. per queued or running job;
+/// * `fits` — at most `fit_capacity` artifact sets (LRU) and one registry
+///   entry per in-flight fit key.
+///
+/// Nothing else is keyed by anything a client chooses, so a server's
+/// resident size follows from its options and not from how many distinct
+/// questions it has been asked (`tests/memory.rs` measures it). A new
+/// keyed map has to state its bound here.
 struct Shared {
     workers: usize,
     shards: usize,
@@ -414,9 +426,6 @@ struct Shared {
     /// Whether the fit tier can hold what a leader publishes. When it
     /// cannot, parking behind a leader would only serialize the fits.
     fit_tier: bool,
-    /// Simulators are stateless and deterministic; one per machine
-    /// configuration, cloned out per attempt (clones are exact).
-    sims: RankedMutex<HashMap<(&'static str, bool, u64), Simulator>, { rank::SIM_CACHE }>,
     coalesce: bool,
     supervise: SupervisePolicy,
     faults: ServiceFaultSpec,
@@ -462,9 +471,6 @@ pub struct ServiceStats {
     /// Jobs that parked behind an in-flight fit (each later counted as
     /// the hit, or the miss, of the lookup that served it).
     pub fit_coalesced: u64,
-    /// Gather-level (simulator memo) accounting.
-    pub gather_hits: u64,
-    pub gather_misses: u64,
 }
 
 /// `hits / (hits + misses)`, or 0 when nothing was looked up.
@@ -524,17 +530,6 @@ impl ServiceStats {
                     (
                         "hit_rate".to_string(),
                         Value::Num(hit_rate(self.fit_hits, self.fit_misses)),
-                    ),
-                ]),
-            ),
-            (
-                "gather_cache".to_string(),
-                Value::Obj(vec![
-                    ("hits".to_string(), Value::Num(self.gather_hits as f64)),
-                    ("misses".to_string(), Value::Num(self.gather_misses as f64)),
-                    (
-                        "hit_rate".to_string(),
-                        Value::Num(hit_rate(self.gather_hits, self.gather_misses)),
                     ),
                 ]),
             ),
@@ -613,7 +608,6 @@ impl TuningService {
             }),
             fits: FrontDesk::new(fit_capacity),
             fit_tier: fit_capacity > 0,
-            sims: RankedMutex::new(HashMap::new()),
             coalesce: opts.coalesce,
             supervise: opts.supervise,
             faults: opts.faults,
@@ -771,8 +765,6 @@ impl TuningService {
             fit_misses: fit.misses,
             fit_evictions: fit.evictions,
             fit_coalesced: shared.stats.fit_coalesced.load(Ordering::Relaxed),
-            gather_hits: shared.stats.sim_hits.load(Ordering::Relaxed),
-            gather_misses: shared.stats.sim_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -1293,29 +1285,6 @@ fn finish_job(
     }
 }
 
-/// Clone the (stateless, deterministic) simulator for a request's
-/// machine configuration out of the shared cache.
-fn simulator_cached(shared: &Shared, request: &TuneRequest) -> Simulator {
-    let sim_key = (
-        resolution_token(request.resolution),
-        request.ocean_constrained,
-        request.seed,
-    );
-    let mut sims = shared.sims.lock();
-    match sims.get(&sim_key) {
-        Some(sim) => {
-            shared.stats.sim_hits.fetch_add(1, Ordering::Relaxed);
-            sim.clone()
-        }
-        None => {
-            shared.stats.sim_misses.fetch_add(1, Ordering::Relaxed);
-            let sim = simulator_for(request);
-            sims.insert(sim_key, sim.clone());
-            sim
-        }
-    }
-}
-
 /// Run the pipeline for one request from its fit-tier role. A leader
 /// pays steps 1–2 once for everyone who asks about its machine
 /// configuration and publishes the artifacts the moment they exist, so
@@ -1327,7 +1296,7 @@ fn compute(
     request: &TuneRequest,
     role: FitRole,
 ) -> Result<(TunePayload, CacheTier), String> {
-    let sim = simulator_cached(shared, request);
+    let sim = simulator_for(request);
     let mut opts = build_options(request);
     let (artifacts, tier) = match role {
         FitRole::Replay(artifacts) => (Some(artifacts), CacheTier::Fit),

@@ -462,12 +462,6 @@ pub fn run_sweep(
         dedup_saved: plan.dedup_saved(),
         fit_hits,
         fit_misses,
-        gather_hits: stats_after
-            .gather_hits
-            .saturating_sub(stats_before.gather_hits),
-        gather_misses: stats_after
-            .gather_misses
-            .saturating_sub(stats_before.gather_misses),
         predictor_mae: predictor::mean_abs_rel_err(&mae_pairs),
         predictor_failed,
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,

@@ -165,3 +165,30 @@ fn timed_wait_does_not_hold_the_rank() {
     cv.notify_all();
     assert_eq!(waiter.join().unwrap_or_default(), 7);
 }
+
+/// The lattice is exactly these ten ranks, ascending in this order. A
+/// lock added to the service has to be added here (and to DESIGN.md §16)
+/// on purpose; one removed has to leave no name behind.
+#[test]
+fn the_lattice_is_ten_named_ranks() {
+    let lattice = [
+        (rank::QUEUE_SHARD, "QUEUE_SHARD"),
+        (rank::FRONT_DESK, "FRONT_DESK"),
+        (rank::FIT_CACHE, "FIT_CACHE"),
+        (rank::TICKET_SLOT, "TICKET_SLOT"),
+        (rank::COMPLETION_BUS, "COMPLETION_BUS"),
+        (rank::SNAPSHOT_RECOVERY, "SNAPSHOT_RECOVERY"),
+        (rank::WORKER_HANDLES, "WORKER_HANDLES"),
+        (rank::CLIENT_PENDING, "CLIENT_PENDING"),
+        (rank::CLIENT_RESULTS, "CLIENT_RESULTS"),
+        (rank::SWEEP_RESULTS, "SWEEP_RESULTS"),
+    ];
+    for pair in lattice.windows(2) {
+        assert!(pair[0].0 < pair[1].0, "{pair:?} not ascending");
+    }
+    let named: Vec<(u16, &str)> = (0..=u16::MAX)
+        .map(|r| (r, rank::name(r)))
+        .filter(|(_, name)| *name != "UNKNOWN")
+        .collect();
+    assert_eq!(named, lattice);
+}

@@ -200,9 +200,6 @@ pub struct SweepStats {
     /// Fit-level cache accounting over the sweep (deltas).
     pub fit_hits: u64,
     pub fit_misses: u64,
-    /// Gather-level (simulator memo) accounting over the sweep (deltas).
-    pub gather_hits: u64,
-    pub gather_misses: u64,
     /// Mean absolute relative predictor error vs the exact solves it
     /// ranked (None when the predictor never calibrated).
     pub predictor_mae: Option<f64>,
@@ -230,10 +227,6 @@ impl SweepStats {
         rate(self.fit_hits, self.fit_misses)
     }
 
-    pub fn gather_hit_rate(&self) -> f64 {
-        rate(self.gather_hits, self.gather_misses)
-    }
-
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("planned".to_string(), Value::Num(self.planned as f64)),
@@ -250,14 +243,6 @@ impl SweepStats {
                     ("hits".to_string(), Value::Num(self.fit_hits as f64)),
                     ("misses".to_string(), Value::Num(self.fit_misses as f64)),
                     ("hit_rate".to_string(), Value::Num(self.fit_hit_rate())),
-                ]),
-            ),
-            (
-                "gather_cache".to_string(),
-                Value::Obj(vec![
-                    ("hits".to_string(), Value::Num(self.gather_hits as f64)),
-                    ("misses".to_string(), Value::Num(self.gather_misses as f64)),
-                    ("hit_rate".to_string(), Value::Num(self.gather_hit_rate())),
                 ]),
             ),
             (
@@ -284,28 +269,24 @@ impl SweepStats {
                 .and_then(Value::as_f64)
                 .ok_or_else(|| format!("stats missing numeric {k}"))
         };
-        let cache = |k: &str| -> Result<(u64, u64), String> {
-            let c = v.get(k).ok_or_else(|| format!("stats missing {k}"))?;
-            let f = |kk: &str| {
-                c.get(kk)
-                    .and_then(Value::as_f64)
-                    .map(|x| x as u64)
-                    .ok_or_else(|| format!("stats {k} missing numeric {kk}"))
-            };
-            Ok((f("hits")?, f("misses")?))
+        // Keys this version does not know are ignored, so a document
+        // written before the `gather_cache` object was dropped still reads.
+        let fit_cache = v.get("fit_cache").ok_or("stats missing fit_cache")?;
+        let fit = |k: &str| -> Result<u64, String> {
+            fit_cache
+                .get(k)
+                .and_then(Value::as_f64)
+                .map(|x| x as u64)
+                .ok_or_else(|| format!("stats fit_cache missing numeric {k}"))
         };
-        let (fit_hits, fit_misses) = cache("fit_cache")?;
-        let (gather_hits, gather_misses) = cache("gather_cache")?;
         Ok(SweepStats {
             planned: num("planned")? as usize,
             solved: num("solved")? as usize,
             pruned: num("pruned")? as usize,
             fit_groups: num("fit_groups")? as usize,
             dedup_saved: num("dedup_saved")? as usize,
-            fit_hits,
-            fit_misses,
-            gather_hits,
-            gather_misses,
+            fit_hits: fit("hits")?,
+            fit_misses: fit("misses")?,
             predictor_mae: v.get("predictor_mae").and_then(Value::as_f64),
             predictor_failed: v
                 .get("predictor_failed")
@@ -572,8 +553,6 @@ mod tests {
             dedup_saved: 1,
             fit_hits: 5,
             fit_misses: 1,
-            gather_hits: 4,
-            gather_misses: 2,
             predictor_mae: Some(0.07),
             predictor_failed: None,
             wall_ms: 123.5,
@@ -584,5 +563,27 @@ mod tests {
         let back = Portfolio::from_value(&hslb_telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(p, back);
         assert!((back.stats.fit_hit_rate() - 5.0 / 6.0).abs() < 1e-12);
+
+        // A document written when the stats still carried `gather_cache`
+        // (bench schema v10 and before) reads to the same portfolio.
+        let mut old = p.to_value();
+        let Value::Obj(top) = &mut old else {
+            panic!("portfolio is an object")
+        };
+        let Some((_, Value::Obj(stats))) = top.iter_mut().find(|(k, _)| k == "stats") else {
+            panic!("portfolio has a stats object")
+        };
+        stats.push((
+            "gather_cache".to_string(),
+            Value::Obj(vec![
+                ("hits".to_string(), Value::Num(4.0)),
+                ("misses".to_string(), Value::Num(2.0)),
+                ("hit_rate".to_string(), Value::Num(4.0 / 6.0)),
+            ]),
+        ));
+        let text = old.to_pretty();
+        assert!(text.contains("gather_cache"));
+        let back = Portfolio::from_value(&hslb_telemetry::json::parse(&text).unwrap()).unwrap();
+        assert_eq!(p, back);
     }
 }

@@ -58,7 +58,7 @@
 # simplex crate, whose pivot order must be reproducible).
 #
 # The warm-start gate (DESIGN.md §14) runs the bench smoke twice — warm
-# dual-simplex path on and off — validates both documents against the v10
+# dual-simplex path on and off — validates both documents against the v11
 # schema (which checks the warm_start work counters and the solve ≤ fit
 # phase budget), and bit-compares the incumbents between the two runs:
 # warm starts may change how much work the solver does, never what it
@@ -80,6 +80,14 @@
 # records the server's thread count: the readiness loop must answer
 # connection-scale load with a bounded thread pool (the ISSUE 8
 # regression drove one thread per connection and per reply).
+#
+# The distinct-question gate asks one server the same small question
+# for 400 different simulator seeds — no two share a fit key, so every
+# one is a full miss — and reads the server's resident size after seed
+# 100 and after seed 400: it may not grow by more than 1.5 MB (~0.25 MB
+# measured). Everything the service keeps per key sits in a
+# capacity-bounded tier; the simulator memo it once kept per seed grew
+# 4.8 MB over the same stretch, and no other gate varies the seed.
 #
 # The sweep gate (DESIGN.md §17) drives a 96-configuration portfolio
 # sweep (3 layout topologies × 22 one-degree budgets × 10 eighth-degree
@@ -271,6 +279,33 @@ if [[ $fast -eq 0 ]]; then
         exit 1
     fi
     echo "    soak server peak: $peak_threads threads under 5000 connections"
+
+    echo "==> distinct-question gate (400 simulator seeds, bounded resident size)"
+    rm -f "$port0_file"
+    ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$port0_file" &
+    seeds_pid=$!
+    for _ in $(seq 1 100); do
+        [[ -s "$port0_file" ]] && break
+        sleep 0.1
+    done
+    [[ -s "$port0_file" ]] || { echo "distinct-question hslb-serve never published its port" >&2; exit 1; }
+    seeds_addr="$(cat "$port0_file")"
+    rss_settled=""
+    for s in $(seq 1 400); do
+        ./target/release/hslb-sweep --addr "$seeds_addr" --seed "$s" \
+            --layouts hybrid --one-degree-nodes 64 --quiet > /dev/null
+        # By seed 100 the fit tier (64) is full and evicting.
+        [[ $s -eq 100 ]] && rss_settled="$(awk '/^VmRSS:/ {print $2}' "/proc/$seeds_pid/status")"
+    done
+    rss_end="$(awk '/^VmRSS:/ {print $2}' "/proc/$seeds_pid/status")"
+    ./target/release/loadgen --addr "$seeds_addr" --requests 1 --shutdown > /dev/null
+    wait "$seeds_pid"
+    [[ -n "$rss_settled" && -n "$rss_end" ]] || { echo "could not read the server's VmRSS" >&2; exit 1; }
+    if (( rss_end - rss_settled > 1536 )); then
+        echo "server grew $((rss_end - rss_settled)) KB over seeds 101–400 ($rss_settled -> $rss_end KB): something is kept per question" >&2
+        exit 1
+    fi
+    echo "    server resident size: $rss_settled KB after 100 seeds, $rss_end KB after 400"
 
     echo "==> sweep gate (96-config portfolio over TCP, verified + fit-cache bar)"
     sweep_port_file="$(mktemp /tmp/hslb_sweep_port.XXXXXX)"
