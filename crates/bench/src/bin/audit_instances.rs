@@ -1,7 +1,7 @@
-//! `audit-instances`: the Level 1 instance-audit gate over the benchmark
-//! scenarios.
+//! `audit-instances`: the Level 1 instance-audit gate over a fixed
+//! scenario grid.
 //!
-//! For every bench-suite scenario this gathers, fits, builds the layout
+//! For every instance of its grid this gathers, fits, builds the layout
 //! MINLP and runs the full instance audit — each must produce a passing
 //! convexity certificate and a well-formed model. It then runs the
 //! negative self-test: a seeded non-convex fit set must be *rejected*
@@ -21,45 +21,33 @@ use hslb_cesm::{Component, Resolution, Simulator};
 use hslb_nlsq::ScalingCurve;
 use std::collections::BTreeMap;
 
-struct Scenario {
-    name: &'static str,
-    resolution: Resolution,
-    target_nodes: i64,
-}
+/// The audited grid, `(resolution, nodes)`: the paper's two resolutions
+/// at budgets around the Table III experiments.
+const GRID: [(Resolution, i64); 5] = [
+    (Resolution::OneDegree, 64),
+    (Resolution::OneDegree, 128),
+    (Resolution::OneDegree, 256),
+    (Resolution::EighthDegree, 8192),
+    (Resolution::EighthDegree, 16_384),
+];
 
-/// The bench-suite scenario grid (kept in lockstep with `bench-suite`).
-fn scenarios(smoke: bool) -> Vec<Scenario> {
-    let s = |name, resolution, target_nodes| Scenario {
-        name,
-        resolution,
-        target_nodes,
-    };
-    if smoke {
-        vec![
-            s("1deg_n96", Resolution::OneDegree, 96),
-            s("eighth_n8192", Resolution::EighthDegree, 8192),
-        ]
-    } else {
-        vec![
-            s("1deg_n64", Resolution::OneDegree, 64),
-            s("1deg_n128", Resolution::OneDegree, 128),
-            s("1deg_n256", Resolution::OneDegree, 256),
-            s("eighth_n8192", Resolution::EighthDegree, 8192),
-            s("eighth_n16384", Resolution::EighthDegree, 16_384),
-        ]
-    }
-}
+/// `--smoke`: one budget per resolution.
+const SMOKE_GRID: [(Resolution, i64); 2] = [
+    (Resolution::OneDegree, 96),
+    (Resolution::EighthDegree, 8192),
+];
 
 /// Audit one scenario's instance exactly as the pipeline would before its
 /// solve. Returns an error line on failure.
-fn audit_scenario(s: &Scenario) -> Result<String, String> {
-    let sim = simulator_for(s.resolution, true);
-    let opts = HslbOptions::new(s.target_nodes);
+fn audit_scenario(resolution: Resolution, nodes: i64) -> Result<String, String> {
+    let name = format!("{resolution} N={nodes}");
+    let sim = simulator_for(resolution, true);
+    let opts = HslbOptions::new(nodes);
     let h = Hslb::new(&sim, opts.clone());
     let data = h.gather();
     let fits = h
         .fit(&data)
-        .map_err(|e| format!("{}: fit failed: {e}", s.name))?;
+        .map_err(|e| format!("{name}: fit failed: {e}"))?;
     let lm = build_layout_model(
         &fits,
         &LayoutModelOptions {
@@ -72,7 +60,7 @@ fn audit_scenario(s: &Scenario) -> Result<String, String> {
             tsync: opts.tsync,
         },
     )
-    .map_err(|e| format!("{}: model build failed: {e}", s.name))?;
+    .map_err(|e| format!("{name}: model build failed: {e}"))?;
     let curves: Vec<(Component, ScalingCurve)> = fits.iter().map(|(c, f)| (c, f.curve)).collect();
     let expect = hslb_audit::ModelExpectations {
         layout: opts.layout,
@@ -85,14 +73,13 @@ fn audit_scenario(s: &Scenario) -> Result<String, String> {
     let audit = hslb_audit::audit_instance(&curves, &lm.model, &expect);
     if audit.passed() {
         Ok(format!(
-            "{}: PASS ({} components certified, {} convex rows verified, {} allowed sets)",
-            s.name,
+            "{name}: PASS ({} components certified, {} convex rows verified, {} allowed sets)",
             audit.certificate.components.len(),
             audit.model.convex_verified,
             audit.model.sos_sets_checked
         ))
     } else {
-        Err(format!("{}: FAIL\n{audit}", s.name))
+        Err(format!("{name}: FAIL\n{audit}"))
     }
 }
 
@@ -169,8 +156,9 @@ fn self_test() -> Result<Vec<String>, String> {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut failed = false;
-    for s in scenarios(smoke) {
-        match audit_scenario(&s) {
+    let grid: &[(Resolution, i64)] = if smoke { &SMOKE_GRID } else { &GRID };
+    for &(resolution, nodes) in grid {
+        match audit_scenario(resolution, nodes) {
             Ok(line) => println!("audit-instances: {line}"),
             Err(line) => {
                 failed = true;

@@ -1,4 +1,4 @@
-//! Shared harness for the experiment regenerators and criterion benches.
+//! Shared harness for the experiment regenerators.
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //!
@@ -16,9 +16,8 @@
 //! | §III-A T_sync note | `ablation_tsync` | makespan across T_sync values |
 //! | §III-E <60 s claim | `solver_claim` | full-machine solve wall time + scaling sweep |
 //!
-//! Criterion benches (`cargo bench -p hslb-bench`) measure the machinery
-//! itself: LP pivots, curve fits, MINLP solves per Table III config,
-//! solver scaling in N, branching ablation, and the full pipeline.
+//! Timings of the machinery itself (per-layer, sampled repeatedly) come
+//! from the repository benchmark, `benchmark/run.sh`, not from here.
 
 use hslb::{Hslb, HslbOptions};
 use hslb_cesm::{Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator};

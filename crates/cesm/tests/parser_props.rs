@@ -2,8 +2,11 @@
 //! PES XML must round-trip arbitrary valid inputs and reject junk without
 //! panicking.
 
-use hslb_cesm::{archive, pes, Allocation, BenchPoint, Component, Layout, Machine};
+use hslb_cesm::timers::TimingFile;
+use hslb_cesm::{archive, pes, Allocation, BenchPoint, Component, Layout, Machine, Simulator};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_component() -> impl Strategy<Value = Component> {
     prop::sample::select(Component::OPTIMIZED.to_vec())
@@ -77,4 +80,74 @@ proptest! {
     fn timing_file_parser_never_panics(junk in "[ -~\n:]{0,300}") {
         let _ = hslb_cesm::timers::TimingFile::parse(&junk); // must not panic
     }
+}
+
+/// Zero to two byte-level mutations — a truncation, a bit flip, or 1–200
+/// copies of a text piece spliced in — the damage model of the service's
+/// decoder fuzz tests.
+fn mutate(rng: &mut StdRng, text: &str) -> String {
+    const PIECES: [&str; 7] = ["\n", " ", "#", "atm 1 ", "-", "e999", "NaN"];
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(0..3usize) {
+        let at = rng.gen_range(0..bytes.len().max(1));
+        match rng.gen_range(0..3u32) {
+            0 => bytes.truncate(at),
+            1 if !bytes.is_empty() => bytes[at] ^= 1 << rng.gen_range(0..8u32),
+            _ => {
+                let piece =
+                    PIECES[rng.gen_range(0..PIECES.len())].repeat(rng.gen_range(1..201usize));
+                bytes.splice(at..at, piece.into_bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Mutated valid archives and timing files parse or are refused, never
+/// panic, and both outcomes happen for each. An archive that parses
+/// accounts for every data line and keeps only in-range points.
+#[test]
+fn mutated_archives_and_timing_files_never_panic() {
+    let points: Vec<BenchPoint> = Component::OPTIMIZED
+        .iter()
+        .flat_map(|&component| {
+            [(24, 362.669), (104, 306.952), (1664, 61.987)].map(|(nodes, seconds)| BenchPoint {
+                component,
+                nodes,
+                seconds,
+            })
+        })
+        .collect();
+    let archive_text = archive::write_archive(&points, Some("resolution: 1deg"));
+    let hybrid_128 = Allocation::from_table_order([24, 80, 104, 24]);
+    let run = Simulator::one_degree(5).run_case(&hybrid_128, Layout::Hybrid, 0);
+    let timing_text = TimingFile::from_run("b40.1deg.128", &run.unwrap()).render();
+
+    let mut rng = StdRng::seed_from_u64(0x5EED_A4C1);
+    let (mut archives, mut timings) = ([0usize; 2], [0usize; 2]);
+    for _ in 0..3000 {
+        let text = mutate(&mut rng, &archive_text);
+        let parsed = archive::read_archive(&text);
+        archives[usize::from(parsed.is_ok())] += 1;
+        if let Ok(report) = parsed {
+            let data_lines = text
+                .lines()
+                .skip(1)
+                .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
+                .count();
+            assert_eq!(report.parsed.len() + report.skipped.len(), data_lines);
+            for p in &report.parsed {
+                assert!(
+                    p.nodes >= 1 && p.seconds.is_finite() && p.seconds >= 0.0,
+                    "{p:?}"
+                );
+            }
+        }
+        let text = mutate(&mut rng, &timing_text);
+        timings[usize::from(TimingFile::parse(&text).is_ok())] += 1;
+    }
+    assert!(
+        archives.iter().chain(&timings).all(|&n| n > 100),
+        "archive err/ok {archives:?}, timing file err/ok {timings:?}"
+    );
 }

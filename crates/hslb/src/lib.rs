@@ -48,7 +48,7 @@ pub use exhaustive::ExhaustiveOptimizer;
 pub use fit::{fit_all, FitSet};
 pub use layout_model::{build_layout_model, LayoutModel, LayoutModelOptions, NodeFloors};
 pub use objective::Objective;
-pub use pipeline::{GatherPlan, Hslb, HslbOptions, PipelineArtifacts, SolveOutcome};
+pub use pipeline::{GatherPlan, Hslb, HslbOptions, SolveOutcome};
 pub use report::{ArmReport, ExperimentReport};
 pub use resilience::{GatherReport, ResilienceReport, RetryPolicy, SolverRung};
 pub use tuning::{snap_to_sweet_spots, TunedAllocation};

@@ -100,19 +100,6 @@ impl HslbOptions {
     }
 }
 
-/// The reusable intermediates of one pipeline run (see
-/// [`Hslb::run_with_artifacts`]): the gathered benchmark data and the
-/// fitted curves. A request with the same machine, resolution, gather
-/// plan and fit options produces bit-identical artifacts, so a service
-/// can cache them and replay only the solve/execute steps.
-#[derive(Debug, Clone)]
-pub struct PipelineArtifacts {
-    pub data: BenchmarkData,
-    /// `None` when every fit rung failed and the run degraded to the
-    /// fit-free simulated expert.
-    pub fits: Option<FitSet>,
-}
-
 /// Result of the solve step.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
@@ -697,21 +684,6 @@ impl<'a> Hslb<'a> {
     /// every ladder rung exhausted, or the final allocation's coupled
     /// run failing every retry.
     pub fn run(&self, manual: Option<Allocation>) -> Result<ExperimentReport, HslbError> {
-        self.run_with_artifacts(manual).map(|(report, _)| report)
-    }
-
-    /// [`Self::run`], additionally handing back the gathered benchmark
-    /// data and the fitted curves it used. The report is bit-identical to
-    /// `run`'s — this only exposes the intermediates so a caller can
-    /// replay the solve step for a *compatible* request via
-    /// [`GatherPlan::Reuse`] + [`HslbOptions::curve_override`] without
-    /// re-gathering or re-fitting. (The tuning service's fit tier replays
-    /// that way too, but calls [`Self::gather`] and [`Self::fit`] itself,
-    /// to publish the artifacts before its own solve.)
-    pub fn run_with_artifacts(
-        &self,
-        manual: Option<Allocation>,
-    ) -> Result<(ExperimentReport, PipelineArtifacts), HslbError> {
         let _pipeline = self.opts.telemetry.span("pipeline");
         let (data, gather) = self.gather_resilient();
         // A gather that lost accuracy says what it lost, so an
@@ -796,11 +768,7 @@ impl<'a> Hslb<'a> {
             None => None,
         };
 
-        let artifacts = PipelineArtifacts {
-            data,
-            fits: fits.clone(),
-        };
-        let report = ExperimentReport {
+        Ok(ExperimentReport {
             resolution: self.sim.resolution(),
             layout: self.opts.layout,
             objective: self.opts.objective,
@@ -830,8 +798,7 @@ impl<'a> Hslb<'a> {
                 degraded_accuracy: degraded,
                 execute_attempts,
             }),
-        };
-        Ok((report, artifacts))
+        })
     }
 }
 

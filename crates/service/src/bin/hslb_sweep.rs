@@ -270,16 +270,7 @@ fn print_summary(portfolio: &Portfolio) {
             s.predictor_failed.as_deref().unwrap_or("no candidates")
         ),
     }
-    println!(
-        "wall: {:.1} ms vs one-shot est {:.1} ms ({:.2}x)",
-        s.wall_ms,
-        s.sum_one_shot_ms,
-        if s.sum_one_shot_ms > 0.0 {
-            s.wall_ms / s.sum_one_shot_ms
-        } else {
-            f64::NAN
-        }
-    );
+    println!("wall: {:.1} ms", s.wall_ms);
     for (resolution, keys) in &portfolio.frontier {
         println!("frontier[{resolution}]: {}", keys.join(", "));
     }

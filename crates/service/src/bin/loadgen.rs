@@ -1,6 +1,6 @@
 //! `loadgen` — replay a deterministic request mix against one or more
 //! `hslb-serve` processes and report throughput/latency/connection
-//! accounting as the v7 service block (`hslb-service-load/v3`).
+//! accounting as an `hslb-service-load/v3` document.
 //!
 //! ```text
 //! loadgen --addr HOST:PORT[,HOST:PORT...]
@@ -16,6 +16,10 @@
 //! i/N`. Every request routes by `hslb_service::shard_for_key` over its
 //! exact key — the same consistent hash the servers verify — and the
 //! report carries a per-shard requests/throughput split.
+//!
+//! `--out FILE` writes the document only if it passes
+//! `loadmix::validate_service_block`; otherwise loadgen reports why and
+//! exits 1 (after the shutdown it was asked for).
 //!
 //! Three determinism checks run on every invocation:
 //!
@@ -60,7 +64,8 @@ use hslb_service::loadclient::{
     run_open_loop, OpenLoopSpec, RateStep, StatsProbe,
 };
 use hslb_service::loadmix::{
-    force_deadlines, generate, ConnectionsReport, FaultReport, LoadReport, MixSpec, RunCounters,
+    force_deadlines, generate, write_service_document, ConnectionsReport, FaultReport, LoadReport,
+    MixSpec, RunCounters,
 };
 use std::time::Instant;
 
@@ -371,14 +376,13 @@ fn main() {
     );
     let block = report.to_value();
     println!("{}", block.to_pretty());
+    let mut failed = false;
     if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", block.to_pretty())) {
-            eprintln!("loadgen: write {path}: {e}");
-            std::process::exit(1);
+        if let Err(e) = write_service_document(path, &block) {
+            eprintln!("loadgen: {path}: {e}");
+            failed = true;
         }
     }
-
-    let mut failed = false;
     if mismatches > 0 {
         eprintln!("loadgen: {mismatches} determinism mismatch(es)");
         failed = true;

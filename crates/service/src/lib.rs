@@ -23,8 +23,8 @@
 //! * [`wire`] — the line-delimited JSON protocol `hslb-serve` speaks
 //!   (reusing the telemetry crate's JSON parser — no serde);
 //! * [`loadmix`] — deterministic request mixes and the latency/throughput
-//!   accounting the `loadgen` binary reports into the
-//!   `hslb-bench-pipeline/v11` service block;
+//!   accounting the `loadgen` binary reports as an
+//!   `hslb-service-load/v3` document, validated before it is written;
 //! * [`reactor`] — the std-only nonblocking readiness loop behind
 //!   `hslb-serve`: one thread multiplexes accept/read/parse/dispatch and
 //!   write-backpressure across thousands of connections, with replies

@@ -1,5 +1,5 @@
-//! Deterministic request mixes for `loadgen` and the service block of
-//! the `hslb-bench-pipeline/v7` schema.
+//! Deterministic request mixes for `loadgen`, and the
+//! `hslb-service-load/v3` document it reports.
 //!
 //! The generator is a seeded LCG over a fixed scenario pool, so a
 //! `(requests, seed)` pair always produces the same mix — including the
@@ -19,6 +19,7 @@ use crate::request::TuneRequest;
 use hslb::Objective;
 use hslb_cesm::{Layout, Resolution};
 use hslb_telemetry::json::Value;
+use std::path::Path;
 
 /// What mix to generate.
 #[derive(Debug, Clone)]
@@ -36,16 +37,6 @@ impl MixSpec {
         MixSpec {
             requests: 24,
             seed: 7,
-            include_eighth: false,
-        }
-    }
-
-    /// The soak profile: a longer sustained mix (exercises periodic
-    /// snapshot flushes and cache churn at steady load).
-    pub fn soak() -> MixSpec {
-        MixSpec {
-            requests: 160,
-            seed: 13,
             include_eighth: false,
         }
     }
@@ -87,7 +78,29 @@ impl Lcg {
     pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n.max(1) as u64) as usize
     }
+
+    /// Zero to two byte-level mutations of `bytes`, each a truncation, a
+    /// bit flip, or 1–200 copies of one of `pieces` spliced in: the
+    /// decoder fuzz tests' damage model.
+    #[cfg(test)]
+    pub(crate) fn mutate(&mut self, bytes: &mut Vec<u8>, pieces: &[&[u8]]) {
+        for _ in 0..self.below(3) {
+            let at = self.below(bytes.len());
+            match self.below(3) {
+                0 => bytes.truncate(at),
+                1 if !bytes.is_empty() => bytes[at] ^= 1 << self.below(8),
+                _ => {
+                    let piece = pieces[self.below(pieces.len())];
+                    bytes.splice(at..at, piece.repeat(1 + self.below(200)));
+                }
+            }
+        }
+    }
 }
+
+/// Splice pieces for JSON documents: nesting openers and closers.
+#[cfg(test)]
+pub(crate) const JSON_PIECES: &[&[u8]] = &[b"[", b"{\"a\":", b"]", b"}"];
 
 /// Generate the request mix for a spec.
 pub fn generate(spec: &MixSpec) -> Vec<TuneRequest> {
@@ -191,20 +204,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// A fault-free run under `profile`.
-    pub fn clean(profile: &str) -> FaultReport {
-        FaultReport {
-            profile: profile.to_string(),
-            conn_failures: 0,
-            reconnects: 0,
-            retry_errors: 0,
-            recovered: 0,
-            recovery_p50: 0.0,
-            recovery_p90: 0.0,
-            recovery_p99: 0.0,
-        }
-    }
-
     /// Summarize raw counters plus per-request recovery latencies.
     pub fn from_samples(
         profile: &str,
@@ -331,8 +330,8 @@ impl ConnectionsReport {
     }
 }
 
-/// The throughput/latency summary `loadgen` reports and the bench suite
-/// embeds as the v7 `service` block.
+/// The throughput/latency summary `loadgen` reports (the
+/// `hslb-service-load/v3` document).
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     pub requests: usize,
@@ -453,8 +452,7 @@ impl LoadReport {
         }
     }
 
-    /// The `service` block of the v7 bench schema (also the body of the
-    /// standalone `hslb-service-load/v3` document).
+    /// The `hslb-service-load/v3` document.
     pub fn to_value(&self) -> Value {
         fn pct(p50: f64, p90: f64, p99: f64) -> Value {
             Value::Obj(vec![
@@ -548,11 +546,11 @@ impl LoadReport {
     }
 }
 
-/// Validate a v7 `service` block (shared by `bench-suite --validate` and
-/// `--validate-service`). Checks structure, conservation (the `ok`,
-/// `rejected`, and `errors` counts sum to `requests`, tier counts sum to
-/// `ok`, per-shard successes sum to `ok`), percentile ordering and
-/// finiteness (a NaN percentile means the sampler was fed garbage),
+/// Validate an `hslb-service-load` document (`loadgen --out` runs it on
+/// its own document before writing it). Checks structure, conservation
+/// (the `ok`, `rejected`, and `errors` counts sum to `requests`, tier
+/// counts sum to `ok`, per-shard successes sum to `ok`), percentile
+/// ordering and finiteness (a NaN percentile means the sampler was fed garbage),
 /// the hard determinism bar (`mismatches == 0`), the v2 fault block,
 /// and the v3 connections block. v1 and v2 documents are rejected
 /// explicitly with upgrade messages.
@@ -783,6 +781,15 @@ pub fn validate_service_block(v: &Value) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Write a service document to `path` only if it passes
+/// [`validate_service_block`]; an invalid document leaves `path`
+/// untouched. `loadgen --out` writes through this.
+pub fn write_service_document(path: impl AsRef<Path>, doc: &Value) -> Result<(), String> {
+    validate_service_block(doc)
+        .map_err(|e| format!("refusing to write an invalid document: {e}"))?;
+    std::fs::write(path, format!("{}\n", doc.to_pretty())).map_err(|e| format!("write: {e}"))
 }
 
 #[cfg(test)]
@@ -1019,6 +1026,23 @@ mod tests {
         assert!(validate_service_block(&report.to_value())
             .unwrap_err()
             .contains("recovery_ms"));
+    }
+
+    #[test]
+    fn invalid_documents_are_never_written() {
+        let path = std::env::temp_dir().join(format!("hslb-loadmix-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        let mut report = sample_report();
+        report.determinism_mismatches = 1;
+        let err = write_service_document(&path, &report.to_value()).unwrap_err();
+        assert!(err.contains("determinism violated"), "{err}");
+        assert!(!path.exists(), "invalid document was written");
+
+        write_service_document(&path, &sample_report().to_value()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        validate_service_block(&hslb_telemetry::json::parse(&text).unwrap()).unwrap();
     }
 
     #[test]

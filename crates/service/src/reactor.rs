@@ -72,6 +72,13 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// Read chunk size per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Whether a connection buffer should shrink to [`READ_CHUNK`]: it holds
+/// under one chunk in more than four chunks of capacity. That releases a
+/// burst once; a steady pipeliner's buffers never cross the line.
+fn holds_a_burst(len: usize, capacity: usize) -> bool {
+    len < READ_CHUNK && capacity > 4 * READ_CHUNK
+}
+
 /// Reply-queue depth histogram resolution: depths at or above the last
 /// bucket saturate into it.
 const DEPTH_BUCKETS: usize = 4096;
@@ -550,6 +557,9 @@ impl Reactor {
             }
             if close.is_none() && conn.out.is_empty() {
                 conn.queued_frames = 0;
+                if holds_a_burst(0, conn.out.capacity()) {
+                    conn.out.shrink_to(READ_CHUNK);
+                }
                 if conn.close_after_flush {
                     close = Some(CloseReason::Normal);
                 } else {
@@ -639,6 +649,9 @@ impl Reactor {
             self.conns[idx].as_ref()?;
         }
         rbuf.drain(..start);
+        if holds_a_burst(rbuf.len(), rbuf.capacity()) {
+            rbuf.shrink_to(READ_CHUNK);
+        }
         if !shutdown && rbuf.len() > MAX_LINE_BYTES {
             // What is left starts with a line longer than a frame may
             // be, terminated or not: protocol violation.

@@ -70,7 +70,7 @@ pub struct SnapshotStats {
 }
 
 /// How a restore attempt went — the service's startup recovery record,
-/// surfaced through the `health` wire op and the bench `recovery` block.
+/// surfaced through the `health` wire op.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryRecord {
     /// A snapshot file existed and was read.
@@ -87,7 +87,7 @@ pub struct RecoveryRecord {
 }
 
 impl RecoveryRecord {
-    /// JSON object for the `health` op and bench reports.
+    /// JSON object for the `health` op.
     pub fn to_value(&self) -> Value {
         Value::Obj(vec![
             ("attempted".to_string(), Value::Bool(self.attempted)),
@@ -391,10 +391,10 @@ fn restore_fits(entries: &[Value], out: &mut RestoredSnapshot) {
 pub fn load_snapshot(path: &Path) -> RestoredSnapshot {
     let started = Instant::now();
     let mut out = RestoredSnapshot::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => {
             out.record.attempted = true;
-            text
+            bytes
         }
         Err(e) => {
             out.record.cold_start = true;
@@ -406,10 +406,12 @@ pub fn load_snapshot(path: &Path) -> RestoredSnapshot {
             return out;
         }
     };
-    let doc = match codec::unseal(&text)
-        .map_err(|e| e.to_string())
-        .and_then(|body| parse(body).map_err(|e| format!("snapshot body is not valid JSON: {e}")))
-    {
+    let doc = match String::from_utf8(bytes)
+        .map_err(|e| format!("snapshot is not UTF-8: {e}"))
+        .and_then(|text| {
+            let body = codec::unseal(&text).map_err(|e| e.to_string())?;
+            parse(body).map_err(|e| format!("snapshot body is not valid JSON: {e}"))
+        }) {
         Ok(doc) => doc,
         Err(e) => {
             out.record.cold_start = true;
@@ -613,6 +615,49 @@ mod tests {
             .iter()
             .any(|f| f.contains("seal mismatch")));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Seeded mutation fuzz of restore: a valid snapshot damaged in the
+    /// sealed file, or in the body and then re-sealed so the per-entry
+    /// layers see it. Every load returns, never panics; restores and cold
+    /// starts both happen; whatever is restored is what was saved.
+    #[test]
+    fn mutated_snapshots_restore_or_cold_start_never_panic() {
+        let path = tmp_path("fuzz");
+        let exact = vec![
+            ("k1".to_string(), sample_payload(152.5)),
+            ("k2".to_string(), sample_payload(97.0)),
+        ];
+        save_snapshot(&path, &exact, &[sample_fit_entry()]).unwrap();
+        let sealed = std::fs::read_to_string(&path).unwrap();
+        let body = codec::unseal(&sealed).unwrap().to_string();
+        let saved: Vec<String> = exact.iter().map(|(_, p)| p.fingerprint()).collect();
+
+        let mut rng = crate::loadmix::Lcg(0x5EED_5A4E);
+        let mut outcomes = [0usize; 2]; // restored, cold start
+        for case in 0..1500 {
+            let reseal = case % 2 == 1;
+            let mut bytes = if reseal { body.clone() } else { sealed.clone() }.into_bytes();
+            rng.mutate(&mut bytes, crate::loadmix::JSON_PIECES);
+            if reseal {
+                bytes = codec::seal(&String::from_utf8_lossy(&bytes)).into_bytes();
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let snap = load_snapshot(&path);
+            assert!(snap.record.attempted);
+            outcomes[usize::from(snap.record.cold_start)] += 1;
+            for (key, payload) in &snap.exact {
+                assert!(
+                    saved.contains(&payload.fingerprint()),
+                    "case {case}: {key:?} restored a payload that was never saved"
+                );
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            outcomes.iter().all(|&n| n > 100),
+            "restored/cold {outcomes:?}"
+        );
     }
 
     #[test]

@@ -403,7 +403,7 @@ pub fn run_sweep(
     }
     telemetry.counter_add("sweep.solved", responses.len() as u64);
 
-    // Accounting: cache deltas, predictor MAE, Σ one-shot estimate.
+    // Accounting: cache deltas and predictor MAE.
     let stats_after = service.stats();
     let fit_hits = stats_after.fit_hits.saturating_sub(stats_before.fit_hits);
     let fit_misses = stats_after
@@ -421,39 +421,6 @@ pub fn run_sweep(
         })
         .collect();
 
-    // Standalone one-shot estimate: every planned config re-pays its fit
-    // group's full (Miss-tier) pipeline cost. The group's observed Miss
-    // solves set the per-config price; a group that never missed (warm
-    // service) falls back to the sweep-wide worst Miss, then to the
-    // worst observed service time.
-    let mut miss_cost: BTreeMap<String, f64> = BTreeMap::new();
-    let mut global_miss = 0.0f64;
-    let mut global_any = 0.0f64;
-    for (idx, resp) in &responses {
-        let sig = plan.configs[*idx].fit_signature();
-        global_any = global_any.max(resp.service_ms);
-        if resp.tier == crate::request::CacheTier::Miss {
-            global_miss = global_miss.max(resp.service_ms);
-            let entry = miss_cost.entry(sig).or_insert(0.0);
-            *entry = entry.max(resp.service_ms);
-        }
-    }
-    let fallback = if global_miss > 0.0 {
-        global_miss
-    } else {
-        global_any
-    };
-    let sum_one_shot_ms: f64 = plan
-        .configs
-        .iter()
-        .map(|cfg| {
-            miss_cost
-                .get(&cfg.fit_signature())
-                .copied()
-                .unwrap_or(fallback)
-        })
-        .sum();
-
     let stats = SweepStats {
         planned: total,
         solved: responses.len(),
@@ -465,7 +432,6 @@ pub fn run_sweep(
         predictor_mae: predictor::mean_abs_rel_err(&mae_pairs),
         predictor_failed,
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-        sum_one_shot_ms,
     };
     telemetry.counter_add(
         "fit_cache.hit_rate_pct",

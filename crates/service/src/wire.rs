@@ -398,17 +398,7 @@ mod tests {
                 }
             }
             let mut bytes = doc.to_string().into_bytes();
-            for _ in 0..rng.below(3) {
-                let at = rng.below(bytes.len());
-                match rng.below(3) {
-                    0 => bytes.truncate(at),
-                    1 if !bytes.is_empty() => bytes[at] ^= 1 << rng.below(8),
-                    _ => {
-                        let piece = [&b"["[..], b"{\"a\":", b"]", b"}"][rng.below(4)];
-                        bytes.splice(at..at, piece.repeat(1 + rng.below(200)));
-                    }
-                }
-            }
+            rng.mutate(&mut bytes, crate::loadmix::JSON_PIECES);
             match parse_command(&String::from_utf8_lossy(&bytes)) {
                 Ok(_) => accepted += 1,
                 Err(_) => rejected += 1,
@@ -417,6 +407,79 @@ mod tests {
         assert!(
             accepted > 500 && rejected > 500,
             "{accepted} ok / {rejected} err"
+        );
+    }
+
+    /// Seeded mutation fuzz of the client's side of a sweep: the final
+    /// `hslb-sweep` reply line truncated, bit-flipped or spliced with
+    /// nesting, then decoded the way `hslb-sweep` decodes it. Both
+    /// decoders must return `Ok` or `Err` on every case and reach both.
+    /// (`portfolio.rs` pins that documents with and without the retired
+    /// one-shot estimate both decode.)
+    #[test]
+    fn mutated_sweep_reply_lines_never_panic() {
+        let entry = |key: &str, makespan: f64, pruned: bool| hslb_sweep::PortfolioEntry {
+            key: key.to_string(),
+            layout: "hybrid".to_string(),
+            resolution: "1deg".to_string(),
+            objective: "min-max".to_string(),
+            target_nodes: 128,
+            held: false,
+            pruned,
+            makespan,
+            predicted: Some(makespan * 1.01),
+            nodes_used: (!pruned).then_some(120),
+            idle_fraction: (!pruned).then_some(0.0625),
+            fingerprint: (!pruned).then(|| format!("fp-{key}")),
+            rung: "minlp".to_string(),
+            certified: !pruned,
+            audit_passed: (!pruned).then_some(true),
+        };
+        let decision = hslb_sweep::PruneDecision {
+            key: "c".to_string(),
+            group: "1deg|n128".to_string(),
+            predicted: 31.5,
+            incumbent: 12.25,
+            inflation: 1.3,
+            pruned: true,
+            reason: "predicted/1.300 > incumbent".to_string(),
+        };
+        let stats = hslb_sweep::SweepStats {
+            planned: 2,
+            solved: 1,
+            pruned: 1,
+            predictor_mae: Some(0.03),
+            wall_ms: 42.5,
+            ..hslb_sweep::SweepStats::default()
+        };
+        let entries = vec![entry("a", 12.25, false), entry("c", 31.5, true)];
+        let portfolio = Portfolio::assemble(entries, vec![decision], stats);
+        let line = sweep_portfolio_reply(&portfolio);
+        let (_, v) = parse_reply(&line).unwrap();
+        assert_eq!(
+            Portfolio::from_value(v.get("portfolio").unwrap()),
+            Ok(portfolio)
+        );
+
+        let mut rng = crate::loadmix::Lcg(0x5EED_5EE9);
+        let (mut portfolios, mut stats) = ([0usize; 2], [0usize; 2]);
+        for _ in 0..4000 {
+            let mut bytes = line.clone().into_bytes();
+            rng.mutate(&mut bytes, crate::loadmix::JSON_PIECES);
+            let Ok((_, v)) = parse_reply(&String::from_utf8_lossy(&bytes)) else {
+                continue;
+            };
+            let Some(p) = v.get("portfolio") else {
+                continue;
+            };
+            portfolios[usize::from(Portfolio::from_value(p).is_ok())] += 1;
+            if let Some(s) = p.get("stats") {
+                stats[usize::from(hslb_sweep::SweepStats::from_value(s).is_ok())] += 1;
+            }
+        }
+        assert!(
+            portfolios.iter().all(|&n| n > 30) && stats.iter().all(|&n| n > 30),
+            "Portfolio err/ok {portfolios:?}, SweepStats err/ok {stats:?}"
         );
     }
 }

@@ -187,7 +187,7 @@ impl PruneDecision {
     }
 }
 
-/// The sweep's accounting block (the bench `sweep` block embeds this).
+/// The sweep's accounting block.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepStats {
     pub planned: usize,
@@ -207,9 +207,6 @@ pub struct SweepStats {
     pub predictor_failed: Option<String>,
     /// Sweep wall-clock.
     pub wall_ms: f64,
-    /// Σ over planned configs of the estimated standalone one-shot cost
-    /// (each config re-paying its group's gather+fit).
-    pub sum_one_shot_ms: f64,
 }
 
 /// `hits / (hits + misses)`, 0 when idle.
@@ -256,10 +253,6 @@ impl SweepStats {
                     .map_or(Value::Null, |e| Value::Str(e.clone())),
             ),
             ("wall_ms".to_string(), Value::Num(self.wall_ms)),
-            (
-                "sum_one_shot_ms".to_string(),
-                Value::Num(self.sum_one_shot_ms),
-            ),
         ])
     }
 
@@ -270,7 +263,8 @@ impl SweepStats {
                 .ok_or_else(|| format!("stats missing numeric {k}"))
         };
         // Keys this version does not know are ignored, so a document
-        // written before the `gather_cache` object was dropped still reads.
+        // written before the `gather_cache` object or the one-shot
+        // estimate was dropped still reads.
         let fit_cache = v.get("fit_cache").ok_or("stats missing fit_cache")?;
         let fit = |k: &str| -> Result<u64, String> {
             fit_cache
@@ -293,7 +287,6 @@ impl SweepStats {
                 .and_then(Value::as_str)
                 .map(str::to_string),
             wall_ms: num("wall_ms")?,
-            sum_one_shot_ms: num("sum_one_shot_ms")?,
         })
     }
 }
@@ -347,14 +340,6 @@ impl Portfolio {
             decisions,
             stats,
         }
-    }
-
-    /// The best exact-solved entry per resolution, if any.
-    pub fn winner(&self, resolution: &str) -> Option<&PortfolioEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.resolution == resolution && !e.pruned)
-            .min_by(|a, b| a.makespan.total_cmp(&b.makespan).then(a.key.cmp(&b.key)))
     }
 
     pub fn to_value(&self) -> Value {
@@ -514,7 +499,6 @@ mod tests {
                 ("eighth".to_string(), vec!["e".to_string()]),
             ]
         );
-        assert_eq!(p.winner("1deg").unwrap().key, "a");
     }
 
     #[test]
@@ -556,7 +540,6 @@ mod tests {
             predictor_mae: Some(0.07),
             predictor_failed: None,
             wall_ms: 123.5,
-            sum_one_shot_ms: 999.25,
         };
         let p = Portfolio::assemble(entries, decisions, stats);
         let text = p.to_value().to_pretty();
@@ -565,7 +548,7 @@ mod tests {
         assert!((back.stats.fit_hit_rate() - 5.0 / 6.0).abs() < 1e-12);
 
         // A document written when the stats still carried `gather_cache`
-        // (bench schema v10 and before) reads to the same portfolio.
+        // and the Σ-one-shot estimate reads to the same portfolio.
         let mut old = p.to_value();
         let Value::Obj(top) = &mut old else {
             panic!("portfolio is an object")
@@ -581,8 +564,9 @@ mod tests {
                 ("hit_rate".to_string(), Value::Num(4.0 / 6.0)),
             ]),
         ));
+        stats.push(("sum_one_shot_ms".to_string(), Value::Num(999.25)));
         let text = old.to_pretty();
-        assert!(text.contains("gather_cache"));
+        assert!(text.contains("gather_cache") && text.contains("sum_one_shot_ms"));
         let back = Portfolio::from_value(&hslb_telemetry::json::parse(&text).unwrap()).unwrap();
         assert_eq!(p, back);
     }

@@ -278,7 +278,7 @@ pub fn apply_noise(samples: &[CalSample], noise: CalibrationNoise) -> Vec<CalSam
 }
 
 /// Mean absolute relative error of `(predicted, exact)` pairs — the
-/// bench's `predictor_mae`. `None` when empty.
+/// sweep's `predictor_mae`. `None` when empty.
 pub fn mean_abs_rel_err(pairs: &[(f64, f64)]) -> Option<f64> {
     if pairs.is_empty() {
         return None;

@@ -113,7 +113,7 @@ fn portfolio_matches_one_shot_reference_at_any_concurrency() {
     assert_eq!(first.stats.planned, first.stats.solved + first.stats.pruned);
 }
 
-/// Simulator seed 43 on the bench-suite grid: its
+/// Simulator seed 43 on the 36-configuration layout × budget grid: its
 /// `eighth|sequential|min-max|n4096` member used to dig until the 10 s
 /// watchdog gave up on the worker (twice, then on the bypass rung), and
 /// twelve more seeds of 42..=75 failed on a fully-sequential 1/8° member

@@ -1,9 +1,9 @@
 //! A minimal JSON value, writer and parser.
 //!
 //! The build container has no registry access, so `serde_json` cannot be
-//! used; this module covers the subset the telemetry sink and the
-//! `bench-suite` schema validator need: the full JSON data model, strict
-//! parsing with positioned errors, and deterministic output (object keys
+//! used; this module covers the subset the telemetry sink, the service
+//! wire and the document validators need: the full JSON data model,
+//! strict parsing with positioned errors, and deterministic output (object keys
 //! keep insertion order; non-finite numbers serialize as `null`, matching
 //! `serde_json`'s default f64 behavior).
 

@@ -26,8 +26,7 @@
 //! bit-identical to a disabled one.
 //!
 //! The whole state snapshots to JSON ([`Snapshot::to_json`]) and parses
-//! back ([`Snapshot::from_json`]) via the vendored [`json`] module — the
-//! sink behind `BENCH_pipeline.json`.
+//! back ([`Snapshot::from_json`]) via the vendored [`json`] module.
 //!
 //! # Examples
 //!

@@ -4,10 +4,10 @@
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # skip the release build, the benchmark
-#                              # harness build and the bench smoke
+#                              # harness and the end-to-end gates
 #
 # The clippy step is strict (-D warnings) across every target, including
-# tests and benches: the workspace carries `warn(clippy::unwrap_used,
+# tests: the workspace carries `warn(clippy::unwrap_used,
 # clippy::expect_used)` on the library crates' non-test code, so a new
 # unwrap on a fault path fails the gate here rather than panicking on a
 # cluster.
@@ -29,8 +29,8 @@
 # locks rule over crates/service/src (every lock there is a ranked
 # wrapper). Both run in both modes with `--check-allow` (stale allowlist
 # entries fail the gate) and dump the machine-readable graph to
-# AUDIT_lockgraph.json, which is committed next to BENCH_pipeline.json
-# and must match the tree. Deliberate exceptions live in
+# AUDIT_lockgraph.json, which is committed and must match the tree.
+# Deliberate exceptions live in
 # scripts/audit.allow, one justified line each. Level 1 —
 # `audit-instances`, the convexity/well-formedness certificate over every
 # benchmark scenario plus the seeded non-convex rejection self-test —
@@ -41,10 +41,10 @@
 #
 # The service smoke gate (DESIGN.md §12) starts `hslb-serve` on an
 # ephemeral port, replays the deterministic smoke mix through `loadgen`
-# (which bit-checks every reply's fingerprint against the parsed payload
-# and spot-checks serial references), validates the emitted
-# hslb-service-load/v3 block, and verifies the server drains and exits 0
-# on the shutdown command.
+# (which bit-checks every reply's fingerprint against the parsed payload,
+# spot-checks serial references, and writes its hslb-service-load/v3
+# document only if that document validates, failing otherwise), and
+# verifies the server drains and exits 0 on the shutdown command.
 #
 # The chaos gate (DESIGN.md §13) then restarts the server with seeded
 # service-layer fault injection and a cache snapshot, replays the chaos
@@ -57,19 +57,14 @@
 # hash-order rule (no HashMap/HashSet/pointer-identity iteration in the
 # simplex crate, whose pivot order must be reproducible).
 #
-# The warm-start gate (DESIGN.md §14) runs the bench smoke twice — warm
-# dual-simplex path on and off — validates both documents against the v11
-# schema (which checks the warm_start work counters and the solve ≤ fit
-# phase budget), and bit-compares the incumbents between the two runs:
-# warm starts may change how much work the solver does, never what it
-# returns. Every bench-suite run, these included, also solves its 1°
-# scenarios a second time with Branching::IntegerOnly (Table I's literal
-# binaries in place of the allowed-set domains) and aborts unless the
-# two incumbents predict the same total. It then runs the bench-suite grid for simulator seed 43
-# in-process with `hslb-sweep --verify` under a 10 s timeout: that sweep
-# hung past the 40 s of watchdogs while a warm re-solve could return an
-# unchecked answer (its eighth|sequential|n4096 member dug without end),
-# and twelve more seeds failed on an allocation the simulator rejects.
+# The seed-43 gate runs the 36-configuration layout × budget grid for
+# simulator seed 43 in-process with `hslb-sweep --verify` under a 10 s
+# timeout: that sweep hung past the 40 s of watchdogs while a warm
+# re-solve could return an unchecked answer (its eighth|sequential|n4096
+# member dug without end), and twelve more seeds failed on an allocation
+# the simulator rejects. (Warm/cold incumbent bit-identity and the
+# domains-vs-literal-binaries agreement are tests: hslb/tests/warm_start.rs
+# and tests/solver_validation.rs.)
 #
 # The connection-scale gate (DESIGN.md §15) runs the readiness-loop
 # deployment shape end to end: two `hslb-serve --shard i/2` processes on
@@ -96,10 +91,7 @@
 # locally via `reference_response` and bit-compared (`--verify`), the
 # fit tier must deliver exactly the sharing the plan promises — 2 fit
 # groups, so 94 of the 96 solves replay (`--min-fit-hit-rate 0.97`; one
-# redundant fit reads 0.969) — and the committed BENCH_pipeline.json's
-# sweep block must show one fit-tier miss per fit group (bench-suite's
-# validator) and the batch beating half the Σ-one-shot estimate
-# (wall_ms ≤ 0.5 × sum_one_shot_ms).
+# redundant fit reads 0.969).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -148,25 +140,7 @@ if [[ $fast -eq 0 ]]; then
     echo "==> audit-instances (Level 1: convexity certificates + rejection self-test)"
     cargo run --release -q -p hslb-bench --bin audit-instances
 
-    echo "==> bench-suite smoke + schema validation"
-    smoke_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-    slow_out="$(mktemp /tmp/bench_smoke_full.XXXXXX.json)"
-    trap 'rm -f "$smoke_out" "$slow_out"' EXIT
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --out "$smoke_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$smoke_out"
-    # The same smoke run with the fit fast-path disabled: the validator
-    # checks starts_run ≤ starts per component and that early_stopped is
-    # false everywhere when the document says the policy was off.
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --no-early-stop --out "$slow_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$slow_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate BENCH_pipeline.json
-
-    echo "==> warm-start gate (warm vs cold A/B, incumbents bit-compared)"
-    cold_out="$(mktemp /tmp/bench_smoke_cold.XXXXXX.json)"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out"' EXIT
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --no-warm-start --out "$cold_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$cold_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --compare-incumbents "$smoke_out" "$cold_out"
+    echo "==> seed-43 sweep (36-configuration grid, verified, 10 s timeout)"
     timeout 10 ./target/release/hslb-sweep --seed 43 \
         --one-degree-nodes 48,64,96,128,160,192,224,256 --eighth-nodes 4096,6144,8192,16384 \
         --verify --quiet
@@ -175,7 +149,7 @@ if [[ $fast -eq 0 ]]; then
     port_file="$(mktemp /tmp/hslb_serve_port.XXXXXX)"
     load_out="$(mktemp /tmp/service_load.XXXXXX.json)"
     rm -f "$port_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out"' EXIT
+    trap 'rm -f "$port_file" "$load_out"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$port_file" &
     serve_pid=$!
     for _ in $(seq 1 100); do
@@ -186,14 +160,13 @@ if [[ $fast -eq 0 ]]; then
     # --smoke replays the deterministic mix, bit-checks every reply, and
     # sends the shutdown command; the server must drain, ack, and exit 0.
     ./target/release/loadgen --addr "$(cat "$port_file")" --smoke --out "$load_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate-service "$load_out"
     wait "$serve_pid"
 
     echo "==> service chaos gate (fault injection, kill -9, snapshot recovery)"
     snapshot_file="$(mktemp /tmp/hslb_snapshot.XXXXXX.json)"
     chaos_out="$(mktemp /tmp/service_chaos.XXXXXX.json)"
     rm -f "$port_file" "$snapshot_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out"' EXIT
+    trap 'rm -f "$port_file" "$load_out" "$snapshot_file" "$chaos_out"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$port_file" \
         --fault-seed 7 --fault-rate 0.3 --snapshot "$snapshot_file" &
     serve_pid=$!
@@ -206,7 +179,6 @@ if [[ $fast -eq 0 ]]; then
     # cache entries, and dropped/truncated connections; it fails unless
     # every request ends in a verified bit-identical response.
     ./target/release/loadgen --addr "$(cat "$port_file")" --profile chaos --out "$chaos_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate-service "$chaos_out"
     # Simulate a crash: no drain, no final flush — the periodic snapshot
     # on disk is all the restarted server gets.
     kill -9 "$serve_pid"
@@ -233,7 +205,7 @@ if [[ $fast -eq 0 ]]; then
     soak_out="$(mktemp /tmp/service_soak.XXXXXX.json)"
     threads_log="$(mktemp /tmp/hslb_threads.XXXXXX)"
     rm -f "$port0_file" "$port1_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log"' EXIT
+    trap 'rm -f "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --shard 0/2 --port-file "$port0_file" &
     shard0_pid=$!
     ./target/release/hslb-serve --addr 127.0.0.1:0 --shard 1/2 --port-file "$port1_file" &
@@ -248,7 +220,6 @@ if [[ $fast -eq 0 ]]; then
     # smoke profile then drains both shard processes.
     ./target/release/loadgen --addr "$(cat "$port0_file"),$(cat "$port1_file")" \
         --profile ramp --smoke --out "$ramp_out" > /dev/null
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate-service "$ramp_out"
     wait "$shard0_pid"
     wait "$shard1_pid"
 
@@ -269,7 +240,6 @@ if [[ $fast -eq 0 ]]; then
       done ) > "$threads_log" &
     sampler_pid=$!
     ./target/release/loadgen --addr "$(cat "$port0_file")" --profile soak --smoke --out "$soak_out" > /dev/null
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate-service "$soak_out"
     wait "$soak_pid"
     wait "$sampler_pid" 2>/dev/null || true
     peak_threads="$(awk '{print $2}' "$threads_log" | sort -n | tail -1)"
@@ -311,7 +281,7 @@ if [[ $fast -eq 0 ]]; then
     sweep_port_file="$(mktemp /tmp/hslb_sweep_port.XXXXXX)"
     sweep_out="$(mktemp /tmp/sweep_portfolio.XXXXXX.json)"
     rm -f "$sweep_port_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log" "$sweep_port_file" "$sweep_out"' EXIT
+    trap 'rm -f "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log" "$sweep_port_file" "$sweep_out"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$sweep_port_file" &
     sweep_serve_pid=$!
     for _ in $(seq 1 100); do
@@ -336,21 +306,6 @@ if [[ $fast -eq 0 ]]; then
     # exercised on a server that just ran a sweep).
     ./target/release/loadgen --addr "$(cat "$sweep_port_file")" --requests 1 --shutdown > /dev/null
     wait "$sweep_serve_pid"
-    # Batch-beats-serial bar on the committed artifact: the sweep block's
-    # wall clock must be at most half the Σ-one-shot estimate.
-    awk '
-        /"sweep":/ { in_sweep = 1 }
-        in_sweep && wall == "" && /"wall_ms":/ { gsub(/[",]/, "", $2); wall = $2 }
-        in_sweep && serial == "" && /"sum_one_shot_ms":/ { gsub(/[",]/, "", $2); serial = $2 }
-        END {
-            if (wall == "" || serial == "") { print "sweep block missing wall_ms/sum_one_shot_ms" > "/dev/stderr"; exit 1 }
-            if (wall + 0 > 0.5 * (serial + 0)) {
-                printf "sweep wall %.1fms exceeds 0.5 x one-shot estimate %.1fms\n", wall, serial > "/dev/stderr"
-                exit 1
-            }
-            printf "    sweep wall %.1fms vs one-shot estimate %.1fms\n", wall, serial
-        }
-    ' BENCH_pipeline.json
 
     echo "==> ranked-lock asserts compile (service crate, debug assertions on)"
     cargo rustc -q -p hslb-service --lib --release -- -C debug-assertions=on
