@@ -11,7 +11,8 @@
 
 use crate::certificate::EpsilonPolicy;
 use crate::convexity::{curvature, Curvature};
-use hslb_cesm::Layout;
+use hslb_cesm::layout::SYNC_ROWS;
+use hslb_cesm::{Component, Layout};
 use hslb_model::{ConstraintSense, Convexity, Model, VarType};
 use hslb_numerics::float;
 
@@ -96,53 +97,30 @@ impl std::fmt::Display for ModelAudit {
 }
 
 /// The constraint names the layout builder emits for an expectation, as
-/// `(name, declared convexity)` pairs. This is the audit's independent
-/// copy of the Table I structure — if the builder drifts, the mismatch
-/// surfaces here.
+/// `(name, declared convexity)` pairs, derived from the layout's
+/// composition — the same rows the builder derives its model from.
 fn expected_rows(e: &ModelExpectations) -> Vec<(String, Convexity)> {
-    use Convexity::{Convex, Linear, Nonconvex};
-    let mut rows: Vec<(String, Convexity)> = Vec::new();
-    match e.shape {
-        ObjectiveShape::MinMax => match e.layout {
-            Layout::Hybrid => {
-                rows.push(("icelnd_ge_ice".into(), Convex));
-                rows.push(("icelnd_ge_lnd".into(), Convex));
-                rows.push(("total_ge_atm_branch".into(), Convex));
-                rows.push(("total_ge_ocn".into(), Convex));
-                if e.tsync {
-                    rows.push(("sync_lnd_not_too_fast".into(), Nonconvex));
-                    rows.push(("sync_lnd_not_too_slow".into(), Nonconvex));
-                }
-                rows.push(("budget".into(), Linear));
-                rows.push(("icelnd_within_atm".into(), Linear));
+    let mut rows: Vec<(String, Convexity)> = match e.shape {
+        ObjectiveShape::MinMax => {
+            let mut rows: Vec<_> = e
+                .layout
+                .time_rows()
+                .iter()
+                .map(|r| (r.name.clone(), Convexity::Convex))
+                .collect();
+            if e.tsync && e.layout.tree().side_by_side(Component::Ice, Component::Lnd) {
+                rows.extend(SYNC_ROWS.map(|name| (name.to_string(), Convexity::Nonconvex)));
             }
-            Layout::SequentialWithOcean => {
-                rows.push(("total_ge_seq".into(), Convex));
-                rows.push(("total_ge_ocn".into(), Convex));
-                for label in ["lnd", "ice", "atm"] {
-                    rows.push((format!("{label}_within_rest"), Linear));
-                }
-            }
-            Layout::FullySequential => {
-                rows.push(("total_ge_all_seq".into(), Convex));
-            }
-        },
-        ObjectiveShape::SumTime => {
-            rows.push(("sum_epigraph".into(), Convex));
-            match e.layout {
-                Layout::Hybrid => {
-                    rows.push(("budget".into(), Linear));
-                    rows.push(("icelnd_within_atm".into(), Linear));
-                }
-                Layout::SequentialWithOcean => {
-                    for label in ["lnd", "ice", "atm"] {
-                        rows.push((format!("{label}_within_rest"), Linear));
-                    }
-                }
-                Layout::FullySequential => {}
-            }
+            rows
         }
-    }
+        ObjectiveShape::SumTime => vec![("sum_epigraph".to_string(), Convexity::Convex)],
+    };
+    rows.extend(
+        e.layout
+            .node_rows()
+            .iter()
+            .map(|r| (r.name.clone(), Convexity::Linear)),
+    );
     rows
 }
 
@@ -405,82 +383,44 @@ pub fn audit_model(model: &Model, expect: &ModelExpectations, eps: EpsilonPolicy
     }
 
     // …and the layout's budget rows must be *mutually* satisfiable
-    // against the memory floors and the discrete allowed sets.
-    let floor = |name: &str| find_var(model, name).map(|v| model.bounds(v).0);
-    if let (Some(f_lnd), Some(f_ice), Some(f_atm), Some(f_ocn)) = (
-        floor("n_lnd"),
-        floor("n_ice"),
-        floor("n_atm"),
-        floor("n_ocn"),
-    ) {
-        let atm_vals = allowed_values(model, find_var(model, "n_atm"));
-        let ocn_vals = allowed_values(model, find_var(model, "n_ocn"));
-        match expect.layout {
-            Layout::Hybrid => {
-                // Need n_atm ≥ n_ice + n_lnd and n_atm + n_ocn ≤ N with
-                // every variable at or above its floor.
-                let need_atm = f_atm.max(f_ice + f_lnd);
-                let ocn_min = ocn_vals.smallest_at_least(f_ocn);
-                let atm_min = atm_vals.smallest_at_least(need_atm);
-                match (atm_min, ocn_min) {
-                    (Some(va), Some(vo)) if va + vo <= nf => {}
-                    _ => push(
-                        "budget",
-                        format!(
-                            "hybrid budget infeasible: no atmosphere value ≥ {need_atm:.0} \
-                             and ocean value ≥ {f_ocn:.0} fit within {} nodes",
-                            expect.total_nodes
-                        ),
+    // against the memory floors and the discrete allowed sets: the fewest
+    // nodes the layout's composition can run on must fit in N.
+    let vars: Option<Vec<(Component, usize)>> = Component::OPTIMIZED
+        .iter()
+        .map(|&c| find_var(model, &format!("n_{c}")).map(|v| (c, v)))
+        .collect();
+    match vars {
+        Some(vars) => {
+            let smallest = |c: Component, at_least: i64| {
+                let &(_, v) = vars.iter().find(|(o, _)| *o == c)?;
+                allowed_values(model, Some(v))
+                    .smallest_at_least(model.bounds(v).0.max(at_least as f64))
+                    .map(|n| n as i64)
+            };
+            let layout = expect.layout;
+            match layout.tree().min_nodes(&smallest) {
+                Some(need) if need <= expect.total_nodes => {}
+                Some(need) => push(
+                    "budget",
+                    format!(
+                        "{layout:?} budget infeasible: the floors and allowed sets need \
+                         {need} nodes, the budget is {}",
+                        expect.total_nodes
                     ),
-                }
-            }
-            Layout::SequentialWithOcean => {
-                let ocn_min = ocn_vals.smallest_at_least(f_ocn);
-                match ocn_min {
-                    Some(vo) => {
-                        for (label, fl) in [("lnd", f_lnd), ("ice", f_ice), ("atm", f_atm)] {
-                            if fl + vo > nf {
-                                push(
-                                    "budget",
-                                    format!(
-                                        "sequential budget infeasible: floor({label}) = {fl:.0} \
-                                         plus smallest ocean {vo:.0} exceeds {} nodes",
-                                        expect.total_nodes
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    None => push(
-                        "budget",
-                        format!("no ocean value at or above its floor {f_ocn:.0}"),
+                ),
+                None => push(
+                    "budget",
+                    format!(
+                        "{layout:?} budget infeasible: a component has no allowed count \
+                         at or above its floor"
                     ),
-                }
-            }
-            Layout::FullySequential => {
-                for (label, fl) in [
-                    ("lnd", f_lnd),
-                    ("ice", f_ice),
-                    ("atm", f_atm),
-                    ("ocn", f_ocn),
-                ] {
-                    if fl > nf {
-                        push(
-                            "budget",
-                            format!(
-                                "floor({label}) = {fl:.0} exceeds the {} node budget",
-                                expect.total_nodes
-                            ),
-                        );
-                    }
-                }
+                ),
             }
         }
-    } else {
-        push(
+        None => push(
             "structure",
             "model is missing one of the node variables n_lnd/n_ice/n_atm/n_ocn".to_string(),
-        );
+        ),
     }
 
     violations.sort_by(|a, b| (a.rule, &a.message).cmp(&(b.rule, &b.message)));
@@ -692,7 +632,7 @@ mod tests {
         assert!(audit_model(&m, &e, eps())
             .violations
             .iter()
-            .any(|v| v.rule == "budget" && v.message.contains("smallest ocean 64")));
+            .any(|v| v.rule == "budget" && v.message.contains("need 65 nodes")));
     }
 
     #[test]

@@ -74,11 +74,10 @@ fn parse_args() -> Args {
                 }
             }
             "--layout" => {
-                layout = match it.next().as_deref() {
-                    Some("1") => Layout::Hybrid,
-                    Some("2") => Layout::SequentialWithOcean,
-                    Some("3") => Layout::FullySequential,
-                    _ => usage(),
+                let number = it.next().and_then(|v| v.parse::<u8>().ok());
+                layout = match Layout::ALL.into_iter().find(|l| Some(l.number()) == number) {
+                    Some(l) => l,
+                    None => usage(),
                 }
             }
             "--free-ocean" => free_ocean = true,

@@ -47,6 +47,22 @@ impl std::fmt::Display for Resolution {
     }
 }
 
+/// Wire token for a resolution.
+pub fn resolution_token(r: Resolution) -> &'static str {
+    match r {
+        Resolution::OneDegree => "1deg",
+        Resolution::EighthDegree => "eighth",
+    }
+}
+
+/// Parse a resolution wire token.
+pub fn parse_resolution(s: &str) -> Result<Resolution, String> {
+    [Resolution::OneDegree, Resolution::EighthDegree]
+        .into_iter()
+        .find(|&r| resolution_token(r) == s)
+        .ok_or_else(|| format!("unknown resolution {s:?} (1deg|eighth)"))
+}
+
 /// Static description of a resolution's discrete allocation structure.
 #[derive(Debug, Clone)]
 pub struct ResolutionConfig {

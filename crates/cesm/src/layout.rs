@@ -1,9 +1,14 @@
-//! Component layouts (Figure 1) and their makespan semantics.
+//! Component layouts (Figure 1): one composition per layout, and every
+//! layout rule — makespan, node constraints, rank placement, the Table I
+//! rows — derived from it.
 
 use crate::component::Component;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-/// The three CESM component layouts of Figure 1.
+/// The three CESM component layouts of Figure 1. Each is a name for one
+/// [`Node`] composition ([`Layout::tree`]); nothing else about a layout is
+/// written down per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Layout (1), the hybrid default: atmosphere and ocean run
@@ -26,6 +31,257 @@ pub enum Layout {
     FullySequential,
 }
 
+/// How a layout composes its components over nested node groups.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Node {
+    /// One component on its own node count.
+    Leaf(Component),
+    /// Children side by side on disjoint nodes: their counts add, and the
+    /// group takes as long as its slowest child.
+    Par(&'static [Node]),
+    /// Children one after another on the same nodes: their times add.
+    /// `Seq(Some(c), rest)` is *owned* by component `c`: the group is
+    /// `c`'s nodes, `rest` runs inside them first and `c` last (Table I
+    /// lines 20–21: `n_ice + n_lnd ≤ n_atm`). `Seq(None, children)` is a
+    /// free group as large as its largest child.
+    Seq(Option<Component>, &'static [Node]),
+}
+
+use Component::{Atm, Ice, Lnd, Ocn};
+
+static HYBRID: Node = Node::Par(&[
+    Node::Leaf(Ocn),
+    Node::Seq(Some(Atm), &[Node::Par(&[Node::Leaf(Ice), Node::Leaf(Lnd)])]),
+]);
+static SEQUENTIAL_WITH_OCEAN: Node = Node::Par(&[
+    Node::Leaf(Ocn),
+    Node::Seq(None, &[Node::Leaf(Ice), Node::Leaf(Lnd), Node::Leaf(Atm)]),
+]);
+static FULLY_SEQUENTIAL: Node = Node::Seq(
+    None,
+    &[
+        Node::Leaf(Ice),
+        Node::Leaf(Lnd),
+        Node::Leaf(Atm),
+        Node::Leaf(Ocn),
+    ],
+);
+
+/// The paper's column order for allocations (Table III): lnd, ice, atm,
+/// ocn. Node rows over a free group's members follow it.
+const TABLE_ORDER: [Component; 4] = [Lnd, Ice, Atm, Ocn];
+
+/// Names of the two Table I `T_sync` rows (lines 18–19), emitted where
+/// ice and land run side by side.
+pub const SYNC_ROWS: [&str; 2] = ["sync_lnd_not_too_fast", "sync_lnd_not_too_slow"];
+
+/// One term of a min-max epigraph row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Span {
+    /// `T_c(n_c)`.
+    Time(Component),
+    /// The auxiliary time variable of a side-by-side group nested in a
+    /// sequence (`T_icelnd`).
+    Aux(String),
+    /// The makespan `T`.
+    Total,
+}
+
+/// A temporal row of the min-max model: `Σ lhs ≤ rhs`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimeRow {
+    pub name: String,
+    pub lhs: Vec<Span>,
+    pub rhs: Span,
+}
+
+/// A node row: `Σ n(parts) ≤ n(owner)`, or `≤ N` when `cap` is `None`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeRow {
+    pub name: String,
+    pub parts: Vec<Component>,
+    pub cap: Option<Component>,
+}
+
+impl Node {
+    /// The subtree's time given each component's.
+    fn time(&self, t: &ComponentTimes) -> f64 {
+        match self {
+            Node::Leaf(c) => t.get(*c),
+            Node::Par(kids) => kids
+                .iter()
+                .map(|k| k.time(t))
+                .reduce(f64::max)
+                .unwrap_or(0.0),
+            Node::Seq(owner, kids) => {
+                kids.iter().map(|k| k.time(t)).sum::<f64>() + owner.map_or(0.0, |c| t.get(c))
+            }
+        }
+    }
+
+    /// Nodes the subtree spans under `a`: an owned group is its owner's
+    /// count, a free group its largest member, a side-by-side group the
+    /// sum of its children.
+    pub(crate) fn extent(&self, a: &Allocation) -> i64 {
+        match self {
+            Node::Leaf(c) | Node::Seq(Some(c), _) => a.get(*c),
+            Node::Par(kids) => kids.iter().map(|k| k.extent(a)).sum(),
+            Node::Seq(None, kids) => kids.iter().map(|k| k.extent(a)).max().unwrap_or(0),
+        }
+    }
+
+    /// Each component's first node under `a` (an offset from node 0),
+    /// owners before the components they host. A side-by-side group puts
+    /// its first child at the start of its extent and its last flush
+    /// against the end; a sequence's members share its first node.
+    pub(crate) fn placement(&self, a: &Allocation) -> Vec<(Component, i64)> {
+        let mut out = Vec::with_capacity(4);
+        self.place(a, 0, self.extent(a), &mut out);
+        out
+    }
+
+    fn place(&self, a: &Allocation, start: i64, extent: i64, out: &mut Vec<(Component, i64)>) {
+        match self {
+            Node::Leaf(c) => out.push((*c, start)),
+            Node::Seq(owner, kids) => {
+                out.extend(owner.map(|c| (c, start)));
+                let extent = owner.map_or(extent, |c| a.get(c));
+                kids.iter().for_each(|k| k.place(a, start, extent, out));
+            }
+            Node::Par(kids) => {
+                let mut at = start;
+                for (i, k) in kids.iter().enumerate() {
+                    let size = k.extent(a);
+                    let last = i > 0 && i + 1 == kids.len();
+                    k.place(a, if last { start + extent - size } else { at }, size, out);
+                    at += size;
+                }
+            }
+        }
+    }
+
+    /// Does some side-by-side group hold both `a` and `b` as components
+    /// (so that Table I's `T_sync` window applies to them)?
+    pub fn side_by_side(&self, a: Component, b: Component) -> bool {
+        match self {
+            Node::Leaf(_) => false,
+            Node::Par(kids) if [a, b].iter().all(|&c| kids.contains(&Node::Leaf(c))) => true,
+            Node::Par(kids) | Node::Seq(_, kids) => kids.iter().any(|k| k.side_by_side(a, b)),
+        }
+    }
+
+    /// The fewest nodes the subtree runs on, where `smallest(c, k)` is the
+    /// least count component `c` may take that is at least `k` (its floor
+    /// and allowed set applied); `None` when some component has none.
+    pub fn min_nodes(&self, smallest: &dyn Fn(Component, i64) -> Option<i64>) -> Option<i64> {
+        let widest = |ks: &[Node]| {
+            ks.iter()
+                .try_fold(1, |m, k| k.min_nodes(smallest).map(|k| m.max(k)))
+        };
+        match self {
+            Node::Leaf(c) => smallest(*c, 1),
+            Node::Par(ks) => ks.iter().map(|k| k.min_nodes(smallest)).sum(),
+            Node::Seq(None, ks) => widest(ks),
+            Node::Seq(Some(c), ks) => smallest(*c, widest(ks)?),
+        }
+    }
+
+    /// Row-name fragment: a component's label, `atm_branch` for the group
+    /// the atmosphere owns, `seq` for a free group, and the concatenated
+    /// children for a side-by-side group (`icelnd`).
+    fn name(&self) -> String {
+        match self {
+            Node::Leaf(c) => c.label().to_string(),
+            Node::Seq(Some(c), _) => format!("{c}_branch"),
+            Node::Seq(None, _) => "seq".to_string(),
+            Node::Par(kids) => kids.iter().map(Node::name).collect(),
+        }
+    }
+
+    /// The additive terms of the subtree's time; a nested side-by-side
+    /// group becomes an auxiliary variable, its rows pushed to `rows`.
+    fn spans(&self, rows: &mut Vec<TimeRow>) -> Vec<Span> {
+        match self {
+            Node::Leaf(c) => vec![Span::Time(*c)],
+            Node::Seq(owner, kids) => {
+                let mut out: Vec<Span> = kids.iter().flat_map(|k| k.spans(rows)).collect();
+                out.extend(owner.map(Span::Time));
+                out
+            }
+            Node::Par(kids) => {
+                let name = self.name();
+                let aux = Span::Aux(format!("T_{name}"));
+                par_time_rows(kids, &name, &aux, rows);
+                vec![aux]
+            }
+        }
+    }
+
+    /// The component counts the subtree's size is the sum of, one list per
+    /// reading: a free group is as large as any one of its members.
+    fn sizes(&self) -> Vec<Vec<Component>> {
+        match self {
+            Node::Leaf(c) | Node::Seq(Some(c), _) => vec![vec![*c]],
+            Node::Seq(None, kids) => {
+                let mut out: Vec<_> = kids.iter().flat_map(Node::sizes).collect();
+                out.sort_by_key(|parts| TABLE_ORDER.iter().position(|&c| c == parts[0]));
+                out
+            }
+            Node::Par(kids) => compound_first(kids).fold(vec![vec![]], |acc, k| {
+                let sizes = k.sizes();
+                acc.iter()
+                    .flat_map(|p| sizes.iter().map(move |q| [p.as_slice(), q].concat()))
+                    .collect()
+            }),
+        }
+    }
+
+    /// Node rows of the subtree, whose group is capped by `cap`'s count
+    /// (`None`: by N).
+    fn node_rows(&self, cap: Option<Component>, rows: &mut Vec<NodeRow>) {
+        if let Node::Par(kids) = self {
+            let free = kids.iter().any(|k| matches!(k, Node::Seq(None, _)));
+            for parts in self.sizes() {
+                let name = match cap {
+                    Some(owner) => format!("{}_within_{owner}", self.name()),
+                    None if free => format!("{}_within_rest", parts[0]),
+                    None => "budget".to_string(),
+                };
+                rows.push(NodeRow { name, parts, cap });
+            }
+        }
+        if let Node::Par(kids) | Node::Seq(_, kids) = self {
+            let owner = match self {
+                Node::Seq(Some(c), _) => Some(*c),
+                _ => cap,
+            };
+            kids.iter().for_each(|k| k.node_rows(owner, rows));
+        }
+    }
+}
+
+/// A side-by-side group's children, compound branches before single
+/// components — the order Table I states them in (lines 14–17, 20, 22–26).
+fn compound_first(kids: &'static [Node]) -> impl Iterator<Item = &'static Node> {
+    let leaf = |k: &&Node| matches!(k, Node::Leaf(_));
+    kids.iter()
+        .filter(move |k| !leaf(k))
+        .chain(kids.iter().filter(leaf))
+}
+
+/// `{bound}_ge_{child}` rows: the group's time bounds each child's.
+fn par_time_rows(kids: &'static [Node], bound: &str, rhs: &Span, rows: &mut Vec<TimeRow>) {
+    for k in compound_first(kids) {
+        let lhs = k.spans(rows);
+        let name = format!("{bound}_ge_{}", k.name());
+        rows.push(TimeRow {
+            name,
+            lhs,
+            rhs: rhs.clone(),
+        });
+    }
+}
+
 impl Layout {
     /// All layouts in Figure 1 order.
     pub const ALL: [Layout; 3] = [
@@ -43,61 +299,114 @@ impl Layout {
         }
     }
 
+    /// The layout's composition.
+    pub fn tree(self) -> &'static Node {
+        match self {
+            Layout::Hybrid => &HYBRID,
+            Layout::SequentialWithOcean => &SEQUENTIAL_WITH_OCEAN,
+            Layout::FullySequential => &FULLY_SEQUENTIAL,
+        }
+    }
+
     /// Combine per-component times into the coupled run's makespan.
     pub fn total_time(self, t: &ComponentTimes) -> f64 {
-        match self {
-            Layout::Hybrid => (t.ice.max(t.lnd) + t.atm).max(t.ocn),
-            Layout::SequentialWithOcean => (t.ice + t.lnd + t.atm).max(t.ocn),
-            Layout::FullySequential => t.ice + t.lnd + t.atm + t.ocn,
-        }
+        self.tree().time(t)
+    }
+
+    /// The min-max model's temporal rows (Table I lines 14–17, 22–23, 27):
+    /// the makespan bounds each side-by-side branch, or the whole sequence.
+    pub fn time_rows(self) -> &'static [TimeRow] {
+        &self.rows().0
+    }
+
+    /// The node rows (Table I lines 20–21, 24–26): each side-by-side
+    /// group's counts fit in the nodes it is given. Counts ≤ N alone are
+    /// the variables' bounds and get no row.
+    pub fn node_rows(self) -> &'static [NodeRow] {
+        &self.rows().1
+    }
+
+    /// Both row lists, derived from the composition on first use so that
+    /// model builds and allocation checks allocate none.
+    fn rows(self) -> &'static (Vec<TimeRow>, Vec<NodeRow>) {
+        static ROWS: [OnceLock<(Vec<TimeRow>, Vec<NodeRow>)>; 3] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        ROWS[self as usize].get_or_init(|| {
+            let root = self.tree();
+            let mut time = Vec::new();
+            match root {
+                Node::Par(kids) => par_time_rows(kids, "total", &Span::Total, &mut time),
+                _ => {
+                    let lhs = root.spans(&mut time);
+                    let name = format!("total_ge_all_{}", root.name());
+                    time.push(TimeRow {
+                        name,
+                        lhs,
+                        rhs: Span::Total,
+                    });
+                }
+            }
+            let mut node = Vec::new();
+            root.node_rows(None, &mut node);
+            (time, node)
+        })
+    }
+
+    /// The most nodes `c` can take on `n_total` with every other count as
+    /// in `a`.
+    pub fn cap(self, c: Component, a: &Allocation, n_total: i64) -> i64 {
+        self.node_rows()
+            .iter()
+            .filter(|r| r.parts.contains(&c))
+            .map(|r| {
+                let others: i64 = r.parts.iter().filter(|&&p| p != c).map(|&p| a.get(p)).sum();
+                r.cap.map_or(n_total, |o| a.get(o)) - others
+            })
+            .fold(n_total, i64::min)
     }
 
     /// Check an allocation's node constraints for this layout on `n_total`
     /// nodes. Returns a human-readable violation, or `None` when valid.
     pub fn check(self, alloc: &Allocation, n_total: i64) -> Option<String> {
-        let a = alloc;
-        if a.lnd < 1 || a.ice < 1 || a.atm < 1 || a.ocn < 1 {
+        if TABLE_ORDER.iter().any(|&c| alloc.get(c) < 1) {
             return Some("every component needs at least one node".to_string());
         }
-        match self {
-            Layout::Hybrid => {
-                if a.ice + a.lnd > a.atm {
-                    return Some(format!(
-                        "ice+lnd ({}) exceed atm nodes ({})",
-                        a.ice + a.lnd,
-                        a.atm
-                    ));
-                }
-                if a.atm + a.ocn > n_total {
-                    return Some(format!(
-                        "atm+ocn ({}) exceed total nodes ({n_total})",
-                        a.atm + a.ocn
-                    ));
-                }
-            }
-            Layout::SequentialWithOcean => {
-                let cap = n_total - a.ocn;
-                for (label, n) in [("lnd", a.lnd), ("ice", a.ice), ("atm", a.atm)] {
-                    if n > cap {
-                        return Some(format!("{label} ({n}) exceeds N − ocn ({cap})"));
-                    }
-                }
-            }
-            Layout::FullySequential => {
-                for (label, n) in [
-                    ("lnd", a.lnd),
-                    ("ice", a.ice),
-                    ("atm", a.atm),
-                    ("ocn", a.ocn),
-                ] {
-                    if n > n_total {
-                        return Some(format!("{label} ({n}) exceeds total nodes ({n_total})"));
-                    }
-                }
+        for row in self.node_rows() {
+            let used: i64 = row.parts.iter().map(|&c| alloc.get(c)).sum();
+            let cap = row.cap.map_or(n_total, |owner| alloc.get(owner));
+            if used > cap {
+                let labels: Vec<&str> = row.parts.iter().map(|c| c.label()).collect();
+                let of = row
+                    .cap
+                    .map_or("total".to_string(), |owner| owner.to_string());
+                return Some(format!(
+                    "{} ({used}) exceed {of} nodes ({cap})",
+                    labels.join("+")
+                ));
             }
         }
-        None
+        TABLE_ORDER
+            .iter()
+            .find(|&&c| alloc.get(c) > n_total)
+            .map(|&c| format!("{c} ({}) exceeds total nodes ({n_total})", alloc.get(c)))
     }
+}
+
+/// Wire token for a layout.
+pub fn layout_token(l: Layout) -> &'static str {
+    match l {
+        Layout::Hybrid => "hybrid",
+        Layout::SequentialWithOcean => "seq-ocean",
+        Layout::FullySequential => "sequential",
+    }
+}
+
+/// Parse a layout wire token.
+pub fn parse_layout(s: &str) -> Result<Layout, String> {
+    Layout::ALL
+        .into_iter()
+        .find(|&l| layout_token(l) == s)
+        .ok_or_else(|| format!("unknown layout {s:?} (hybrid|seq-ocean|sequential)"))
 }
 
 impl std::fmt::Display for Layout {
@@ -271,6 +580,54 @@ mod tests {
         for l in Layout::ALL {
             assert!(l.check(&a, 128).is_some());
         }
+    }
+
+    #[test]
+    fn caps_and_floors_follow_the_composition() {
+        let a = Allocation::from_table_order([24, 80, 104, 24]);
+        // Hybrid: the atmosphere shares N with the ocean; ice shares the
+        // atmosphere's nodes with land.
+        assert_eq!(Layout::Hybrid.cap(Component::Atm, &a, 128), 104);
+        assert_eq!(Layout::Hybrid.cap(Component::Ice, &a, 128), 80);
+        assert_eq!(
+            Layout::SequentialWithOcean.cap(Component::Ice, &a, 128),
+            104
+        );
+        assert_eq!(Layout::FullySequential.cap(Component::Ocn, &a, 128), 128);
+        // Fewest nodes with floors ice 4, lnd 2, atm 8, ocn 4 and an ocean
+        // set whose smallest value ≥ 4 is 6.
+        let smallest = |c: Component, k: i64| {
+            let floor = match c {
+                Component::Ice | Component::Ocn => 4,
+                Component::Lnd => 2,
+                _ => 8,
+            };
+            let k = k.max(floor);
+            Some(if c == Component::Ocn { k.max(6) } else { k })
+        };
+        assert_eq!(Layout::Hybrid.tree().min_nodes(&smallest), Some(8 + 6));
+        assert_eq!(
+            Layout::SequentialWithOcean.tree().min_nodes(&smallest),
+            Some(8 + 6)
+        );
+        assert_eq!(Layout::FullySequential.tree().min_nodes(&smallest), Some(8));
+        assert!(Layout::Hybrid
+            .tree()
+            .side_by_side(Component::Lnd, Component::Ice));
+        assert!(!Layout::SequentialWithOcean
+            .tree()
+            .side_by_side(Component::Ice, Component::Lnd));
+    }
+
+    #[test]
+    fn wire_tokens_round_trip() {
+        for l in Layout::ALL {
+            assert_eq!(parse_layout(layout_token(l)), Ok(l));
+        }
+        assert_eq!(
+            parse_layout("tree"),
+            Err("unknown layout \"tree\" (hybrid|seq-ocean|sequential)".to_string())
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   paper excludes from optimization);
 //! * [`Machine`] — the node/core/task/thread topology (Intrepid preset);
 //! * [`Layout`] — the three sequential/concurrent component layouts of
-//!   Figure 1 and their makespan semantics;
+//!   Figure 1, each one composition from which its makespan, node
+//!   constraints, Table I rows and rank placement are derived;
 //! * [`calib`] — ground-truth performance curves **fitted to the paper's
 //!   own published timings** (every `(nodes, seconds)` pair recoverable
 //!   from Table III is embedded here), so the simulator interpolates the
@@ -46,8 +47,8 @@ pub mod timers;
 
 pub use component::Component;
 pub use fault::{BenchFault, FaultDomain, FaultOutcome, FaultSpec};
-pub use grid::{Resolution, ResolutionConfig};
-pub use layout::{Allocation, Layout};
+pub use grid::{parse_resolution, resolution_token, Resolution, ResolutionConfig};
+pub use layout::{layout_token, parse_layout, Allocation, Layout};
 pub use machine::Machine;
 pub use perf::NoiseSpec;
 pub use pes::{PesEntry, PesLayout};

@@ -56,134 +56,45 @@ impl std::error::Error for PesError {}
 /// Build the processor layout for an allocation under a Fig. 1 layout.
 ///
 /// Node-to-rank mapping follows the paper's Intrepid setup: one MPI task
-/// per node, `threads_per_task` threads. Placement:
-///
-/// * layout 1 — ocean on ranks `[0, n_ocn)`, atmosphere group on
-///   `[n_ocn, n_ocn + n_atm)`; ice at the start and land at the end of the
-///   atmosphere group (they run concurrently with each other); coupler on
-///   the atmosphere root, river on the land root;
-/// * layout 2 — ocean first, then ice/land/atm all rooted at the shared
-///   group start (sequential on the same ranks);
-/// * layout 3 — everything rooted at rank 0.
+/// per node, `threads_per_task` threads. Placement walks the layout's
+/// composition ([`Layout::tree`]): side-by-side groups take disjoint
+/// ranks, first child first and last child flush against the group's end;
+/// components in sequence share their group's first rank. So in layout 1
+/// the ocean is on `[0, n_ocn)`, the atmosphere on `[n_ocn, n_ocn +
+/// n_atm)`, ice at the start and land at the end of the atmosphere's
+/// ranks; layout 2 roots ice/land/atm at the shared group start after the
+/// ocean; layout 3 roots everything at rank 0. The coupler shares the
+/// atmosphere's ranks and the river model the land's (§II).
 pub fn build(machine: &Machine, layout: Layout, alloc: &Allocation) -> Result<PesLayout, PesError> {
     if let Some(problem) = layout.check(alloc, machine.nodes) {
         return Err(PesError::InvalidAllocation(problem));
     }
     let tasks = |nodes: i64| nodes * machine.mpi_tasks_per_node as i64;
-    let threads = machine.threads_per_task;
-    let mut entries = Vec::new();
-    let total_tasks;
-    match layout {
-        Layout::Hybrid => {
-            let ocn_root = 0;
-            let atm_root = tasks(alloc.ocn);
-            let ice_root = atm_root;
-            let lnd_root = atm_root + tasks(alloc.atm) - tasks(alloc.lnd);
-            total_tasks = tasks(alloc.ocn) + tasks(alloc.atm);
+    let mut entries: Vec<PesEntry> = layout
+        .tree()
+        .placement(alloc)
+        .into_iter()
+        .map(|(component, first_node)| PesEntry {
+            component,
+            ntasks: tasks(alloc.get(component)),
+            nthrds: machine.threads_per_task,
+            rootpe: tasks(first_node),
+        })
+        .collect();
+    for (shared, host) in [
+        (Component::Cpl, Component::Atm),
+        (Component::Rtm, Component::Lnd),
+    ] {
+        if let Some(&e) = entries.iter().find(|e| e.component == host) {
             entries.push(PesEntry {
-                component: Component::Ocn,
-                ntasks: tasks(alloc.ocn),
-                nthrds: threads,
-                rootpe: ocn_root,
-            });
-            entries.push(PesEntry {
-                component: Component::Atm,
-                ntasks: tasks(alloc.atm),
-                nthrds: threads,
-                rootpe: atm_root,
-            });
-            entries.push(PesEntry {
-                component: Component::Ice,
-                ntasks: tasks(alloc.ice),
-                nthrds: threads,
-                rootpe: ice_root,
-            });
-            entries.push(PesEntry {
-                component: Component::Lnd,
-                ntasks: tasks(alloc.lnd),
-                nthrds: threads,
-                rootpe: lnd_root,
-            });
-            // Coupler shares the atmosphere ranks; river shares land.
-            entries.push(PesEntry {
-                component: Component::Cpl,
-                ntasks: tasks(alloc.atm),
-                nthrds: threads,
-                rootpe: atm_root,
-            });
-            entries.push(PesEntry {
-                component: Component::Rtm,
-                ntasks: tasks(alloc.lnd),
-                nthrds: threads,
-                rootpe: lnd_root,
-            });
-        }
-        Layout::SequentialWithOcean => {
-            let group_root = tasks(alloc.ocn);
-            total_tasks = tasks(alloc.ocn) + tasks(alloc.atm.max(alloc.ice).max(alloc.lnd));
-            entries.push(PesEntry {
-                component: Component::Ocn,
-                ntasks: tasks(alloc.ocn),
-                nthrds: threads,
-                rootpe: 0,
-            });
-            for (c, n) in [
-                (Component::Ice, alloc.ice),
-                (Component::Lnd, alloc.lnd),
-                (Component::Atm, alloc.atm),
-            ] {
-                entries.push(PesEntry {
-                    component: c,
-                    ntasks: tasks(n),
-                    nthrds: threads,
-                    rootpe: group_root,
-                });
-            }
-            entries.push(PesEntry {
-                component: Component::Cpl,
-                ntasks: tasks(alloc.atm),
-                nthrds: threads,
-                rootpe: group_root,
-            });
-            entries.push(PesEntry {
-                component: Component::Rtm,
-                ntasks: tasks(alloc.lnd),
-                nthrds: threads,
-                rootpe: group_root,
-            });
-        }
-        Layout::FullySequential => {
-            total_tasks = tasks(alloc.atm.max(alloc.ice).max(alloc.lnd).max(alloc.ocn));
-            for (c, n) in [
-                (Component::Ice, alloc.ice),
-                (Component::Lnd, alloc.lnd),
-                (Component::Atm, alloc.atm),
-                (Component::Ocn, alloc.ocn),
-            ] {
-                entries.push(PesEntry {
-                    component: c,
-                    ntasks: tasks(n),
-                    nthrds: threads,
-                    rootpe: 0,
-                });
-            }
-            entries.push(PesEntry {
-                component: Component::Cpl,
-                ntasks: tasks(alloc.atm),
-                nthrds: threads,
-                rootpe: 0,
-            });
-            entries.push(PesEntry {
-                component: Component::Rtm,
-                ntasks: tasks(alloc.lnd),
-                nthrds: threads,
-                rootpe: 0,
+                component: shared,
+                ..e
             });
         }
     }
     Ok(PesLayout {
         entries,
-        total_tasks,
+        total_tasks: tasks(layout.tree().extent(alloc)),
     })
 }
 

@@ -1,26 +1,35 @@
-//! An independent enumeration optimizer over fitted curves.
+//! An independent exact optimizer over fitted curves.
 //!
 //! Serves two purposes:
 //!
-//! * **verification** — on configurations where full enumeration is
-//!   tractable (the 1° allowed-set experiments), it provides the exact
-//!   optimum against which the branch-and-bound is tested;
+//! * **verification** — it is the exact optimum the branch-and-bound is
+//!   tested against, at any node count and any allowed set;
 //! * **coverage** — it evaluates the nonconvex `max-min` objective
 //!   (§III-D equation 2) that the convex MINLP route cannot express.
 //!
-//! The layout structure factorizes the search: for layout 1, fixing
-//! `n_ocn` and `n_atm` reduces the remainder to a one-dimensional ice/land
-//! split, which is unimodal (max of a decreasing and an increasing
-//! function of the split point) and solved exactly by integer ternary
-//! search. The outer dimensions are enumerated exhaustively when the
-//! candidate list is small (allowed sets) and by a dense grid-with-
-//! refinement otherwise (documented approximation for the unconstrained
-//! 1/8° cases — in practice it recovers the optimum because the outer
-//! objective is near-unimodal in `n_ocn`).
+//! Min-max is a table DP over the layout's composition
+//! ([`hslb_cesm::layout::Node`]). Every subtree gets a table `F(m)`: the
+//! least time it takes on at most `m` nodes, for every `m ∈ [0, N]`.
+//!
+//! * a component: the prefix minimum of `T_c` over its floor and allowed
+//!   set up to `m`;
+//! * a free sequence: its members' tables added pointwise;
+//! * a sequence owned by a component: the prefix minimum over the owner's
+//!   counts `a ≤ m` of `T_owner(a)` plus the rest's tables at `a`;
+//! * a side-by-side group: the min–max convolution of its children's
+//!   tables, one binary search per `m` since the tables are nonincreasing.
+//!
+//! That is exact for any curves, convex or not, in O(N) curve
+//! evaluations per component and O(N log N) table lookups. Min-sum and
+//! max-min (whose budget must use every node) keep their own searches
+//! below: an outer ocean scan, thinned to about 2,048 counts above 4,096,
+//! with inner closed forms. No objective here models the non-convex
+//! `T_sync` window (Table I lines 18–19); only the MINLP states it.
 
 use crate::fit::FitSet;
 use crate::layout_model::NodeFloors;
 use crate::objective::Objective;
+use hslb_cesm::layout::Node;
 use hslb_cesm::{Allocation, Component, Layout};
 use hslb_numerics::scalar;
 
@@ -30,8 +39,7 @@ pub struct ExhaustiveOptimizer<'a> {
     pub fits: &'a FitSet,
     pub layout: Layout,
     pub total_nodes: i64,
-    /// Allowed ocean counts; `None` = all of `[1, N]` (grid-scanned when
-    /// large).
+    /// Allowed ocean counts; `None` = all of `[1, N]`.
     pub ocean_allowed: Option<Vec<i64>>,
     /// Allowed atmosphere counts; `None` = all of `[1, N]`.
     pub atm_allowed: Option<Vec<i64>>,
@@ -46,9 +54,10 @@ pub struct ExhaustiveResult {
     /// Objective value achieved (makespan for min-max, the min time for
     /// max-min, the time sum for min-sum).
     pub objective: f64,
-    /// Candidate allocations evaluated.
+    /// Work done: curve evaluations for min-max, candidate allocations
+    /// scored for min-sum and max-min.
     pub evaluations: usize,
-    /// Candidates discarded without scoring (floor/cap/allowed-set
+    /// Counts or candidates skipped without scoring (floor/cap/allowed-set
     /// violations) — the enumeration's pruning effectiveness.
     pub pruned: usize,
 }
@@ -70,126 +79,19 @@ impl<'a> ExhaustiveOptimizer<'a> {
         self.fits.predict(c, n.max(1))
     }
 
-    /// Best ice/land split of `budget` nodes for min-max style scoring:
-    /// minimize `max(T_ice(n_i), T_lnd(n_l))` with `n_i + n_l ≤ budget`.
-    /// Neither component takes more nodes than its own fastest count (the
-    /// b·n^c term can make that less than the budget); up to there both
-    /// curves fall, so the max is unimodal in `n_i` and ternary search is
-    /// exact.
-    fn best_icelnd_split(&self, budget: i64) -> (i64, i64, f64) {
-        let (ice_lo, lnd_lo) = (self.floors.ice.max(1), self.floors.lnd.max(1));
-        if budget < ice_lo + lnd_lo {
-            return (ice_lo, lnd_lo, f64::INFINITY);
-        }
-        let fastest =
-            |c: Component, lo: i64, hi: i64| self.fits.optimized_curve(c).argmin_nodes(lo, hi);
-        let ice_best = fastest(Component::Ice, ice_lo, budget - lnd_lo);
-        let lnd_best = fastest(Component::Lnd, lnd_lo, budget - ice_lo);
-        let lnd_for = |ni: i64| (budget - ni).min(lnd_best);
-        let f = |ni: i64| {
-            self.t(Component::Ice, ni)
-                .max(self.t(Component::Lnd, lnd_for(ni)))
-        };
-        let (ni, val) = scalar::integer_ternary_min(f, ice_lo, ice_best);
-        (ni, lnd_for(ni), val)
-    }
-
-    /// The count in `allowed ∩ [floor, cap]` (all of `[floor, cap]` without
-    /// an allowed set) at which component `c` runs fastest; `None` when
-    /// the allowed set has no member in range.
-    fn fastest_count(
-        &self,
-        c: Component,
-        allowed: &Option<Vec<i64>>,
-        floor: i64,
-        cap: i64,
-    ) -> Option<i64> {
-        match Self::candidates(allowed, floor, cap) {
-            Some(cands) => cands
-                .into_iter()
-                .min_by(|&x, &y| hslb_numerics::float::cmp_f64(self.t(c, x), self.t(c, y))),
-            None => Some(self.fits.optimized_curve(c).argmin_nodes(floor, cap)),
-        }
-    }
-
-    /// Score an outer choice under min-max: the makespan and the
-    /// allocation that attains it. `group` is the atmosphere count in
-    /// layout 1 and the size of the sequential group (`N − n_ocn`) in
-    /// layout 2; layout 3 has no outer choice and ignores both. `None`
-    /// when an allowed set leaves a component without a count.
-    fn score_minmax(&self, group: i64, n_ocn: i64) -> Option<(f64, Allocation)> {
-        // Components that run one after another each take the count in
-        // their own range that is fastest for them (the b·n^c term can
-        // make that less than the cap).
-        let solo = |c: Component, floor: i64, cap: i64| {
-            self.fits.optimized_curve(c).argmin_nodes(floor, cap)
-        };
-        match self.layout {
-            Layout::Hybrid => {
-                let (ice, lnd, icelnd) = self.best_icelnd_split(group);
-                let total =
-                    (icelnd + self.t(Component::Atm, group)).max(self.t(Component::Ocn, n_ocn));
-                Some((
-                    total,
-                    Allocation {
-                        lnd,
-                        ice,
-                        atm: group,
-                        ocn: n_ocn,
-                    },
-                ))
-            }
-            Layout::SequentialWithOcean | Layout::FullySequential => {
-                // Layout 3 puts the ocean in the sequence too, with the
-                // whole machine as every component's cap.
-                let all_sequential = self.layout == Layout::FullySequential;
-                let cap = if all_sequential {
-                    self.total_nodes
-                } else {
-                    group
-                };
-                let fastest = |c, allowed, floor| self.fastest_count(c, allowed, floor, cap);
-                let a = Allocation {
-                    lnd: solo(Component::Lnd, self.floors.lnd, cap),
-                    ice: solo(Component::Ice, self.floors.ice, cap),
-                    atm: fastest(Component::Atm, &self.atm_allowed, self.floors.atm)?,
-                    ocn: if all_sequential {
-                        fastest(Component::Ocn, &self.ocean_allowed, self.floors.ocn)?
-                    } else {
-                        n_ocn
-                    },
-                };
-                let seq = self.t(Component::Ice, a.ice)
-                    + self.t(Component::Lnd, a.lnd)
-                    + self.t(Component::Atm, a.atm);
-                let ocn = self.t(Component::Ocn, a.ocn);
-                Some((
-                    if all_sequential {
-                        seq + ocn
-                    } else {
-                        seq.max(ocn)
-                    },
-                    a,
-                ))
-            }
-        }
-    }
-
-    /// Candidate outer values for a dimension: the allowed list when one
-    /// exists (trimmed to the cap), otherwise a dense 1..=cap range when
-    /// small, otherwise `None` (grid search is used instead).
-    fn candidates(allowed: &Option<Vec<i64>>, lo: i64, cap: i64) -> Option<Vec<i64>> {
+    /// Outer counts for the min-sum and max-min scans: the allowed list
+    /// trimmed to `[lo, cap]`, or the whole range — every
+    /// `(N / 2048)`-th count of it when it holds more than 4,096.
+    fn scan(&self, allowed: &Option<Vec<i64>>, lo: i64, cap: i64) -> Vec<i64> {
         let lo = lo.max(1);
         match allowed {
-            Some(list) => Some(
-                list.iter()
-                    .copied()
-                    .filter(|&v| v >= lo && v <= cap)
-                    .collect(),
-            ),
-            // An empty list (cap < lo) is a real answer: no candidates.
-            None if cap <= 4096 => Some((lo..=cap).collect()),
-            None => None,
+            Some(list) => list
+                .iter()
+                .copied()
+                .filter(|&v| v >= lo && v <= cap)
+                .collect(),
+            None if cap <= 4096 => (lo..=cap).collect(),
+            None => Self::strided_inclusive(lo, cap, (self.total_nodes / 2048).max(1)),
         }
     }
 
@@ -220,7 +122,8 @@ impl<'a> ExhaustiveOptimizer<'a> {
 
     /// Fallible solve: `None` when no candidate allocation exists — the
     /// target machine is smaller than the memory floors, an allowed set
-    /// filters down to nothing, or every candidate scores infinite.
+    /// filters down to nothing, or every candidate scores infinite — and
+    /// for min-max on more than 2^20 nodes.
     pub fn try_solve(&self, objective: Objective) -> Option<ExhaustiveResult> {
         match objective {
             Objective::MinMax => self.solve_minmax(),
@@ -231,101 +134,116 @@ impl<'a> ExhaustiveOptimizer<'a> {
     }
 
     fn solve_minmax(&self) -> Option<ExhaustiveResult> {
-        let n = self.total_nodes;
-        let mut evals = 0usize;
-        let mut pruned = 0usize;
-        let mut best: Option<(f64, Allocation)> = None;
-
-        // Layout 3 needs no outer enumeration at all.
-        if self.layout == Layout::FullySequential {
-            let (objective, allocation) = self.score_minmax(0, 0)?;
-            return Some(ExhaustiveResult {
-                allocation,
-                objective,
-                evaluations: 1,
-                pruned: 0,
-            });
+        // The tables take ~100 bytes per node count (110 MB and 0.4 s for
+        // the hybrid at 2^20). A budget arrives from a request, so past
+        // 2^20 nodes (3× the largest machine modelled here) the rung
+        // declines instead of allocating without bound.
+        let n = usize::try_from(self.total_nodes)
+            .ok()
+            .filter(|&n| n <= 1 << 20)?;
+        let mut count = Counts::default();
+        let root = self.layout.tree();
+        let solved = self.table(root, n, &mut count);
+        if !solved.time[n].is_finite() {
+            return None;
         }
-
-        // Nodes the non-ocean side needs: layout 1 nests ice + land inside
-        // the atmosphere's, layout 2 runs the three one after another on
-        // the same nodes.
-        let min_atm_side = match self.layout {
-            Layout::Hybrid => (self.floors.ice + self.floors.lnd).max(2),
-            _ => self.floors.ice.max(self.floors.lnd).max(1),
-        }
-        .max(self.floors.atm);
-        let ocn_cap = n - min_atm_side; // leave room for the atm side
-        let ocn_candidates = Self::candidates(&self.ocean_allowed, self.floors.ocn, ocn_cap);
-
-        let mut consider_ocn = |n_ocn: i64, evals: &mut usize, pruned: &mut usize| -> f64 {
-            let atm_budget = n - n_ocn;
-            let inner_best = match self.layout {
-                Layout::Hybrid => {
-                    // Optimize n_atm ∈ allowed ∩ [floor, atm_budget].
-                    match Self::candidates(&self.atm_allowed, min_atm_side, atm_budget) {
-                        Some(cands) => {
-                            *evals += cands.len();
-                            cands
-                                .into_iter()
-                                .filter_map(|na| self.score_minmax(na, n_ocn))
-                                .min_by(|x, y| hslb_numerics::float::cmp_f64(x.0, y.0))
-                        }
-                        None => {
-                            // Free atmosphere: the inner objective (best
-                            // ice/land split + T_atm) is near-unimodal in
-                            // n_atm; ternary search finds its basin in
-                            // O(log) evaluations.
-                            let f = |na: i64| {
-                                self.score_minmax(na, n_ocn)
-                                    .map_or(f64::INFINITY, |(total, _)| total)
-                            };
-                            let (na, _) = scalar::integer_ternary_min(
-                                f,
-                                min_atm_side.min(atm_budget),
-                                atm_budget,
-                            );
-                            *evals += 2 * (64 - atm_budget.leading_zeros() as usize);
-                            self.score_minmax(na, n_ocn)
-                        }
-                    }
-                }
-                Layout::SequentialWithOcean => {
-                    *evals += 1;
-                    self.score_minmax(atm_budget, n_ocn)
-                }
-                Layout::FullySequential => unreachable!(),
-            };
-            let Some((total, alloc)) = inner_best else {
-                *pruned += 1;
-                return f64::INFINITY;
-            };
-            if best.as_ref().is_none_or(|(b, _)| total < *b) {
-                best = Some((total, alloc));
-            }
-            total
-        };
-
-        match ocn_candidates {
-            Some(cands) => {
-                for &no in &cands {
-                    consider_ocn(no, &mut evals, &mut pruned);
-                }
-            }
-            None => {
-                // Grid-with-refinement over the big unconstrained range.
-                let f = |no: i64| consider_ocn(no, &mut evals, &mut pruned);
-                let _ = scalar::integer_grid_min(f, 1, ocn_cap, 256);
-            }
-        }
-
-        let (objective, allocation) = best?;
+        let mut allocation = Allocation::from_table_order([0; 4]);
+        solved.place(root, n, &mut allocation);
         Some(ExhaustiveResult {
+            objective: self.fits.predicted_total(self.layout, &allocation),
             allocation,
-            objective,
-            evaluations: evals,
-            pruned,
+            evaluations: count.evaluations,
+            pruned: count.pruned,
         })
+    }
+
+    fn floor(&self, c: Component) -> i64 {
+        match c {
+            Component::Lnd => self.floors.lnd,
+            Component::Ice => self.floors.ice,
+            Component::Atm => self.floors.atm,
+            _ => self.floors.ocn,
+        }
+        .max(1)
+    }
+
+    /// Prefix minimum of `cost[k] + T_c(k)` over the counts `c` may take
+    /// (at or above its floor, in its allowed set when it has one):
+    /// `time[m]` the least over `k ≤ m`, `pick[m]` the smallest `k` that
+    /// reaches it.
+    fn prefix_min(&self, c: Component, cost: &[f64], count: &mut Counts) -> Table {
+        let n = cost.len() - 1;
+        let allowed = match c {
+            Component::Ocn => self.ocean_allowed.as_ref(),
+            Component::Atm => self.atm_allowed.as_ref(),
+            _ => None,
+        };
+        let mut ok = vec![allowed.is_none(); n + 1];
+        for &v in allowed.into_iter().flatten() {
+            if let Some(k) = usize::try_from(v).ok().filter(|&k| k <= n) {
+                ok[k] = true;
+            }
+        }
+        ok.iter_mut()
+            .take(self.floor(c) as usize)
+            .for_each(|k| *k = false);
+        let (mut time, mut pick) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
+        let (mut best, mut at) = (f64::INFINITY, 0);
+        for (k, &admissible) in ok.iter().enumerate() {
+            if !admissible {
+                count.pruned += usize::from(k > 0);
+            } else if cost[k].is_finite() {
+                count.evaluations += 1;
+                let t = cost[k] + self.t(c, k as i64);
+                if t < best {
+                    (best, at) = (t, k);
+                }
+            }
+            time.push(best);
+            pick.push(at);
+        }
+        Table {
+            time,
+            pick,
+            ..Table::default()
+        }
+    }
+
+    /// The subtree's table on budgets `0..=n`, with its children's.
+    fn table(&self, node: &Node, n: usize, count: &mut Counts) -> Table {
+        match node {
+            Node::Leaf(c) => self.prefix_min(*c, &vec![0.0; n + 1], count),
+            Node::Seq(owner, kids) => {
+                let kids: Vec<Table> = kids.iter().map(|k| self.table(k, n, count)).collect();
+                let rest: Vec<f64> = (0..=n)
+                    .map(|m| kids.iter().map(|k| k.time[m]).sum::<f64>())
+                    .collect();
+                let own = match owner {
+                    Some(c) => self.prefix_min(*c, &rest, count),
+                    None => Table {
+                        time: rest,
+                        ..Table::default()
+                    },
+                };
+                Table { kids, ..own }
+            }
+            Node::Par(kids) => {
+                let kids: Vec<Table> = kids.iter().map(|k| self.table(k, n, count)).collect();
+                let mut merged = kids[0].time.clone();
+                let mut splits = Vec::with_capacity(kids.len() - 1);
+                for k in &kids[1..] {
+                    let (time, pick) = min_max_merge(&merged, &k.time);
+                    merged = time;
+                    splits.push(pick);
+                }
+                Table {
+                    time: merged,
+                    pick: Vec::new(),
+                    kids,
+                    splits,
+                }
+            }
+        }
     }
 
     fn solve_sum(&self) -> Option<ExhaustiveResult> {
@@ -335,20 +253,14 @@ impl<'a> ExhaustiveOptimizer<'a> {
         let n = self.total_nodes;
         let mut best: Option<(f64, Allocation)> = None;
         let mut evals = 0usize;
-        let ocn_cap = match self.layout {
-            Layout::FullySequential => n,
-            _ => n - 2,
-        };
-        let cands =
-            Self::candidates(&self.ocean_allowed, self.floors.ocn, ocn_cap).unwrap_or_else(|| {
-                Self::strided_inclusive(self.floors.ocn.max(1), ocn_cap, (n / 2048).max(1))
-            });
+        // The ocean scan leaves the rest its fewest nodes: one each for
+        // ice and land inside a two-node atmosphere.
+        let at = |lnd, ice, atm, ocn| Allocation::from_table_order([lnd, ice, atm, ocn]);
+        let ocn_cap = self.layout.cap(Component::Ocn, &at(1, 1, 2, 0), n);
+        let cands = self.scan(&self.ocean_allowed, self.floors.ocn, ocn_cap);
         let mut pruned = 0usize;
         for &no in &cands {
-            let cap = match self.layout {
-                Layout::Hybrid | Layout::SequentialWithOcean => n - no,
-                Layout::FullySequential => n,
-            };
+            let cap = self.layout.cap(Component::Atm, &at(0, 0, 0, no), n);
             if cap < 3 {
                 pruned += 1;
                 continue;
@@ -370,36 +282,32 @@ impl<'a> ExhaustiveOptimizer<'a> {
                     .optimized_curve(Component::Atm)
                     .argmin_nodes(self.floors.atm, cap),
             };
-            let inner_cap = match self.layout {
-                Layout::Hybrid => na,
-                _ => cap,
-            };
+            let inner_cap = self.layout.cap(Component::Ice, &at(0, 0, na, no), n);
             if inner_cap < 2 {
                 pruned += 1;
                 continue;
             }
-            // In layout 1, ice+lnd ≤ n_atm couples them; minimize the sum
-            // over the split (unimodal).
-            let (ni, nl) = match self.layout {
-                Layout::Hybrid => {
-                    let (ice_lo, lnd_lo) = (self.floors.ice.max(1), self.floors.lnd.max(1));
-                    if inner_cap < ice_lo + lnd_lo {
-                        pruned += 1;
-                        continue;
-                    }
-                    let f =
-                        |k: i64| self.t(Component::Ice, k) + self.t(Component::Lnd, inner_cap - k);
-                    let (k, _) = scalar::integer_ternary_min(f, ice_lo, inner_cap - lnd_lo);
-                    (k, inner_cap - k)
+            // Side by side (layout 1), ice + lnd ≤ n_atm couples them;
+            // minimize the sum over the split (unimodal).
+            let (ni, nl) = if self
+                .layout
+                .tree()
+                .side_by_side(Component::Ice, Component::Lnd)
+            {
+                let (ice_lo, lnd_lo) = (self.floors.ice.max(1), self.floors.lnd.max(1));
+                if inner_cap < ice_lo + lnd_lo {
+                    pruned += 1;
+                    continue;
                 }
-                _ => (
-                    self.fits
-                        .optimized_curve(Component::Ice)
-                        .argmin_nodes(self.floors.ice, inner_cap),
-                    self.fits
-                        .optimized_curve(Component::Lnd)
-                        .argmin_nodes(self.floors.lnd, inner_cap),
-                ),
+                let f = |k: i64| self.t(Component::Ice, k) + self.t(Component::Lnd, inner_cap - k);
+                let (k, _) = scalar::integer_ternary_min(f, ice_lo, inner_cap - lnd_lo);
+                (k, inner_cap - k)
+            } else {
+                let solo = |c, floor| self.fits.optimized_curve(c).argmin_nodes(floor, inner_cap);
+                (
+                    solo(Component::Ice, self.floors.ice),
+                    solo(Component::Lnd, self.floors.lnd),
+                )
             };
             evals += 1;
             let total = self.t(Component::Ice, ni)
@@ -435,10 +343,7 @@ impl<'a> ExhaustiveOptimizer<'a> {
         let mut best: Option<(f64, Allocation)> = None;
         let mut evals = 0usize;
         let mut pruned = 0usize;
-        let cands =
-            Self::candidates(&self.ocean_allowed, self.floors.ocn, n - 3).unwrap_or_else(|| {
-                Self::strided_inclusive(self.floors.ocn.max(1), n - 3, (n / 2048).max(1))
-            });
+        let cands = self.scan(&self.ocean_allowed, self.floors.ocn, n - 3);
         for &no in &cands {
             let na = n - no; // all remaining nodes go to the atm group
             if na < 3 {
@@ -487,6 +392,85 @@ impl<'a> ExhaustiveOptimizer<'a> {
             pruned,
         })
     }
+}
+
+/// Curve evaluations and skipped counts of one min-max solve.
+#[derive(Default)]
+struct Counts {
+    evaluations: usize,
+    pruned: usize,
+}
+
+/// A subtree's table: `time[m]` is the least time it takes on at most `m`
+/// nodes (∞ when it cannot fit) and `pick[m]` the count that reaches it —
+/// a component's own or an owner's. `splits[j][m]` is what a side-by-side
+/// group's child `j + 1` takes of the `m` nodes its first `j + 2` children
+/// share.
+#[derive(Default)]
+struct Table {
+    time: Vec<f64>,
+    pick: Vec<usize>,
+    kids: Vec<Table>,
+    splits: Vec<Vec<usize>>,
+}
+
+impl Table {
+    /// Write the counts that reach `time[m]` into `a`.
+    fn place(&self, node: &Node, m: usize, a: &mut Allocation) {
+        match node {
+            Node::Leaf(c) => a.set(*c, self.pick[m] as i64),
+            Node::Seq(owner, kids) => {
+                let m = match owner {
+                    Some(c) => {
+                        a.set(*c, self.pick[m] as i64);
+                        self.pick[m]
+                    }
+                    None => m,
+                };
+                for (k, node) in self.kids.iter().zip(*kids) {
+                    k.place(node, m, a);
+                }
+            }
+            Node::Par(kids) => {
+                let mut m = m;
+                for (j, (k, node)) in self.kids.iter().zip(*kids).enumerate().skip(1).rev() {
+                    let share = self.splits[j - 1][m];
+                    k.place(node, share, a);
+                    m -= share;
+                }
+                self.kids[0].place(&kids[0], m, a);
+            }
+        }
+    }
+}
+
+/// Min–max convolution of two nonincreasing tables: for every budget `m`,
+/// the least `max(a[m − j], b[j])` over `j ∈ [0, m]`, and the `j` giving
+/// it. Past the first `j` with `b[j] ≤ a[m − j]` the first side is the
+/// slower one and only grows; before it the second is and only shrinks,
+/// so the optimum sits at that crossing or just before it.
+fn min_max_merge(a: &[f64], b: &[f64]) -> (Vec<f64>, Vec<usize>) {
+    (0..a.len())
+        .map(|m| {
+            let (mut lo, mut hi) = (0, m + 1);
+            while lo < hi {
+                let j = (lo + hi) / 2;
+                if b[j] <= a[m - j] {
+                    hi = j;
+                } else {
+                    lo = j + 1;
+                }
+            }
+            let mut best = (f64::INFINITY, 0);
+            if lo <= m {
+                best = (a[m - lo], lo);
+            }
+            if lo > 0 && b[lo - 1] < best.0 {
+                best = (b[lo - 1], lo - 1);
+            }
+            best
+        })
+        .unzip()
 }
 
 #[cfg(test)]
@@ -546,6 +530,9 @@ mod tests {
         assert!(tiny.try_solve(Objective::MinMax).is_none());
         let ok = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 128);
         assert!(ok.try_solve(Objective::MinMax).is_some());
+        // A budget past 2^20 nodes is declined, not tabulated.
+        let huge = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, (1 << 20) + 1);
+        assert!(huge.try_solve(Objective::MinMax).is_none());
     }
 
     #[test]
@@ -600,6 +587,23 @@ mod tests {
         // With monotone curves every component takes the max it can.
         assert_eq!(res.allocation.atm, 128);
         assert_eq!(res.allocation.ocn, 128);
+    }
+
+    #[test]
+    fn min_max_merge_matches_brute_force() {
+        // Nonincreasing tables with unreachable (∞) prefixes and plateaus.
+        let a = [f64::INFINITY, f64::INFINITY, 9.0, 7.0, 7.0, 4.0, 4.0, 1.0];
+        let b = [f64::INFINITY, 8.0, 8.0, 5.0, 3.0, 3.0, 2.0, 2.0];
+        let (time, pick) = min_max_merge(&a, &b);
+        for m in 0..a.len() {
+            let best = (0..=m)
+                .map(|j| a[m - j].max(b[j]))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(time[m], best, "m = {m}");
+            if best.is_finite() {
+                assert_eq!(a[m - pick[m]].max(b[pick[m]]), best, "m = {m}");
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::data::BenchmarkData;
 use crate::error::HslbError;
+use hslb_cesm::layout::ComponentTimes;
 use hslb_cesm::{Allocation, Component, Layout};
 use hslb_nlsq::{fit_scaling, ScalingCurve, ScalingFit, ScalingFitOptions};
 use std::collections::BTreeMap;
@@ -57,24 +58,20 @@ impl FitSet {
         self.optimized_curve(c).eval(n as f64)
     }
 
-    /// Predicted coupled total of an allocation under `layout` — the
-    /// layout composition rules of §III-D (concurrent groups take the
-    /// max, sequential groups the sum). Shared by post-solve tuning and
-    /// the objective ablations so the composition logic lives once.
-    pub fn predicted_total(&self, layout: Layout, a: &Allocation) -> f64 {
-        let (ice, lnd) = (
-            self.predict(Component::Ice, a.ice),
-            self.predict(Component::Lnd, a.lnd),
-        );
-        let (atm, ocn) = (
-            self.predict(Component::Atm, a.atm),
-            self.predict(Component::Ocn, a.ocn),
-        );
-        match layout {
-            Layout::Hybrid => (ice.max(lnd) + atm).max(ocn),
-            Layout::SequentialWithOcean => (ice + lnd + atm).max(ocn),
-            Layout::FullySequential => ice + lnd + atm + ocn,
+    /// Predicted time of each component under an allocation.
+    pub fn predicted_times(&self, a: &Allocation) -> ComponentTimes {
+        ComponentTimes {
+            lnd: self.predict(Component::Lnd, a.lnd),
+            ice: self.predict(Component::Ice, a.ice),
+            atm: self.predict(Component::Atm, a.atm),
+            ocn: self.predict(Component::Ocn, a.ocn),
         }
+    }
+
+    /// Predicted coupled total of an allocation under `layout`: the
+    /// layout's composition over the predicted component times.
+    pub fn predicted_total(&self, layout: Layout, a: &Allocation) -> f64 {
+        layout.total_time(&self.predicted_times(a))
     }
 
     /// Worst R² across *measured* components — the paper's headline

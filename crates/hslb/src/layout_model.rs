@@ -13,6 +13,7 @@
 
 use crate::fit::FitSet;
 use crate::objective::Objective;
+use hslb_cesm::layout::{Span, SYNC_ROWS};
 use hslb_cesm::{Component, Layout};
 use hslb_model::{ConstraintSense, Convexity, Expr, Model, ObjectiveSense, VarId};
 use hslb_nlsq::ScalingCurve;
@@ -96,7 +97,8 @@ pub struct LayoutModel {
     pub n_ocn: VarId,
     /// The makespan variable `T` (or the epigraph variable for min-sum).
     pub t_total: VarId,
-    /// `T_icelnd` (layout 1 only).
+    /// The auxiliary time of a side-by-side group nested in a sequence
+    /// (`T_icelnd`, layout 1 only).
     pub t_icelnd: Option<VarId>,
 }
 
@@ -201,125 +203,90 @@ pub fn build_layout_model(
         add_allowed_set(&mut m, "atm", n_atm, values, fl.atm, n_total)?;
     }
 
-    let mut t_icelnd_var = None;
+    // Table I's node rows, the same for every objective.
+    let n_of = |c: Component| match c {
+        Component::Ice => n_ice,
+        Component::Lnd => n_lnd,
+        Component::Atm => n_atm,
+        _ => n_ocn,
+    };
+    let node_rows = |m: &mut Model| -> Result<(), crate::error::HslbError> {
+        for row in opts.layout.node_rows() {
+            let parts = row.parts.iter().map(|&c| Expr::var(n_of(c)));
+            let used = parts.reduce(|a, b| a + b).unwrap_or(Expr::c(0.0));
+            let (lhs, rhs) = match row.cap {
+                Some(owner) => (used - Expr::var(n_of(owner)), 0.0),
+                None => (used, nf),
+            };
+            m.constrain(&row.name, lhs, ConstraintSense::Le, rhs, Convexity::Linear)?;
+        }
+        Ok(())
+    };
 
+    let mut aux: Vec<(String, VarId)> = Vec::new();
     match opts.objective {
         Objective::MinMax => {
-            match opts.layout {
-                Layout::Hybrid => {
-                    // Table I lines 14–21.
-                    let t_icelnd = m.continuous("T_icelnd", 0.0, t_ub)?;
-                    t_icelnd_var = Some(t_icelnd);
-                    // T_icelnd ≥ T_i(n_i), T_icelnd ≥ T_l(n_l)
-                    m.constrain(
-                        "icelnd_ge_ice",
-                        t_of(Component::Ice, n_ice, fits) - Expr::var(t_icelnd),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
-                    )?;
-                    m.constrain(
-                        "icelnd_ge_lnd",
-                        t_of(Component::Lnd, n_lnd, fits) - Expr::var(t_icelnd),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
-                    )?;
-                    // T ≥ T_icelnd + T_a(n_a)
-                    m.constrain(
-                        "total_ge_atm_branch",
-                        Expr::var(t_icelnd) + t_of(Component::Atm, n_atm, fits)
-                            - Expr::var(t_total),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
-                    )?;
-                    // T ≥ T_o(n_o)
-                    m.constrain(
-                        "total_ge_ocn",
-                        t_of(Component::Ocn, n_ocn, fits) - Expr::var(t_total),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
-                    )?;
-                    // Lines 18–19: |T_l(n_l) − T_i(n_i)| ≤ T_sync.
-                    if let Some(tsync) = opts.tsync {
-                        m.constrain(
-                            "sync_lnd_not_too_fast",
-                            t_of(Component::Ice, n_ice, fits) - t_of(Component::Lnd, n_lnd, fits),
-                            ConstraintSense::Le,
-                            tsync,
-                            Convexity::Nonconvex,
-                        )?;
-                        m.constrain(
-                            "sync_lnd_not_too_slow",
-                            t_of(Component::Lnd, n_lnd, fits) - t_of(Component::Ice, n_ice, fits),
-                            ConstraintSense::Le,
-                            tsync,
-                            Convexity::Nonconvex,
-                        )?;
-                    }
-                    // Lines 20–21: n_a + n_o ≤ N, n_i + n_l ≤ n_a.
-                    m.constrain(
-                        "budget",
-                        Expr::var(n_atm) + Expr::var(n_ocn),
-                        ConstraintSense::Le,
-                        nf,
-                        Convexity::Linear,
-                    )?;
-                    m.constrain(
-                        "icelnd_within_atm",
-                        Expr::var(n_ice) + Expr::var(n_lnd) - Expr::var(n_atm),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Linear,
-                    )?;
+            // Temporal rows: the makespan bounds each branch the layout
+            // runs side by side, with one auxiliary time per nested group
+            // (Table I lines 14–17, 22–23, 27).
+            let mut term = |m: &mut Model, s: &Span| -> Result<Expr, crate::error::HslbError> {
+                Ok(match s {
+                    Span::Time(c) => t_of(*c, n_of(*c), fits),
+                    Span::Total => Expr::var(t_total),
+                    Span::Aux(name) => Expr::var(match aux.iter().find(|(a, _)| a == name) {
+                        Some(&(_, v)) => v,
+                        None => {
+                            let v = m.continuous(name, 0.0, t_ub)?;
+                            aux.push((name.clone(), v));
+                            v
+                        }
+                    }),
+                })
+            };
+            for row in opts.layout.time_rows() {
+                let bound = term(&mut m, &row.rhs)?;
+                let mut time: Option<Expr> = None;
+                for s in &row.lhs {
+                    let t = term(&mut m, s)?;
+                    time = Some(match time {
+                        Some(acc) => acc + t,
+                        None => t,
+                    });
                 }
-                Layout::SequentialWithOcean => {
-                    // Table I lines 22–26.
+                m.constrain(
+                    &row.name,
+                    time.unwrap_or(Expr::c(0.0)) - bound,
+                    ConstraintSense::Le,
+                    0.0,
+                    Convexity::Convex,
+                )?;
+            }
+            // Lines 18–19: |T_l(n_l) − T_i(n_i)| ≤ T_sync where ice and
+            // land run side by side.
+            if let Some(tsync) = opts.tsync {
+                if opts
+                    .layout
+                    .tree()
+                    .side_by_side(Component::Ice, Component::Lnd)
+                {
+                    let [fast, slow] = SYNC_ROWS;
                     m.constrain(
-                        "total_ge_seq",
-                        t_of(Component::Ice, n_ice, fits)
-                            + t_of(Component::Lnd, n_lnd, fits)
-                            + t_of(Component::Atm, n_atm, fits)
-                            - Expr::var(t_total),
+                        fast,
+                        t_of(Component::Ice, n_ice, fits) - t_of(Component::Lnd, n_lnd, fits),
                         ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
+                        tsync,
+                        Convexity::Nonconvex,
                     )?;
                     m.constrain(
-                        "total_ge_ocn",
-                        t_of(Component::Ocn, n_ocn, fits) - Expr::var(t_total),
+                        slow,
+                        t_of(Component::Lnd, n_lnd, fits) - t_of(Component::Ice, n_ice, fits),
                         ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
+                        tsync,
+                        Convexity::Nonconvex,
                     )?;
-                    for (label, n) in [("lnd", n_lnd), ("ice", n_ice), ("atm", n_atm)] {
-                        m.constrain(
-                            &format!("{label}_within_rest"),
-                            Expr::var(n) + Expr::var(n_ocn),
-                            ConstraintSense::Le,
-                            nf,
-                            Convexity::Linear,
-                        )?;
-                    }
-                }
-                Layout::FullySequential => {
-                    // Table I lines 27–28.
-                    m.constrain(
-                        "total_ge_all_seq",
-                        t_of(Component::Ice, n_ice, fits)
-                            + t_of(Component::Lnd, n_lnd, fits)
-                            + t_of(Component::Atm, n_atm, fits)
-                            + t_of(Component::Ocn, n_ocn, fits)
-                            - Expr::var(t_total),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Convex,
-                    )?;
-                    // n_j ≤ N is already each variable's upper bound.
                 }
             }
+            node_rows(&mut m)?;
             m.set_objective(Expr::var(t_total), ObjectiveSense::Minimize)?;
         }
         Objective::SumTime => {
@@ -336,36 +303,7 @@ pub fn build_layout_model(
                 0.0,
                 Convexity::Convex,
             )?;
-            match opts.layout {
-                Layout::Hybrid => {
-                    m.constrain(
-                        "budget",
-                        Expr::var(n_atm) + Expr::var(n_ocn),
-                        ConstraintSense::Le,
-                        nf,
-                        Convexity::Linear,
-                    )?;
-                    m.constrain(
-                        "icelnd_within_atm",
-                        Expr::var(n_ice) + Expr::var(n_lnd) - Expr::var(n_atm),
-                        ConstraintSense::Le,
-                        0.0,
-                        Convexity::Linear,
-                    )?;
-                }
-                Layout::SequentialWithOcean => {
-                    for (label, n) in [("lnd", n_lnd), ("ice", n_ice), ("atm", n_atm)] {
-                        m.constrain(
-                            &format!("{label}_within_rest"),
-                            Expr::var(n) + Expr::var(n_ocn),
-                            ConstraintSense::Le,
-                            nf,
-                            Convexity::Linear,
-                        )?;
-                    }
-                }
-                Layout::FullySequential => {}
-            }
+            node_rows(&mut m)?;
             m.set_objective(Expr::var(t_total), ObjectiveSense::Minimize)?;
         }
         Objective::MaxMin => unreachable!("rejected above"),
@@ -378,7 +316,7 @@ pub fn build_layout_model(
         n_atm,
         n_ocn,
         t_total,
-        t_icelnd: t_icelnd_var,
+        t_icelnd: aux.first().map(|&(_, v)| v),
     })
 }
 

@@ -21,9 +21,10 @@
 //!
 //! * [`manual`] — the baselines: replay of the paper's published expert
 //!   allocations, and a simulated-expert iterative tuner;
-//! * [`exhaustive`] — an independent enumeration optimizer used to verify
-//!   the MINLP solver's global optimality (and to evaluate the `max-min`
-//!   objective, whose MINLP form is nonconvex);
+//! * [`exhaustive`] — an independent exact optimizer (a table DP over the
+//!   layout composition for min-max) used to verify the MINLP solver's
+//!   global optimality (and to evaluate the `max-min` objective, whose
+//!   MINLP form is nonconvex);
 //! * [`whatif`] — the §IV-C applications: layout comparison (Figure 4),
 //!   optimal node counts, new-machine prediction;
 //! * [`report`] — Table III-style reporting structures.
@@ -47,7 +48,7 @@ pub use error::HslbError;
 pub use exhaustive::ExhaustiveOptimizer;
 pub use fit::{fit_all, FitSet};
 pub use layout_model::{build_layout_model, LayoutModel, LayoutModelOptions, NodeFloors};
-pub use objective::Objective;
+pub use objective::{parse_objective, Objective};
 pub use pipeline::{GatherPlan, Hslb, HslbOptions, SolveOutcome};
 pub use report::{ArmReport, ExperimentReport};
 pub use resilience::{GatherReport, ResilienceReport, RetryPolicy, SolverRung};

@@ -50,6 +50,14 @@ impl std::fmt::Display for Objective {
     }
 }
 
+/// Parse an objective wire token (the `Display` forms).
+pub fn parse_objective(s: &str) -> Result<Objective, String> {
+    [Objective::MinMax, Objective::MaxMin, Objective::SumTime]
+        .into_iter()
+        .find(|o| o.to_string() == s)
+        .ok_or_else(|| format!("unknown objective {s:?} (min-max|max-min|min-sum)"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

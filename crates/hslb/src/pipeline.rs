@@ -624,12 +624,7 @@ impl<'a> Hslb<'a> {
         allocation: Allocation,
         solver_stats: Option<hslb_minlp::SolveStats>,
     ) -> SolveOutcome {
-        let predicted = hslb_cesm::layout::ComponentTimes {
-            lnd: fits.predict(Component::Lnd, allocation.lnd),
-            ice: fits.predict(Component::Ice, allocation.ice),
-            atm: fits.predict(Component::Atm, allocation.atm),
-            ocn: fits.predict(Component::Ocn, allocation.ocn),
-        };
+        let predicted = fits.predicted_times(&allocation);
         SolveOutcome {
             predicted_total: self.opts.layout.total_time(&predicted),
             allocation,

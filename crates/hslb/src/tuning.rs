@@ -45,21 +45,18 @@ pub fn snap_to_sweet_spots(
         tuned.ocn = ocn;
     }
 
-    // Atmosphere: snap into the remaining budget (layout 1/2 share it).
-    let atm_cap = match layout {
-        Layout::Hybrid | Layout::SequentialWithOcean => total_nodes - tuned.ocn,
-        Layout::FullySequential => total_nodes,
-    };
+    // Atmosphere: snap into what the layout leaves it.
+    let atm_cap = layout.cap(Component::Atm, &tuned, total_nodes);
     let atm = sweetspot::snap(resolution, Component::Atm, tuned.atm.min(atm_cap), atm_cap);
     if atm != tuned.atm {
         adjustments += 1;
         tuned.atm = atm;
     }
 
-    // Ice/land: re-split the (possibly changed) atmosphere group
-    // optimally, then snap ice and give land the remainder.
-    if layout == Layout::Hybrid {
-        let budget = tuned.atm;
+    // Ice/land side by side: re-split the (possibly changed) group they
+    // share optimally, then snap ice and give land the remainder.
+    if layout.tree().side_by_side(Component::Ice, Component::Lnd) {
+        let budget = layout.cap(Component::Ice, &tuned, total_nodes) + tuned.lnd;
         let f = |ni: i64| {
             fits.predict(Component::Ice, ni)
                 .max(fits.predict(Component::Lnd, budget - ni))
@@ -76,17 +73,14 @@ pub fn snap_to_sweet_spots(
         tuned.ice = ice;
         tuned.lnd = lnd.max(1);
     } else {
-        let cap = atm_cap;
-        let ice = sweetspot::snap(resolution, Component::Ice, tuned.ice.min(cap), cap);
-        let lnd = sweetspot::snap(resolution, Component::Lnd, tuned.lnd.min(cap), cap);
-        if ice != tuned.ice {
-            adjustments += 1;
+        for c in [Component::Ice, Component::Lnd] {
+            let cap = layout.cap(c, &tuned, total_nodes);
+            let n = sweetspot::snap(resolution, c, tuned.get(c).min(cap), cap);
+            if n != tuned.get(c) {
+                adjustments += 1;
+                tuned.set(c, n);
+            }
         }
-        if lnd != tuned.lnd {
-            adjustments += 1;
-        }
-        tuned.ice = ice;
-        tuned.lnd = lnd;
     }
 
     debug_assert!(

@@ -6,6 +6,11 @@
 //! the exhaustive rung and a brute-force enumeration written here must all
 //! predict the same total, and every allocation must lie in its sets. A
 //! disagreeing instance is written out as AMPL for a second solver.
+//!
+//! Above N = 512 brute force and the literal binaries are too slow, and the
+//! exhaustive rung's table DP is the ground truth the compact model is held
+//! to, up to N = 40,960. The DP itself is held to the laws any exact
+//! min-max optimum obeys.
 
 use hslb::{
     build_layout_model, ExhaustiveOptimizer, FitSet, Hslb, HslbOptions, LayoutModelOptions,
@@ -47,6 +52,10 @@ fn random_fits(rng: &mut StdRng) -> FitSet {
     FitSet::from_curves(curves).expect("four components")
 }
 
+/// Most values a generated allowed set keeps before its outlier: a dense
+/// set on a 40,960-node budget would otherwise list up to 80k counts.
+const MAX_SET_LEN: usize = 4096;
+
 /// One of the shapes the real configurations take, or a degenerate one.
 fn random_allowed_set(rng: &mut StdRng, n: i64, outlier: i64) -> Option<Vec<i64>> {
     let mut set: Vec<i64> = match rng.gen_range(0..7u32) {
@@ -69,6 +78,7 @@ fn random_allowed_set(rng: &mut StdRng, n: i64, outlier: i64) -> Option<Vec<i64>
             (1..=n / step).map(|k| step * k).collect()
         }
     };
+    set.truncate(MAX_SET_LEN);
     // The far outlier both 1° sets end in (768 / 1664).
     if rng.gen_bool(0.5) {
         set.push(outlier);
@@ -78,14 +88,19 @@ fn random_allowed_set(rng: &mut StdRng, n: i64, outlier: i64) -> Option<Vec<i64>
     Some(set)
 }
 
+#[derive(Clone)]
 struct Instance {
     fits: FitSet,
     opts: LayoutModelOptions,
 }
 
 fn random_instance(seed: u64) -> Instance {
+    instance_in(seed, 8..=512)
+}
+
+fn instance_in(seed: u64, nodes: std::ops::RangeInclusive<i64>) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(8..=512i64);
+    let n = rng.gen_range(nodes);
     let floors = if rng.gen_bool(0.5) {
         NodeFloors::default()
     } else {
@@ -183,10 +198,34 @@ fn incumbent(
     }
 }
 
+/// The exhaustive rung configured for `inst`.
+fn exhaustive(inst: &Instance) -> ExhaustiveOptimizer<'_> {
+    let opts = &inst.opts;
+    let mut opt = ExhaustiveOptimizer::new(&inst.fits, opts.layout, opts.total_nodes);
+    opt.ocean_allowed = opts.ocean_allowed.clone();
+    opt.atm_allowed = opts.atm_allowed.clone();
+    opt.floors = opts.floors;
+    opt
+}
+
+/// The exhaustive rung's min-max total for `inst`, `None` when nothing fits.
+fn dp_total(inst: &Instance) -> Option<f64> {
+    exhaustive(inst)
+        .try_solve(Objective::MinMax)
+        .map(|r| r.objective)
+}
+
 /// Every way `inst` can be answered; an `Err` names the first disagreement.
-fn cross_check(inst: &Instance) -> Result<(), String> {
+/// Up to N = 512 the truth is the brute force above and all three solvers
+/// answer; beyond it (`large`) the truth is the exhaustive rung and the
+/// compact model answers.
+fn cross_check(inst: &Instance, large: bool) -> Result<(), String> {
     let (fits, opts) = (&inst.fits, &inst.opts);
-    let truth = brute_force(inst);
+    let truth = if large {
+        dp_total(inst)
+    } else {
+        brute_force(inst)
+    };
     let lm = match build_layout_model(fits, opts) {
         Ok(lm) => lm,
         // An allowed set with no value inside [floor, N] is refused when
@@ -207,24 +246,22 @@ fn cross_check(inst: &Instance) -> Result<(), String> {
             && (a.lnd >= opts.floors.lnd && a.ice >= opts.floors.ice)
             && (a.atm >= opts.floors.atm && a.ocn >= opts.floors.ocn)
     };
-    let mut opt = ExhaustiveOptimizer::new(fits, opts.layout, opts.total_nodes);
-    opt.ocean_allowed = opts.ocean_allowed.clone();
-    opt.atm_allowed = opts.atm_allowed.clone();
-    opt.floors = opts.floors;
-    let answers = [
-        (
-            "compact model",
-            incumbent(&lm, &lm.model, Branching::SosFirst),
-        ),
-        (
+    let mut answers = vec![(
+        "compact model",
+        incumbent(&lm, &lm.model, Branching::SosFirst),
+    )];
+    if !large {
+        answers.push((
             "expanded binaries",
             incumbent(&lm, &lm.model.expand_domains(), Branching::IntegerOnly),
-        ),
-        (
-            "exhaustive rung",
-            opt.try_solve(Objective::MinMax).map(|r| r.allocation),
-        ),
-    ];
+        ));
+    }
+    answers.push((
+        "exhaustive rung",
+        exhaustive(inst)
+            .try_solve(Objective::MinMax)
+            .map(|r| r.allocation),
+    ));
     for (who, alloc) in answers {
         match (alloc, truth) {
             (None, None) => {}
@@ -243,6 +280,31 @@ fn cross_check(inst: &Instance) -> Result<(), String> {
     Ok(())
 }
 
+/// Panic with `inst`'s shape and an AMPL repro a second solver can read.
+fn report(seed: u64, inst: &Instance, why: &str) -> ! {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("domain_differential_seed{seed}.mod"));
+    let repro = build_layout_model(&inst.fits, &inst.opts)
+        .map(|lm| hslb_model::to_ampl(&lm.model))
+        .unwrap_or_else(|e| format!("# model not built: {e}\n"));
+    std::fs::write(&path, repro).expect("write repro");
+    let shape = |set: &Option<Vec<i64>>| match set.as_deref() {
+        None => "free".to_string(),
+        Some([]) => "empty".to_string(),
+        Some(s) => format!("{} values {}..={}", s.len(), s[0], s[s.len() - 1]),
+    };
+    panic!(
+        "seed {seed} ({:?}, N = {}, ocean {}, atm {}, floors {:?}): {why}\n\
+         AMPL repro written to {}",
+        inst.opts.layout,
+        inst.opts.total_nodes,
+        shape(&inst.opts.ocean_allowed),
+        shape(&inst.opts.atm_allowed),
+        inst.opts.floors,
+        path.display()
+    );
+}
+
 #[test]
 fn compact_expanded_and_enumerated_optima_agree_on_random_instances() {
     let mut infeasible = 0;
@@ -251,29 +313,8 @@ fn compact_expanded_and_enumerated_optima_agree_on_random_instances() {
         if brute_force(&inst).is_none() {
             infeasible += 1;
         }
-        if let Err(why) = cross_check(&inst) {
-            // The repro a second solver can read: Table I spelled out.
-            let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-                .join(format!("domain_differential_seed{seed}.mod"));
-            let repro = build_layout_model(&inst.fits, &inst.opts)
-                .map(|lm| hslb_model::to_ampl(&lm.model))
-                .unwrap_or_else(|e| format!("# model not built: {e}\n"));
-            std::fs::write(&path, repro).expect("write repro");
-            let shape = |set: &Option<Vec<i64>>| match set.as_deref() {
-                None => "free".to_string(),
-                Some([]) => "empty".to_string(),
-                Some(s) => format!("{} values {}..={}", s.len(), s[0], s[s.len() - 1]),
-            };
-            panic!(
-                "seed {seed} ({:?}, N = {}, ocean {}, atm {}, floors {:?}): {why}\n\
-                 AMPL repro written to {}",
-                inst.opts.layout,
-                inst.opts.total_nodes,
-                shape(&inst.opts.ocean_allowed),
-                shape(&inst.opts.atm_allowed),
-                inst.opts.floors,
-                path.display()
-            );
+        if let Err(why) = cross_check(&inst, false) {
+            report(seed, &inst, &why);
         }
     }
     // The generator must exercise both verdicts, mostly the feasible one.
@@ -319,10 +360,13 @@ fn one_degree_compact_model_has_no_binaries() {
             compile(&literal).expect("compiles").num_vars(),
             ir.num_vars() + 1880
         );
-        cross_check(&Instance {
-            fits: fits.clone(),
-            opts,
-        })
+        cross_check(
+            &Instance {
+                fits: fits.clone(),
+                opts,
+            },
+            false,
+        )
         .unwrap_or_else(|why| panic!("{layout}: {why}"));
     }
 }
@@ -353,4 +397,121 @@ fn integer_only_really_branches_on_the_binaries() {
         bin_stats.nodes,
         set_stats.nodes
     );
+}
+
+/// At full scale: for N ∈ [513, 40960], every layout, the exhaustive
+/// rung's table DP and the compact model agree on every seed. (Brute
+/// force and the literal binaries stop at N = 512.)
+#[test]
+fn exhaustive_rung_and_compact_model_agree_up_to_full_scale() {
+    for seed in 0..180u64 {
+        let inst = instance_in(10_000 + seed, 513..=40_960);
+        if let Err(why) = cross_check(&inst, true) {
+            report(10_000 + seed, &inst, &why);
+        }
+    }
+    // 1° curves at N = 4096 and 4097: either side of where the old
+    // enumeration switched to a grid search.
+    let sim = Simulator::one_degree(42);
+    let h = Hslb::new(&sim, HslbOptions::new(2048));
+    let fits = h.fit(&h.gather()).expect("fit");
+    for n in [4096, 4097] {
+        let inst = Instance {
+            fits: fits.clone(),
+            opts: LayoutModelOptions::free(Layout::Hybrid, n),
+        };
+        cross_check(&inst, true).unwrap_or_else(|why| panic!("1° N = {n}: {why}"));
+    }
+}
+
+/// One of an instance's allowed sets, by reference.
+type SetOf = fn(&mut Instance) -> &mut Option<Vec<i64>>;
+
+/// Laws any exact min-max optimum obeys, on the exhaustive rung for every
+/// layout at N ≤ 2048: more nodes never raise the total; swapping the ice
+/// and land curves at equal floors leaves it unchanged; an extra allowed
+/// ocean or atmosphere count never raises it; dropping a count the
+/// optimum does not use leaves it unchanged. Three instances per layout
+/// are also checked against the compact model.
+#[test]
+fn exhaustive_rung_obeys_the_min_max_laws() {
+    let total = |inst: &Instance| dp_total(inst).unwrap_or(f64::INFINITY);
+    for seed in 0..200u64 {
+        let base = instance_in(20_000 + seed, 8..=2048);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for layout in Layout::ALL {
+            let mut inst = base.clone();
+            inst.opts.layout = layout;
+            let t = total(&inst);
+            let fail = |law: &str, got: f64| -> ! {
+                report(20_000 + seed, &inst, &format!("{law}: {got} against {t}"))
+            };
+
+            let mut more = inst.clone();
+            more.opts.total_nodes += rng.gen_range(1..=64i64);
+            if total(&more) > t {
+                fail("more nodes raised the total", total(&more));
+            }
+
+            let mut even = inst.clone();
+            even.opts.floors.lnd = even.opts.floors.ice;
+            let mut swapped = even.clone();
+            let curve = |c| even.fits.optimized_curve(c);
+            swapped.fits = FitSet::from_curves(
+                [
+                    (Component::Ice, curve(Component::Lnd)),
+                    (Component::Lnd, curve(Component::Ice)),
+                    (Component::Atm, curve(Component::Atm)),
+                    (Component::Ocn, curve(Component::Ocn)),
+                ]
+                .into_iter()
+                .collect(),
+            )
+            .expect("four components");
+            if total(&swapped) != total(&even) {
+                fail("swapping ice and land moved the total", total(&swapped));
+            }
+
+            let used = exhaustive(&inst)
+                .try_solve(Objective::MinMax)
+                .map(|r| r.allocation);
+            let sets: [(Component, SetOf); 2] = [
+                (Component::Ocn, |i| &mut i.opts.ocean_allowed),
+                (Component::Atm, |i| &mut i.opts.atm_allowed),
+            ];
+            for (c, field) in sets {
+                let Some(set) = field(&mut inst.clone()).clone() else {
+                    continue;
+                };
+                let with = |set: Vec<i64>| {
+                    let mut i = inst.clone();
+                    *field(&mut i) = Some(set);
+                    total(&i)
+                };
+                let extra = rng.gen_range(1..=inst.opts.total_nodes);
+                if !set.contains(&extra) {
+                    let mut wider = set.clone();
+                    wider.push(extra);
+                    wider.sort_unstable();
+                    let got = with(wider);
+                    if got > t {
+                        fail("an extra allowed count raised the total", got);
+                    }
+                }
+                let in_use = used.map(|a| a.get(c));
+                if let Some(&drop) = set.iter().find(|&&v| Some(v) != in_use) {
+                    let got = with(set.iter().copied().filter(|&v| v != drop).collect());
+                    if got != t {
+                        fail("dropping an unused count moved the total", got);
+                    }
+                }
+            }
+
+            if seed < 3 {
+                if let Err(why) = cross_check(&inst, true) {
+                    report(20_000 + seed, &inst, &why);
+                }
+            }
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! curves, and the simulated expert across sizes.
 
 use hslb::manual::SimulatedExpert;
-use hslb::{snap_to_sweet_spots, ExhaustiveOptimizer, GatherPlan, Hslb, HslbOptions, Objective};
+use hslb::{snap_to_sweet_spots, GatherPlan, Hslb, HslbOptions};
 use hslb_cesm::{Layout, Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator};
 
 #[test]
@@ -151,23 +151,6 @@ fn explicit_gather_at_paper_counts_reproduces_calibration() {
             assert!(rel < 0.2, "{c}@{n}: rel err {rel}");
         }
     }
-}
-
-#[test]
-fn exhaustive_full_vs_grid_agree_on_mid_sizes() {
-    // For N = 4096 both the dense enumeration (cap boundary) and grid
-    // paths are exercised; they must agree to a fraction of a percent.
-    let sim = Simulator::one_degree(42);
-    let h = Hslb::new(&sim, HslbOptions::new(2048));
-    let fits = h.fit(&h.gather()).unwrap();
-    let dense = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 4096).solve(Objective::MinMax);
-    let grid = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 4097).solve(Objective::MinMax);
-    assert!(
-        (dense.objective - grid.objective).abs() < 0.01 * dense.objective,
-        "dense {} vs grid {}",
-        dense.objective,
-        grid.objective
-    );
 }
 
 #[test]

@@ -74,43 +74,6 @@ pub fn integer_ternary_min<F: FnMut(i64) -> f64>(mut f: F, mut lo: i64, mut hi: 
     best
 }
 
-/// Minimize `f` over the integers in `[lo, hi]` with no shape assumption:
-/// coarse grid scan followed by exhaustive refinement around the best grid
-/// point. `grid` controls the number of coarse samples.
-///
-/// This is a heuristic (exact only when the refinement window covers the
-/// true basin) used where the objective is "almost unimodal" — e.g. fitted
-/// scaling curves with a shallow interior minimum.
-pub fn integer_grid_min<F: FnMut(i64) -> f64>(
-    mut f: F,
-    lo: i64,
-    hi: i64,
-    grid: usize,
-) -> (i64, f64) {
-    assert!(lo <= hi, "invalid integer bracket");
-    let span = (hi - lo) as u128;
-    let samples = grid.max(2) as u128;
-    let mut best = (lo, f(lo));
-    for k in 1..=samples {
-        let x = lo + ((span * k) / samples) as i64;
-        let fx = f(x);
-        if fx < best.1 {
-            best = (x, fx);
-        }
-    }
-    // Refine around the best coarse sample.
-    let step = (span / samples).max(1) as i64;
-    let w_lo = (best.0 - step).max(lo);
-    let w_hi = (best.0 + step).min(hi);
-    for x in w_lo..=w_hi {
-        let fx = f(x);
-        if fx < best.1 {
-            best = (x, fx);
-        }
-    }
-    best
-}
-
 /// Bisection root finding for a continuous `f` with `f(a)·f(b) ≤ 0`.
 ///
 /// Returns `None` when the bracket does not straddle a sign change.
@@ -174,14 +137,6 @@ mod tests {
         assert_eq!(integer_ternary_min(|x| -(x as f64), 5, 9).0, 9);
         // Degenerate single-point bracket.
         assert_eq!(integer_ternary_min(|_| 1.0, 4, 4), (4, 1.0));
-    }
-
-    #[test]
-    fn integer_grid_finds_scaling_curve_minimum() {
-        // A fitted-curve-like shape: a/n + b·n + d, minimized at √(a/b).
-        let f = |n: i64| 1.0e6 / n as f64 + 0.01 * n as f64 + 5.0;
-        let (n, _) = integer_grid_min(f, 1, 100_000, 64);
-        assert_eq!(n, 10_000);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 #![forbid(unsafe_code)]
 
 use hslb_service::request::TuneRequest;
+use hslb_service::request::{parse_layout, parse_objective};
 use hslb_service::sweep_driver::{run_sweep, SweepProgress};
 use hslb_service::{reference_response, ServiceOptions, TuningService};
-use hslb_sweep::spec::{parse_layout, parse_objective};
 use hslb_sweep::{Portfolio, SweepSpec};
 use hslb_telemetry::json::{parse, Value};
 use hslb_telemetry::Telemetry;

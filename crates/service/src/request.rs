@@ -473,55 +473,9 @@ pub fn service_gather_plan() -> hslb::GatherPlan {
     }
 }
 
-/// Wire token for a resolution.
-pub fn resolution_token(r: Resolution) -> &'static str {
-    match r {
-        Resolution::OneDegree => "1deg",
-        Resolution::EighthDegree => "eighth",
-    }
-}
-
-/// Parse a resolution wire token.
-pub fn parse_resolution(s: &str) -> Result<Resolution, String> {
-    match s {
-        "1deg" => Ok(Resolution::OneDegree),
-        "eighth" => Ok(Resolution::EighthDegree),
-        other => Err(format!("unknown resolution {other:?} (1deg|eighth)")),
-    }
-}
-
-/// Wire token for a layout.
-pub fn layout_token(l: Layout) -> &'static str {
-    match l {
-        Layout::Hybrid => "hybrid",
-        Layout::SequentialWithOcean => "seq-ocean",
-        Layout::FullySequential => "sequential",
-    }
-}
-
-/// Parse a layout wire token.
-pub fn parse_layout(s: &str) -> Result<Layout, String> {
-    match s {
-        "hybrid" => Ok(Layout::Hybrid),
-        "seq-ocean" => Ok(Layout::SequentialWithOcean),
-        "sequential" => Ok(Layout::FullySequential),
-        other => Err(format!(
-            "unknown layout {other:?} (hybrid|seq-ocean|sequential)"
-        )),
-    }
-}
-
-/// Parse an objective wire token (the `Display` forms).
-pub fn parse_objective(s: &str) -> Result<hslb::Objective, String> {
-    match s {
-        "min-max" => Ok(hslb::Objective::MinMax),
-        "max-min" => Ok(hslb::Objective::MaxMin),
-        "min-sum" => Ok(hslb::Objective::SumTime),
-        other => Err(format!(
-            "unknown objective {other:?} (min-max|max-min|min-sum)"
-        )),
-    }
-}
+/// The wire codecs, defined once beside their types.
+pub use hslb::objective::parse_objective;
+pub use hslb_cesm::{layout_token, parse_layout, parse_resolution, resolution_token};
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,8 @@
 //! simulator seed), because configurations that differ there share no
 //! curve data and would defeat the shared-work plan.
 
-use hslb_cesm::{Layout, Resolution};
+use hslb::parse_objective;
+use hslb_cesm::{layout_token, parse_layout, resolution_token, Layout, Resolution};
 use hslb_telemetry::json::Value;
 
 /// One grid point of a sweep: everything the executor needs to phrase a
@@ -340,47 +341,6 @@ impl SweepSpec {
             }
         }
         Ok(spec)
-    }
-}
-
-/// Wire token for a resolution (matches the service's).
-pub fn resolution_token(r: Resolution) -> &'static str {
-    match r {
-        Resolution::OneDegree => "1deg",
-        Resolution::EighthDegree => "eighth",
-    }
-}
-
-/// Wire token for a layout (matches the service's).
-pub fn layout_token(l: Layout) -> &'static str {
-    match l {
-        Layout::Hybrid => "hybrid",
-        Layout::SequentialWithOcean => "seq-ocean",
-        Layout::FullySequential => "sequential",
-    }
-}
-
-/// Parse a layout wire token.
-pub fn parse_layout(s: &str) -> Result<Layout, String> {
-    match s {
-        "hybrid" => Ok(Layout::Hybrid),
-        "seq-ocean" => Ok(Layout::SequentialWithOcean),
-        "sequential" => Ok(Layout::FullySequential),
-        other => Err(format!(
-            "unknown layout {other:?} (hybrid|seq-ocean|sequential)"
-        )),
-    }
-}
-
-/// Parse an objective wire token (the `Display` forms).
-pub fn parse_objective(s: &str) -> Result<hslb::Objective, String> {
-    match s {
-        "min-max" => Ok(hslb::Objective::MinMax),
-        "max-min" => Ok(hslb::Objective::MaxMin),
-        "min-sum" => Ok(hslb::Objective::SumTime),
-        other => Err(format!(
-            "unknown objective {other:?} (min-max|max-min|min-sum)"
-        )),
     }
 }
 

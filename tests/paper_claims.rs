@@ -1,7 +1,7 @@
 //! One test per headline claim in the paper — the "shape" contract of the
 //! reproduction (see EXPERIMENTS.md for the full paper-vs-measured log).
 
-use cesm_hslb::hslb::{whatif, ExhaustiveOptimizer, Hslb, HslbOptions, Objective};
+use cesm_hslb::hslb::{whatif, ExhaustiveOptimizer, Hslb, HslbOptions, NodeFloors, Objective};
 use cesm_hslb::prelude::*;
 
 fn report_for(sim: &Simulator, n: i64) -> cesm_hslb::hslb::ExperimentReport {
@@ -228,13 +228,14 @@ fn claim_exhaustive_and_solver_agree_on_unconstrained_case() {
     let h = Hslb::new(&sim, HslbOptions::new(32_768));
     let fits = h.fit(&h.gather()).unwrap();
     let solved = h.solve(&fits).unwrap();
-    let enumerated =
-        ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 32_768).solve(Objective::MinMax);
-    // The B&B is exact; the enumeration is near-exact (grid outer loop).
+    let mut exact = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 32_768);
+    exact.floors = NodeFloors::from_config(&sim.config);
+    let enumerated = exact.solve(Objective::MinMax);
+    // Both are exact: the totals agree to the solver's tolerances (1e-9
+    // relative or 4 µs, as in the domain differential).
+    let (a, b) = (solved.predicted_total, enumerated.objective);
     assert!(
-        solved.predicted_total <= enumerated.objective * (1.0 + 1e-3),
-        "BB {} vs enumeration {}",
-        solved.predicted_total,
-        enumerated.objective
+        (a - b).abs() <= (1e-9 * a.abs().max(b.abs())).max(4e-6),
+        "BB {a} vs enumeration {b}"
     );
 }
