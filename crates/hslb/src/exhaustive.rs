@@ -7,31 +7,45 @@
 //! * **coverage** — it evaluates the nonconvex `max-min` objective
 //!   (§III-D equation 2) that the convex MINLP route cannot express.
 //!
-//! Min-max is a table DP over the layout's composition
-//! ([`hslb_cesm::layout::Node`]). Every subtree gets a table `F(m)`: the
-//! least time it takes on at most `m` nodes, for every `m ∈ [0, N]`.
+//! Every objective is one table DP over the layout's composition
+//! ([`hslb_cesm::layout::Node`]). Every subtree gets a table `F(m)`: its
+//! best score on at most `m` nodes, for every `m ∈ [0, N]` — on exactly
+//! `m` for max-min, whose budget must use every node (a side-by-side
+//! group's children fill it, a sequence's members and its owner each take
+//! all of it). Scores are minimized; max-min's are negated times, so that
+//! raising the least time is lowering the largest `−T`.
 //!
-//! * a component: the prefix minimum of `T_c` over its floor and allowed
-//!   set up to `m`;
-//! * a free sequence: its members' tables added pointwise;
+//! * a component: `T_c` over its floor and allowed set, prefix-minimized
+//!   up to `m` (max-min: at `m` itself);
+//! * a free sequence: its members' tables joined pointwise — added, or for
+//!   max-min the larger score;
 //! * a sequence owned by a component: the prefix minimum over the owner's
-//!   counts `a ≤ m` of `T_owner(a)` plus the rest's tables at `a`;
-//! * a side-by-side group: the min–max convolution of its children's
-//!   tables, one binary search per `m` since the tables are nonincreasing.
+//!   counts `a ≤ m` of `T_owner(a)` joined with the rest's tables at `a`
+//!   (max-min: `a = m`);
+//! * a side-by-side group: the best split of `m` between its children,
+//!   scored by the slower one (min-max, max-min) or their sum (min-sum).
 //!
-//! That is exact for any curves, convex or not, in O(N) curve
-//! evaluations per component and O(N log N) table lookups. Min-sum and
-//! max-min (whose budget must use every node) keep their own searches
-//! below: an outer ocean scan, thinned to about 2,048 counts above 4,096,
-//! with inner closed forms. No objective here models the non-convex
-//! `T_sync` window (Table I lines 18–19); only the MINLP states it.
+//! The split search is the objective's one choice. Min-max tables are
+//! nonincreasing, so one binary search per `m` finds the crossing, exact
+//! for any curves. For the other two, the root group is needed at `N`
+//! only and is scanned directly, exact for any tables. A group nested in
+//! an owned sequence (the hybrid's ice/land) is needed at every `m`. Its
+//! children are components with floors and no allowed set, convex under
+//! Table II's curves, so a binary search per `m` finds the first split
+//! where the sum stops falling (min-sum) or where the side rising toward
+//! its fastest count meets the falling one (max-min). On non-convex
+//! curves those two stay feasible but may miss the optimum; min-max stays
+//! exact.
+//! No objective here models the non-convex `T_sync` window (Table I
+//! lines 18–19); only the MINLP states it.
 
 use crate::fit::FitSet;
 use crate::layout_model::NodeFloors;
 use crate::objective::Objective;
 use hslb_cesm::layout::Node;
 use hslb_cesm::{Allocation, Component, Layout};
-use hslb_numerics::scalar;
+
+const INF: f64 = f64::INFINITY;
 
 /// Exhaustive/DP optimizer over a fitted curve set.
 #[derive(Debug, Clone)]
@@ -54,11 +68,10 @@ pub struct ExhaustiveResult {
     /// Objective value achieved (makespan for min-max, the min time for
     /// max-min, the time sum for min-sum).
     pub objective: f64,
-    /// Work done: curve evaluations for min-max, candidate allocations
-    /// scored for min-sum and max-min.
+    /// Work done: curve evaluations.
     pub evaluations: usize,
-    /// Counts or candidates skipped without scoring (floor/cap/allowed-set
-    /// violations) — the enumeration's pruning effectiveness.
+    /// Counts skipped without evaluating the curve (below the floor or
+    /// outside the allowed set) — the enumeration's pruning effectiveness.
     pub pruned: usize,
 }
 
@@ -79,37 +92,6 @@ impl<'a> ExhaustiveOptimizer<'a> {
         self.fits.predict(c, n.max(1))
     }
 
-    /// Outer counts for the min-sum and max-min scans: the allowed list
-    /// trimmed to `[lo, cap]`, or the whole range — every
-    /// `(N / 2048)`-th count of it when it holds more than 4,096.
-    fn scan(&self, allowed: &Option<Vec<i64>>, lo: i64, cap: i64) -> Vec<i64> {
-        let lo = lo.max(1);
-        match allowed {
-            Some(list) => list
-                .iter()
-                .copied()
-                .filter(|&v| v >= lo && v <= cap)
-                .collect(),
-            None if cap <= 4096 => (lo..=cap).collect(),
-            None => Self::strided_inclusive(lo, cap, (self.total_nodes / 2048).max(1)),
-        }
-    }
-
-    /// `lo..=hi` thinned to every `step`-th value, but always containing
-    /// both endpoints. A plain `step_by` can step over `hi` whenever
-    /// `(hi − lo) % step ≠ 0`, silently excluding the cap — on monotone
-    /// curves often the true optimum — from enumeration.
-    fn strided_inclusive(lo: i64, hi: i64, step: i64) -> Vec<i64> {
-        if hi < lo {
-            return Vec::new();
-        }
-        let mut out: Vec<i64> = (lo..=hi).step_by(step.max(1) as usize).collect();
-        if out.last() != Some(&hi) {
-            out.push(hi);
-        }
-        out
-    }
-
     /// Solve under the given objective.
     ///
     /// Panics when the candidate space is empty; fault-tolerant callers
@@ -123,38 +105,40 @@ impl<'a> ExhaustiveOptimizer<'a> {
     /// Fallible solve: `None` when no candidate allocation exists — the
     /// target machine is smaller than the memory floors, an allowed set
     /// filters down to nothing, or every candidate scores infinite — and
-    /// for min-max on more than 2^20 nodes.
+    /// on more than 2^20 nodes.
     pub fn try_solve(&self, objective: Objective) -> Option<ExhaustiveResult> {
-        match objective {
-            Objective::MinMax => self.solve_minmax(),
-            Objective::SumTime => self.solve_sum(),
-            Objective::MaxMin => self.solve_maxmin(),
-        }
-        .filter(|r| r.objective.is_finite())
-    }
-
-    fn solve_minmax(&self) -> Option<ExhaustiveResult> {
         // The tables take ~100 bytes per node count (110 MB and 0.4 s for
-        // the hybrid at 2^20). A budget arrives from a request, so past
-        // 2^20 nodes (3× the largest machine modelled here) the rung
-        // declines instead of allocating without bound.
+        // the hybrid's min-max at 2^20). A budget arrives from a request,
+        // so past 2^20 nodes (3× the largest machine modelled here) the
+        // rung declines instead of allocating without bound.
         let n = usize::try_from(self.total_nodes)
             .ok()
             .filter(|&n| n <= 1 << 20)?;
-        let mut count = Counts::default();
+        let mut dp = Dp {
+            opt: self,
+            objective,
+            count: Counts::default(),
+        };
         let root = self.layout.tree();
-        let solved = self.table(root, n, &mut count);
+        let solved = dp.table(root, n, true);
         if !solved.time[n].is_finite() {
             return None;
         }
         let mut allocation = Allocation::from_table_order([0; 4]);
         solved.place(root, n, &mut allocation);
+        let times = Component::OPTIMIZED.map(|c| self.t(c, allocation.get(c)));
+        let value = match objective {
+            Objective::MinMax => self.fits.predicted_total(self.layout, &allocation),
+            Objective::SumTime => times.iter().sum(),
+            Objective::MaxMin => times.into_iter().fold(INF, f64::min),
+        };
         Some(ExhaustiveResult {
-            objective: self.fits.predicted_total(self.layout, &allocation),
             allocation,
-            evaluations: count.evaluations,
-            pruned: count.pruned,
+            objective: value,
+            evaluations: dp.count.evaluations,
+            pruned: dp.count.pruned,
         })
+        .filter(|r| r.objective.is_finite())
     }
 
     fn floor(&self, c: Component) -> i64 {
@@ -166,16 +150,69 @@ impl<'a> ExhaustiveOptimizer<'a> {
         }
         .max(1)
     }
+}
 
-    /// Prefix minimum of `cost[k] + T_c(k)` over the counts `c` may take
-    /// (at or above its floor, in its allowed set when it has one):
-    /// `time[m]` the least over `k ≤ m`, `pick[m]` the smallest `k` that
-    /// reaches it.
-    fn prefix_min(&self, c: Component, cost: &[f64], count: &mut Counts) -> Table {
-        let n = cost.len() - 1;
+/// One solve: the optimizer, the objective that reads its composition,
+/// and the work counted so far.
+struct Dp<'o, 'a> {
+    opt: &'o ExhaustiveOptimizer<'a>,
+    objective: Objective,
+    count: Counts,
+}
+
+impl Dp<'_, '_> {
+    /// Max-min's tables hold the score on exactly `m` nodes, the others'
+    /// on at most `m`.
+    fn exact(&self) -> bool {
+        self.objective == Objective::MaxMin
+    }
+
+    /// Component `c`'s score on `k` nodes: its time, negated for max-min.
+    fn score(&self, c: Component, k: usize) -> f64 {
+        let t = self.opt.t(c, k as i64);
+        if self.exact() {
+            -t
+        } else {
+            t
+        }
+    }
+
+    /// The score of two parts run one after another.
+    fn then(&self, x: f64, y: f64) -> f64 {
+        if self.exact() {
+            x.max(y)
+        } else {
+            x + y
+        }
+    }
+
+    /// The score of two parts run side by side.
+    fn beside(&self, x: f64, y: f64) -> f64 {
+        if self.objective == Objective::SumTime {
+            x + y
+        } else {
+            x.max(y)
+        }
+    }
+
+    /// The score of a sequence with no members.
+    fn empty(&self) -> f64 {
+        if self.exact() {
+            f64::NEG_INFINITY
+        } else {
+            0.0
+        }
+    }
+
+    /// `c` after `rest`, on the counts `c` may take (at or above its
+    /// floor, in its allowed set when it has one): `time[m]` the best of
+    /// `rest[k]` then `c`'s score at `k`, over `k ≤ m` (max-min: `k = m`),
+    /// and `pick[m]` the smallest `k` that reaches it.
+    fn own(&mut self, c: Component, rest: &[f64]) -> Table {
+        let n = rest.len() - 1;
         let allowed = match c {
-            Component::Ocn => self.ocean_allowed.as_ref(),
-            Component::Atm => self.atm_allowed.as_ref(),
+            Component::Ocn => self.opt.ocean_allowed.as_ref(),
+            Component::Atm => self.opt.atm_allowed.as_ref(),
             _ => None,
         };
         let mut ok = vec![allowed.is_none(); n + 1];
@@ -185,19 +222,20 @@ impl<'a> ExhaustiveOptimizer<'a> {
             }
         }
         ok.iter_mut()
-            .take(self.floor(c) as usize)
+            .take(self.opt.floor(c) as usize)
             .for_each(|k| *k = false);
         let (mut time, mut pick) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
-        let (mut best, mut at) = (f64::INFINITY, 0);
+        let (mut best, mut at) = (INF, 0);
         for (k, &admissible) in ok.iter().enumerate() {
+            let mut here = INF;
             if !admissible {
-                count.pruned += usize::from(k > 0);
-            } else if cost[k].is_finite() {
-                count.evaluations += 1;
-                let t = cost[k] + self.t(c, k as i64);
-                if t < best {
-                    (best, at) = (t, k);
-                }
+                self.count.pruned += usize::from(k > 0);
+            } else if rest[k] < INF {
+                self.count.evaluations += 1;
+                here = self.then(rest[k], self.score(c, k));
+            }
+            if self.exact() || here < best {
+                (best, at) = (here, k);
             }
             time.push(best);
             pick.push(at);
@@ -209,17 +247,24 @@ impl<'a> ExhaustiveOptimizer<'a> {
         }
     }
 
-    /// The subtree's table on budgets `0..=n`, with its children's.
-    fn table(&self, node: &Node, n: usize, count: &mut Counts) -> Table {
+    /// The subtree's table on budgets `0..=n`, with its children's. A
+    /// `root` side-by-side group is filled at `n` only.
+    fn table(&mut self, node: &Node, n: usize, root: bool) -> Table {
         match node {
-            Node::Leaf(c) => self.prefix_min(*c, &vec![0.0; n + 1], count),
+            Node::Leaf(c) => self.own(*c, &vec![self.empty(); n + 1]),
             Node::Seq(owner, kids) => {
-                let kids: Vec<Table> = kids.iter().map(|k| self.table(k, n, count)).collect();
+                let kids: Vec<Table> = kids
+                    .iter()
+                    .map(|k| self.table(k, n, root && owner.is_none()))
+                    .collect();
                 let rest: Vec<f64> = (0..=n)
-                    .map(|m| kids.iter().map(|k| k.time[m]).sum::<f64>())
+                    .map(|m| {
+                        kids.iter()
+                            .fold(self.empty(), |s, k| self.then(s, k.time[m]))
+                    })
                     .collect();
                 let own = match owner {
-                    Some(c) => self.prefix_min(*c, &rest, count),
+                    Some(c) => self.own(*c, &rest),
                     None => Table {
                         time: rest,
                         ..Table::default()
@@ -228,11 +273,11 @@ impl<'a> ExhaustiveOptimizer<'a> {
                 Table { kids, ..own }
             }
             Node::Par(kids) => {
-                let kids: Vec<Table> = kids.iter().map(|k| self.table(k, n, count)).collect();
+                let kids: Vec<Table> = kids.iter().map(|k| self.table(k, n, false)).collect();
                 let mut merged = kids[0].time.clone();
                 let mut splits = Vec::with_capacity(kids.len() - 1);
-                for k in &kids[1..] {
-                    let (time, pick) = min_max_merge(&merged, &k.time);
+                for (j, k) in kids.iter().enumerate().skip(1) {
+                    let (time, pick) = self.merge(&merged, &k.time, root && j + 1 == kids.len());
                     merged = time;
                     splits.push(pick);
                 }
@@ -246,166 +291,34 @@ impl<'a> ExhaustiveOptimizer<'a> {
         }
     }
 
-    fn solve_sum(&self) -> Option<ExhaustiveResult> {
-        // Equation (3): each component independently picks its curve's
-        // minimizer subject to the layout's node caps — the sum decouples
-        // given the outer ocn choice.
-        let n = self.total_nodes;
-        let mut best: Option<(f64, Allocation)> = None;
-        let mut evals = 0usize;
-        // The ocean scan leaves the rest its fewest nodes: one each for
-        // ice and land inside a two-node atmosphere.
-        let at = |lnd, ice, atm, ocn| Allocation::from_table_order([lnd, ice, atm, ocn]);
-        let ocn_cap = self.layout.cap(Component::Ocn, &at(1, 1, 2, 0), n);
-        let cands = self.scan(&self.ocean_allowed, self.floors.ocn, ocn_cap);
-        let mut pruned = 0usize;
-        for &no in &cands {
-            let cap = self.layout.cap(Component::Atm, &at(0, 0, 0, no), n);
-            if cap < 3 {
-                pruned += 1;
-                continue;
-            }
-            let na = match &self.atm_allowed {
-                Some(list) => list
-                    .iter()
-                    .copied()
-                    .filter(|&v| v <= cap && v >= self.floors.atm)
-                    .min_by(|&x, &y| {
-                        hslb_numerics::float::cmp_f64(
-                            self.t(Component::Atm, x),
-                            self.t(Component::Atm, y),
-                        )
-                    })
-                    .unwrap_or(self.floors.atm.max(1)),
-                None => self
-                    .fits
-                    .optimized_curve(Component::Atm)
-                    .argmin_nodes(self.floors.atm, cap),
-            };
-            let inner_cap = self.layout.cap(Component::Ice, &at(0, 0, na, no), n);
-            if inner_cap < 2 {
-                pruned += 1;
-                continue;
-            }
-            // Side by side (layout 1), ice + lnd ≤ n_atm couples them;
-            // minimize the sum over the split (unimodal).
-            let (ni, nl) = if self
-                .layout
-                .tree()
-                .side_by_side(Component::Ice, Component::Lnd)
-            {
-                let (ice_lo, lnd_lo) = (self.floors.ice.max(1), self.floors.lnd.max(1));
-                if inner_cap < ice_lo + lnd_lo {
-                    pruned += 1;
-                    continue;
-                }
-                let f = |k: i64| self.t(Component::Ice, k) + self.t(Component::Lnd, inner_cap - k);
-                let (k, _) = scalar::integer_ternary_min(f, ice_lo, inner_cap - lnd_lo);
-                (k, inner_cap - k)
-            } else {
-                let solo = |c, floor| self.fits.optimized_curve(c).argmin_nodes(floor, inner_cap);
-                (
-                    solo(Component::Ice, self.floors.ice),
-                    solo(Component::Lnd, self.floors.lnd),
-                )
-            };
-            evals += 1;
-            let total = self.t(Component::Ice, ni)
-                + self.t(Component::Lnd, nl)
-                + self.t(Component::Atm, na)
-                + self.t(Component::Ocn, no);
-            if best.as_ref().is_none_or(|(b, _)| total < *b) {
-                best = Some((
-                    total,
-                    Allocation {
-                        lnd: nl,
-                        ice: ni,
-                        atm: na,
-                        ocn: no,
-                    },
-                ));
-            }
-        }
-        let (objective, allocation) = best?;
-        Some(ExhaustiveResult {
-            allocation,
-            objective,
-            evaluations: evals,
-            pruned,
-        })
-    }
-
-    fn solve_maxmin(&self) -> Option<ExhaustiveResult> {
-        // Equation (2): maximize min_j T_j(n_j) under a *use-all-nodes*
-        // budget (without it the trivial answer is one node each). The
-        // search mirrors min-max but scores with the minimum.
-        let n = self.total_nodes;
-        let mut best: Option<(f64, Allocation)> = None;
-        let mut evals = 0usize;
-        let mut pruned = 0usize;
-        let cands = self.scan(&self.ocean_allowed, self.floors.ocn, n - 3);
-        for &no in &cands {
-            let na = n - no; // all remaining nodes go to the atm group
-            if na < 3 {
-                pruned += 1;
-                continue;
-            }
-            if let Some(list) = &self.atm_allowed {
-                if !list.contains(&na) {
-                    pruned += 1;
-                    continue;
-                }
-            }
-            // Split ice/lnd to maximize min(T_i, T_l): unimodal again.
-            let (ice_lo, lnd_lo) = (self.floors.ice.max(1), self.floors.lnd.max(1));
-            if na < ice_lo + lnd_lo {
-                pruned += 1;
-                continue;
-            }
-            let f = |k: i64| {
-                -(self
-                    .t(Component::Ice, k)
-                    .min(self.t(Component::Lnd, na - k)))
-            };
-            let (k, neg) = scalar::integer_ternary_min(f, ice_lo, na - lnd_lo);
-            evals += 1;
-            let score = (-neg)
-                .min(self.t(Component::Atm, na))
-                .min(self.t(Component::Ocn, no));
-            if best.as_ref().is_none_or(|(b, _)| score > *b) {
-                best = Some((
-                    score,
-                    Allocation {
-                        lnd: na - k,
-                        ice: k,
-                        atm: na,
-                        ocn: no,
-                    },
-                ));
-            }
-        }
-        let (objective, allocation) = best?;
-        Some(ExhaustiveResult {
-            allocation,
-            objective,
-            evaluations: evals,
-            pruned,
-        })
+    /// Two side-by-side tables as one: for every budget `m` (only the
+    /// last when `root`), the best split `(score, j)` giving `b` `j` nodes.
+    fn merge(&self, a: &[f64], b: &[f64], root: bool) -> (Vec<f64>, Vec<usize>) {
+        let n = a.len() - 1;
+        let (sa, sb) = (Side::of(a), Side::of(b));
+        (0..=n)
+            .map(|m| match self.objective {
+                _ if root && m < n => (INF, 0),
+                Objective::MinMax => min_max_split(a, b, m),
+                _ if root => least((0..=m).map(|j| (self.beside(a[m - j], b[j]), j))),
+                Objective::SumTime => min_sum_split(a, b, m, sa, sb),
+                Objective::MaxMin => max_min_split(a, b, m, sa, sb),
+            })
+            .unzip()
     }
 }
 
-/// Curve evaluations and skipped counts of one min-max solve.
+/// Curve evaluations and skipped counts of one solve.
 #[derive(Default)]
 struct Counts {
     evaluations: usize,
     pruned: usize,
 }
 
-/// A subtree's table: `time[m]` is the least time it takes on at most `m`
-/// nodes (∞ when it cannot fit) and `pick[m]` the count that reaches it —
-/// a component's own or an owner's. `splits[j][m]` is what a side-by-side
-/// group's child `j + 1` takes of the `m` nodes its first `j + 2` children
-/// share.
+/// A subtree's table: `time[m]` is its best score on `m` nodes (∞ when it
+/// cannot fit) and `pick[m]` the count that reaches it — a component's own
+/// or an owner's. `splits[j][m]` is what a side-by-side group's child
+/// `j + 1` takes of the `m` nodes its first `j + 2` children share.
 #[derive(Default)]
 struct Table {
     time: Vec<f64>,
@@ -444,33 +357,94 @@ impl Table {
     }
 }
 
-/// Min–max convolution of two nonincreasing tables: for every budget `m`,
-/// the least `max(a[m − j], b[j])` over `j ∈ [0, m]`, and the `j` giving
-/// it. Past the first `j` with `b[j] ≤ a[m − j]` the first side is the
-/// slower one and only grows; before it the second is and only shrinks,
-/// so the optimum sits at that crossing or just before it.
-fn min_max_merge(a: &[f64], b: &[f64]) -> (Vec<f64>, Vec<usize>) {
-    (0..a.len())
-        .map(|m| {
-            let (mut lo, mut hi) = (0, m + 1);
-            while lo < hi {
-                let j = (lo + hi) / 2;
-                if b[j] <= a[m - j] {
-                    hi = j;
-                } else {
-                    lo = j + 1;
-                }
-            }
-            let mut best = (f64::INFINITY, 0);
-            if lo <= m {
-                best = (a[m - lo], lo);
-            }
-            if lo > 0 && b[lo - 1] < best.0 {
-                best = (b[lo - 1], lo - 1);
-            }
-            best
-        })
-        .unzip()
+/// What the nested split searches know of a table: the first count it is
+/// finite at, and the first count of its largest finite score — for a
+/// max-min component, where it runs fastest.
+#[derive(Clone, Copy)]
+struct Side {
+    from: usize,
+    peak: usize,
+}
+
+impl Side {
+    fn of(t: &[f64]) -> Side {
+        let from = t.iter().position(|v| v.is_finite()).unwrap_or(t.len());
+        let peak = (from..t.len())
+            .filter(|&k| t[k].is_finite())
+            .fold(from, |p, k| if t[k] > t[p] { k } else { p });
+        Side { from, peak }
+    }
+}
+
+/// The least score and its split, the first of equals winning.
+fn least(splits: impl Iterator<Item = (f64, usize)>) -> (f64, usize) {
+    splits.fold((INF, 0), |best, x| if x.0 < best.0 { x } else { best })
+}
+
+/// The first `j` in `lo..hi` where `p` holds (`hi` if none), for a `p`
+/// that is false and then true along the range.
+fn first(mut lo: usize, mut hi: usize, p: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let j = (lo + hi) / 2;
+        if p(j) {
+            hi = j;
+        } else {
+            lo = j + 1;
+        }
+    }
+    lo
+}
+
+/// Min–max split of `m` between two nonincreasing tables: the least
+/// `max(a[m − j], b[j])` over `j ∈ [0, m]`, and the `j` giving it. Past
+/// the first `j` with `b[j] ≤ a[m − j]` the first side is the slower one
+/// and only grows; before it the second is and only shrinks, so the
+/// optimum sits at that crossing or just before it.
+fn min_max_split(a: &[f64], b: &[f64], m: usize) -> (f64, usize) {
+    let lo = first(0, m + 1, |j| b[j] <= a[m - j]);
+    let mut best = (INF, 0);
+    if lo <= m {
+        best = (a[m - lo], lo);
+    }
+    if lo > 0 && b[lo - 1] < best.0 {
+        best = (b[lo - 1], lo - 1);
+    }
+    best
+}
+
+/// Min-sum split of `m` between two convex tables: `a[m − j] + b[j]` is
+/// convex in `j`, so the first `j` where it stops falling is the least.
+fn min_sum_split(a: &[f64], b: &[f64], m: usize, sa: Side, sb: Side) -> (f64, usize) {
+    if sa.from + sb.from > m {
+        return (INF, 0);
+    }
+    let g = |j: usize| a[m - j] + b[j];
+    let j = first(sb.from, m - sa.from, |j| g(j + 1) >= g(j));
+    (g(j), j)
+}
+
+/// Max-min split of `m` between two concave tables (negated convex
+/// times): the least `max(a[m − j], b[j])`. Each side rises in `j` up to
+/// its peak and falls after it; below both peaks the maximum rises, past
+/// both it falls, and between them it is the rising side's once that
+/// meets the falling one. So the best `j` is an end of the range or that
+/// crossing.
+fn max_min_split(a: &[f64], b: &[f64], m: usize, sa: Side, sb: Side) -> (f64, usize) {
+    if sa.from + sb.from > m {
+        return (INF, 0);
+    }
+    let (lo, hi) = (sb.from, m - sa.from);
+    let (ja, jb) = (m - sa.peak.clamp(sa.from, m - lo), sb.peak.clamp(lo, hi));
+    let (l, r) = (ja.min(jb), ja.max(jb));
+    let cross = first(l, r + 1, |j| {
+        if jb == r {
+            b[j] >= a[m - j]
+        } else {
+            a[m - j] >= b[j]
+        }
+    });
+    let ends = [lo, cross.saturating_sub(1).max(l), cross.min(r), hi];
+    least(ends.into_iter().map(|j| (a[m - j].max(b[j]), j)))
 }
 
 #[cfg(test)]
@@ -532,7 +506,9 @@ mod tests {
         assert!(ok.try_solve(Objective::MinMax).is_some());
         // A budget past 2^20 nodes is declined, not tabulated.
         let huge = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, (1 << 20) + 1);
-        assert!(huge.try_solve(Objective::MinMax).is_none());
+        for objective in [Objective::MinMax, Objective::SumTime, Objective::MaxMin] {
+            assert!(huge.try_solve(objective).is_none(), "{objective}");
+        }
     }
 
     #[test]
@@ -567,8 +543,9 @@ mod tests {
         let fits = toy_fits();
         let opt = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 128);
         let res = opt.solve(Objective::MaxMin);
-        // All nodes used on the concurrent dimension.
+        // All nodes used on the concurrent dimension, and by ice + land.
         assert_eq!(res.allocation.atm + res.allocation.ocn, 128);
+        assert_eq!(res.allocation.ice + res.allocation.lnd, res.allocation.atm);
         // The objective equals the smallest component time.
         let a = res.allocation;
         let tmin = fits
@@ -577,6 +554,18 @@ mod tests {
             .min(fits.predict(Component::Atm, a.atm))
             .min(fits.predict(Component::Ocn, a.ocn));
         assert!((tmin - res.objective).abs() < 1e-9);
+        // Layouts 2 and 3 fill their groups too: a sequence's members
+        // each take all of it.
+        let solve = |layout| {
+            ExhaustiveOptimizer::new(&fits, layout, 128)
+                .solve(Objective::MaxMin)
+                .allocation
+        };
+        let a = solve(Layout::SequentialWithOcean);
+        let rest = 128 - a.ocn;
+        assert_eq!((a.ice, a.lnd, a.atm), (rest, rest, rest), "{a}");
+        let a = solve(Layout::FullySequential);
+        assert_eq!(a, Allocation::from_table_order([128; 4]));
     }
 
     #[test]
@@ -594,31 +583,96 @@ mod tests {
         // Nonincreasing tables with unreachable (∞) prefixes and plateaus.
         let a = [f64::INFINITY, f64::INFINITY, 9.0, 7.0, 7.0, 4.0, 4.0, 1.0];
         let b = [f64::INFINITY, 8.0, 8.0, 5.0, 3.0, 3.0, 2.0, 2.0];
-        let (time, pick) = min_max_merge(&a, &b);
         for m in 0..a.len() {
+            let (time, pick) = min_max_split(&a, &b, m);
             let best = (0..=m)
                 .map(|j| a[m - j].max(b[j]))
                 .fold(f64::INFINITY, f64::min);
-            assert_eq!(time[m], best, "m = {m}");
+            assert_eq!(time, best, "m = {m}");
             if best.is_finite() {
-                assert_eq!(a[m - pick[m]].max(b[pick[m]]), best, "m = {m}");
+                assert_eq!(a[m - pick].max(b[pick]), best, "m = {m}");
             }
         }
     }
 
     #[test]
-    fn strided_inclusive_keeps_both_endpoints() {
-        assert_eq!(
-            ExhaustiveOptimizer::strided_inclusive(1, 10, 3),
-            vec![1, 4, 7, 10]
-        );
-        // (hi − lo) % step ≠ 0: hi must still be present.
-        assert_eq!(
-            ExhaustiveOptimizer::strided_inclusive(1, 9, 3),
-            vec![1, 4, 7, 9]
-        );
-        assert_eq!(ExhaustiveOptimizer::strided_inclusive(5, 5, 2), vec![5]);
-        assert!(ExhaustiveOptimizer::strided_inclusive(6, 5, 2).is_empty());
+    fn nested_splits_match_brute_force_on_convex_tables() {
+        let n = 80;
+        let curve = |a: f64, b: f64, floor: usize| -> Vec<f64> {
+            (0..=n)
+                .map(|k| {
+                    if k < floor {
+                        INF
+                    } else {
+                        a / k as f64 + b * k as f64
+                    }
+                })
+                .collect()
+        };
+        let prefix_min = |t: &[f64]| -> Vec<f64> {
+            t.iter()
+                .scan(INF, |best, &v| {
+                    *best = best.min(v);
+                    Some(*best)
+                })
+                .collect()
+        };
+        let negated =
+            |t: &[f64]| -> Vec<f64> { t.iter().map(|&v| if v < INF { -v } else { INF }).collect() };
+        let shapes = [
+            (400.0, 0.5, 1),
+            (90.0, 2.0, 3),
+            (1000.0, 0.01, 2),
+            (5.0, 1.0, 7),
+        ];
+        for &(a1, b1, f1) in &shapes {
+            for &(a2, b2, f2) in &shapes {
+                let (ta, tb) = (curve(a1, b1, f1), curve(a2, b2, f2));
+                let (sa, sb) = (prefix_min(&ta), prefix_min(&tb));
+                let (xa, xb) = (negated(&ta), negated(&tb));
+                for m in 0..=n {
+                    let brute = |a: &[f64], b: &[f64], join: fn(f64, f64) -> f64| {
+                        (0..=m).map(|j| join(a[m - j], b[j])).fold(INF, f64::min)
+                    };
+                    let (sum, j) = min_sum_split(&sa, &sb, m, Side::of(&sa), Side::of(&sb));
+                    assert_eq!(sum, brute(&sa, &sb, |x, y| x + y), "min-sum, m = {m}");
+                    if sum < INF {
+                        assert_eq!(sa[m - j] + sb[j], sum);
+                    }
+                    let (max, j) = max_min_split(&xa, &xb, m, Side::of(&xa), Side::of(&xb));
+                    assert_eq!(max, brute(&xa, &xb, f64::max), "max-min, m = {m}");
+                    if max < INF {
+                        assert_eq!(xa[m - j].max(xb[j]), max);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nonconvex_curves_stay_feasible() {
+        // A concave exponent, and a serial term that falls with n: the
+        // nested split searches' premise fails, their answers must not.
+        let mk = |a: f64, b: f64, c: f64| ScalingCurve { a, b, c, d: 50.0 };
+        let fits = FitSet::from_curves(BTreeMap::from([
+            (Component::Ice, mk(800.0, 3.0, 0.5)),
+            (Component::Lnd, mk(150.0, -0.02, 1.0)),
+            (Component::Atm, mk(3_000.0, 1.0, 0.3)),
+            (Component::Ocn, mk(900.0, 0.5, 0.7)),
+        ]))
+        .unwrap();
+        for layout in Layout::ALL {
+            for objective in [Objective::MinMax, Objective::SumTime, Objective::MaxMin] {
+                for n in [7, 40, 333] {
+                    let mut opt = ExhaustiveOptimizer::new(&fits, layout, n);
+                    opt.floors.ice = 2;
+                    let res = opt.try_solve(objective).expect("an allocation fits");
+                    let a = res.allocation;
+                    assert!(layout.check(&a, n).is_none(), "{layout} {objective}: {a}");
+                    assert!(a.ice >= 2, "{layout} {objective}: {a}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! * [`manual`] — the baselines: replay of the paper's published expert
 //!   allocations, and a simulated-expert iterative tuner;
-//! * [`exhaustive`] — an independent exact optimizer (a table DP over the
-//!   layout composition for min-max) used to verify the MINLP solver's
+//! * [`exhaustive`] — an independent exact optimizer (one table DP over
+//!   the layout composition for every objective) used to verify the MINLP solver's
 //!   global optimality (and to evaluate the `max-min` objective, whose
 //!   MINLP form is nonconvex);
 //! * [`whatif`] — the §IV-C applications: layout comparison (Figure 4),

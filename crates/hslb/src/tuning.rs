@@ -11,6 +11,7 @@
 
 use crate::fit::FitSet;
 use hslb_cesm::{sweetspot, Allocation, Component, Layout, Resolution};
+use hslb_numerics::float::cmp_f64;
 
 /// Result of sweet-spot tuning.
 #[derive(Debug, Clone, Copy)]
@@ -57,11 +58,15 @@ pub fn snap_to_sweet_spots(
     // share optimally, then snap ice and give land the remainder.
     if layout.tree().side_by_side(Component::Ice, Component::Lnd) {
         let budget = layout.cap(Component::Ice, &tuned, total_nodes) + tuned.lnd;
-        let f = |ni: i64| {
+        let slower = |ni: i64| {
             fits.predict(Component::Ice, ni)
                 .max(fits.predict(Component::Lnd, budget - ni))
         };
-        let (ni, _) = hslb_numerics::scalar::integer_ternary_min(f, 1, budget - 1);
+        // Every split; the first with the least slower side wins.
+        let ni = (1..budget)
+            .map(|ni| (slower(ni), ni))
+            .min_by(|x, y| cmp_f64(x.0, y.0))
+            .map_or(1, |(_, ni)| ni);
         let ice = sweetspot::snap(resolution, Component::Ice, ni, budget - 1);
         let lnd = budget - ice;
         if ice != alloc.ice {

@@ -7,21 +7,25 @@
 //! predict the same total, and every allocation must lie in its sets. A
 //! disagreeing instance is written out as AMPL for a second solver.
 //!
+//! The exhaustive rung answers every objective, max-min (no MINLP) included;
+//! brute force holds it to the optimum of each.
+//!
 //! Above N = 512 brute force and the literal binaries are too slow, and the
 //! exhaustive rung's table DP is the ground truth the compact model is held
-//! to, up to N = 40,960. The DP itself is held to the laws any exact
-//! min-max optimum obeys.
+//! to, up to N = 40,960, for min-max and min-sum. The DP itself is held to
+//! the laws any exact min-max or min-sum optimum obeys.
 
 use hslb::{
     build_layout_model, ExhaustiveOptimizer, FitSet, Hslb, HslbOptions, LayoutModelOptions,
-    NodeFloors, Objective,
+    NodeFloors, Objective, SolverRung,
 };
-use hslb_cesm::{Allocation, Component, Layout, ResolutionConfig, Simulator};
+use hslb_cesm::{Allocation, Component, Layout, Machine, NoiseSpec, ResolutionConfig, Simulator};
 use hslb_minlp::{compile, solve, Branching, MinlpOptions, MinlpStatus};
 use hslb_model::VarType;
 use hslb_nlsq::ScalingCurve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::Duration;
 
 /// What the solver may lose to an exact optimum: it accepts an integer
 /// point whose convex rows hold within `feas_tol` = 1e-6 s (a layout
@@ -120,11 +124,28 @@ fn instance_in(seed: u64, nodes: std::ops::RangeInclusive<i64>) -> Instance {
     }
 }
 
+/// The objective's value at `a`: the layout's total for min-max, the sum
+/// for min-sum, the least component time for max-min.
+fn value(fits: &FitSet, objective: Objective, layout: Layout, a: &Allocation) -> f64 {
+    let times = Component::OPTIMIZED.map(|c| fits.predict(c, a.get(c)));
+    match objective {
+        Objective::MinMax => fits.predicted_total(layout, a),
+        Objective::SumTime => times.iter().sum(),
+        Objective::MaxMin => times.into_iter().fold(f64::INFINITY, f64::min),
+    }
+}
+
 /// Exact optimum by enumeration, independent of both the solver and the
 /// exhaustive rung: per component a table of times over its admissible
 /// counts, prefix minima for "any count up to k", then the layout's
 /// composition rule over every outer choice. `None` when nothing fits.
 fn brute_force(inst: &Instance) -> Option<f64> {
+    if inst.opts.objective == Objective::MaxMin {
+        return brute_force_max_min(inst);
+    }
+    let sum = inst.opts.objective == Objective::SumTime;
+    // Two parts side by side: the slower one, or both for min-sum.
+    let beside = |x: f64, y: f64| if sum { x + y } else { x.max(y) };
     let (n, fl) = (inst.opts.total_nodes, &inst.opts.floors);
     let inf = f64::INFINITY;
     // time[k] for k in 0..=n; ∞ where the count is not admissible.
@@ -164,15 +185,56 @@ fn brute_force(inst: &Instance) -> Option<f64> {
             .map(|na| {
                 // min over n_i + n_l ≤ na of max(T_i, T_l).
                 let icelnd = (0..=na)
-                    .map(|ni| ice[ni].max(lnd_to[na - ni]))
+                    .map(|ni| beside(ice[ni], lnd_to[na - ni]))
                     .fold(inf, f64::min);
-                (icelnd + atm[na]).max(ocn_to[n - na])
+                beside(icelnd + atm[na], ocn_to[n - na])
             })
             .fold(inf, f64::min),
         Layout::SequentialWithOcean => (0..=n)
-            .map(|no| (ice_to[n - no] + lnd_to[n - no] + atm_to[n - no]).max(ocn[no]))
+            .map(|no| beside(ice_to[n - no] + lnd_to[n - no] + atm_to[n - no], ocn[no]))
             .fold(inf, f64::min),
         Layout::FullySequential => ice_to[n] + lnd_to[n] + atm_to[n] + ocn_to[n],
+    };
+    best.is_finite().then_some(best)
+}
+
+/// Max-min's optimum by enumeration: the largest least time over the
+/// allocations that use every node — side-by-side counts fill their group,
+/// a sequence's members (and its owner) each take all of it.
+fn brute_force_max_min(inst: &Instance) -> Option<f64> {
+    let (n, fl) = (inst.opts.total_nodes, &inst.opts.floors);
+    // time[k], or −∞ where the count is not admissible.
+    let table = |c: Component, floor: i64, allowed: &Option<Vec<i64>>| -> Vec<f64> {
+        (0..=n)
+            .map(|k| {
+                let ok = k >= floor.max(1) && allowed.as_ref().is_none_or(|s| s.contains(&k));
+                if ok {
+                    inst.fits.predict(c, k)
+                } else {
+                    f64::NEG_INFINITY
+                }
+            })
+            .collect()
+    };
+    let ice = table(Component::Ice, fl.ice, &None);
+    let lnd = table(Component::Lnd, fl.lnd, &None);
+    let atm = table(Component::Atm, fl.atm, &inst.opts.atm_allowed);
+    let ocn = table(Component::Ocn, fl.ocn, &inst.opts.ocean_allowed);
+    let n = n as usize;
+    let worst = f64::NEG_INFINITY;
+    let best = match inst.opts.layout {
+        Layout::Hybrid => (0..=n)
+            .map(|na| {
+                let icelnd = (0..=na)
+                    .map(|ni| ice[ni].min(lnd[na - ni]))
+                    .fold(worst, f64::max);
+                icelnd.min(atm[na]).min(ocn[n - na])
+            })
+            .fold(worst, f64::max),
+        Layout::SequentialWithOcean => (0..=n)
+            .map(|no| ice[n - no].min(lnd[n - no]).min(atm[n - no]).min(ocn[no]))
+            .fold(worst, f64::max),
+        Layout::FullySequential => ice[n].min(lnd[n]).min(atm[n]).min(ocn[n]),
     };
     best.is_finite().then_some(best)
 }
@@ -208,17 +270,29 @@ fn exhaustive(inst: &Instance) -> ExhaustiveOptimizer<'_> {
     opt
 }
 
-/// The exhaustive rung's min-max total for `inst`, `None` when nothing fits.
+/// The exhaustive rung's optimum for `inst`'s objective, `None` when
+/// nothing fits.
 fn dp_total(inst: &Instance) -> Option<f64> {
     exhaustive(inst)
-        .try_solve(Objective::MinMax)
+        .try_solve(inst.opts.objective)
         .map(|r| r.objective)
+}
+
+/// Does `a` pass the layout's node rows, the floors and the allowed sets?
+fn in_sets(opts: &LayoutModelOptions, a: &Allocation) -> bool {
+    let member = |v: i64, set: &Option<Vec<i64>>| set.as_ref().is_none_or(|s| s.contains(&v));
+    opts.layout.check(a, opts.total_nodes).is_none()
+        && member(a.ocn, &opts.ocean_allowed)
+        && member(a.atm, &opts.atm_allowed)
+        && (a.lnd >= opts.floors.lnd && a.ice >= opts.floors.ice)
+        && (a.atm >= opts.floors.atm && a.ocn >= opts.floors.ocn)
 }
 
 /// Every way `inst` can be answered; an `Err` names the first disagreement.
 /// Up to N = 512 the truth is the brute force above and all three solvers
-/// answer; beyond it (`large`) the truth is the exhaustive rung and the
-/// compact model answers.
+/// answer (the literal binaries for min-max only); beyond it (`large`) the
+/// truth is the exhaustive rung and the compact model answers. Max-min has
+/// no MINLP: only the rung answers.
 fn cross_check(inst: &Instance, large: bool) -> Result<(), String> {
     let (fits, opts) = (&inst.fits, &inst.opts);
     let truth = if large {
@@ -226,52 +300,46 @@ fn cross_check(inst: &Instance, large: bool) -> Result<(), String> {
     } else {
         brute_force(inst)
     };
-    let lm = match build_layout_model(fits, opts) {
-        Ok(lm) => lm,
-        // An allowed set with no value inside [floor, N] is refused when
-        // the model is built; then nothing may fit in truth either.
-        Err(e) => {
-            return match truth {
-                None => Ok(()),
-                Some(t) => Err(format!("builder refused ({e}) but {t} is attainable")),
+    let mut answers = Vec::new();
+    if opts.objective.is_convex_minlp() {
+        match build_layout_model(fits, opts) {
+            Ok(lm) => {
+                answers.push((
+                    "compact model",
+                    incumbent(&lm, &lm.model, Branching::SosFirst),
+                ));
+                if !large && opts.objective == Objective::MinMax {
+                    answers.push((
+                        "expanded binaries",
+                        incumbent(&lm, &lm.model.expand_domains(), Branching::IntegerOnly),
+                    ));
+                }
+            }
+            // An allowed set with no value inside [floor, N] is refused
+            // when the model is built; then nothing may fit in truth either.
+            Err(e) => {
+                if let Some(t) = truth {
+                    return Err(format!("builder refused ({e}) but {t} is attainable"));
+                }
             }
         }
-    };
-
-    let in_sets = |a: &Allocation| {
-        let member = |v: i64, set: &Option<Vec<i64>>| set.as_ref().is_none_or(|s| s.contains(&v));
-        opts.layout.check(a, opts.total_nodes).is_none()
-            && member(a.ocn, &opts.ocean_allowed)
-            && member(a.atm, &opts.atm_allowed)
-            && (a.lnd >= opts.floors.lnd && a.ice >= opts.floors.ice)
-            && (a.atm >= opts.floors.atm && a.ocn >= opts.floors.ocn)
-    };
-    let mut answers = vec![(
-        "compact model",
-        incumbent(&lm, &lm.model, Branching::SosFirst),
-    )];
-    if !large {
-        answers.push((
-            "expanded binaries",
-            incumbent(&lm, &lm.model.expand_domains(), Branching::IntegerOnly),
-        ));
     }
     answers.push((
         "exhaustive rung",
         exhaustive(inst)
-            .try_solve(Objective::MinMax)
+            .try_solve(opts.objective)
             .map(|r| r.allocation),
     ));
     for (who, alloc) in answers {
         match (alloc, truth) {
             (None, None) => {}
             (Some(a), Some(t)) => {
-                if !in_sets(&a) {
+                if !in_sets(opts, &a) {
                     return Err(format!("{who}: {a} leaves its sets, floors or budget"));
                 }
-                let got = fits.predicted_total(opts.layout, &a);
+                let got = value(fits, opts.objective, opts.layout, &a);
                 if !close(got, t) {
-                    return Err(format!("{who}: {a} predicts {got}, the optimum is {t}"));
+                    return Err(format!("{who}: {a} scores {got}, the optimum is {t}"));
                 }
             }
             (a, t) => return Err(format!("{who}: answered {a:?}, enumeration {t:?}")),
@@ -294,9 +362,10 @@ fn report(seed: u64, inst: &Instance, why: &str) -> ! {
         Some(s) => format!("{} values {}..={}", s.len(), s[0], s[s.len() - 1]),
     };
     panic!(
-        "seed {seed} ({:?}, N = {}, ocean {}, atm {}, floors {:?}): {why}\n\
+        "seed {seed} ({:?}, {}, N = {}, ocean {}, atm {}, floors {:?}): {why}\n\
          AMPL repro written to {}",
         inst.opts.layout,
+        inst.opts.objective,
         inst.opts.total_nodes,
         shape(&inst.opts.ocean_allowed),
         shape(&inst.opts.atm_allowed),
@@ -305,20 +374,42 @@ fn report(seed: u64, inst: &Instance, why: &str) -> ! {
     );
 }
 
+/// The three objectives of §III-D.
+const OBJECTIVES: [Objective; 3] = [Objective::MinMax, Objective::SumTime, Objective::MaxMin];
+
+/// `inst` asked under `objective`.
+fn under(inst: &Instance, objective: Objective) -> Instance {
+    let mut inst = inst.clone();
+    inst.opts.objective = objective;
+    inst
+}
+
 #[test]
 fn compact_expanded_and_enumerated_optima_agree_on_random_instances() {
-    let mut infeasible = 0;
+    let mut infeasible = [0; 3];
     for seed in 0..400u64 {
-        let inst = random_instance(seed);
-        if brute_force(&inst).is_none() {
-            infeasible += 1;
-        }
-        if let Err(why) = cross_check(&inst, false) {
-            report(seed, &inst, &why);
+        let base = random_instance(seed);
+        for (o, objective) in OBJECTIVES.into_iter().enumerate() {
+            let inst = under(&base, objective);
+            if brute_force(&inst).is_none() {
+                infeasible[o] += 1;
+            }
+            if let Err(why) = cross_check(&inst, false) {
+                report(seed, &inst, &why);
+            }
         }
     }
-    // The generator must exercise both verdicts, mostly the feasible one.
-    assert!((1..100).contains(&infeasible), "{infeasible} infeasible");
+    // The generator must exercise both verdicts, mostly the feasible one
+    // — except for max-min, whose budget must use every node: most
+    // random sets leave it no allocation at all.
+    for (objective, n) in OBJECTIVES.into_iter().zip(infeasible) {
+        let most = if objective == Objective::MaxMin {
+            300
+        } else {
+            100
+        };
+        assert!((1..most).contains(&n), "{objective}: {n} infeasible");
+    }
 }
 
 /// 1° at N = 4096, every layout, Table I's sets untrimmed (no memory
@@ -400,14 +491,17 @@ fn integer_only_really_branches_on_the_binaries() {
 }
 
 /// At full scale: for N ∈ [513, 40960], every layout, the exhaustive
-/// rung's table DP and the compact model agree on every seed. (Brute
-/// force and the literal binaries stop at N = 512.)
+/// rung's table DP and the compact model agree on every seed, for min-max
+/// and min-sum. (Brute force and the literal binaries stop at N = 512.)
 #[test]
 fn exhaustive_rung_and_compact_model_agree_up_to_full_scale() {
     for seed in 0..180u64 {
-        let inst = instance_in(10_000 + seed, 513..=40_960);
-        if let Err(why) = cross_check(&inst, true) {
-            report(10_000 + seed, &inst, &why);
+        let base = instance_in(10_000 + seed, 513..=40_960);
+        for objective in [Objective::MinMax, Objective::SumTime] {
+            let inst = under(&base, objective);
+            if let Err(why) = cross_check(&inst, true) {
+                report(10_000 + seed, &inst, &why);
+            }
         }
     }
     // 1° curves at N = 4096 and 4097: either side of where the old
@@ -424,6 +518,83 @@ fn exhaustive_rung_and_compact_model_agree_up_to_full_scale() {
     }
 }
 
+/// The exhaustive rung is reachable for every objective on the paper's own
+/// fits (the experiment simulator, ocean set dropped): min-sum and min-max
+/// when the MINLP's deadline has passed (1° layout 2, N = 512), max-min on
+/// its normal route (1/8° hybrid, N = 8192). Each answer keeps its sets and
+/// floors and reaches the optimum: the MINLP's without a deadline, or for
+/// max-min the brute force's.
+#[test]
+fn exhaustive_rung_is_reached_for_every_objective_on_the_paper_fits() {
+    let cases = [
+        (
+            ResolutionConfig::one_degree(),
+            Layout::SequentialWithOcean,
+            512,
+            Objective::SumTime,
+        ),
+        (
+            ResolutionConfig::one_degree(),
+            Layout::SequentialWithOcean,
+            512,
+            Objective::MinMax,
+        ),
+        (
+            ResolutionConfig::eighth_degree(),
+            Layout::Hybrid,
+            8192,
+            Objective::MaxMin,
+        ),
+    ];
+    for (config, layout, n, objective) in cases {
+        let sim = Simulator::new(
+            Machine::intrepid(),
+            config.without_ocean_constraint(),
+            NoiseSpec::default(),
+            42,
+        );
+        let mut opts = HslbOptions::new(n);
+        opts.layout = layout;
+        opts.objective = objective;
+        let h = Hslb::new(&sim, opts.clone());
+        let inst = Instance {
+            fits: h.fit(&h.gather()).expect("fit"),
+            opts: LayoutModelOptions {
+                objective,
+                floors: NodeFloors::from_config(&sim.config),
+                ocean_allowed: sim.config.ocean_allowed.clone(),
+                atm_allowed: sim.config.atm_allowed.clone(),
+                ..LayoutModelOptions::free(layout, n)
+            },
+        };
+        let truth = if objective.is_convex_minlp() {
+            let report = h.run(None).expect("MINLP run");
+            let rung = report.resilience.expect("run() reports").rung;
+            assert_eq!(rung, SolverRung::Minlp, "{objective} without a deadline");
+            value(&inst.fits, objective, layout, &report.hslb.allocation)
+        } else {
+            brute_force(&inst).expect("a max-min allocation fits")
+        };
+
+        opts.solver.time_limit = Some(Duration::ZERO);
+        let report = Hslb::new(&sim, opts).run(None).expect("the ladder answers");
+        let res = report.resilience.expect("run() reports");
+        assert_eq!(
+            res.rung,
+            SolverRung::Exhaustive,
+            "{objective}: {:?}",
+            res.fallbacks
+        );
+        let a = report.hslb.allocation;
+        assert!(in_sets(&inst.opts, &a), "{objective}: {a}");
+        let got = value(&inst.fits, objective, layout, &a);
+        assert!(
+            close(got, truth),
+            "{objective}: {a} scores {got}, the optimum is {truth}"
+        );
+    }
+}
+
 /// One of an instance's allowed sets, by reference.
 type SetOf = fn(&mut Instance) -> &mut Option<Vec<i64>>;
 
@@ -431,8 +602,9 @@ type SetOf = fn(&mut Instance) -> &mut Option<Vec<i64>>;
 /// layout at N ≤ 2048: more nodes never raise the total; swapping the ice
 /// and land curves at equal floors leaves it unchanged; an extra allowed
 /// ocean or atmosphere count never raises it; dropping a count the
-/// optimum does not use leaves it unchanged. Three instances per layout
-/// are also checked against the compact model.
+/// optimum does not use leaves it unchanged. The min-sum total obeys the
+/// first two. Three instances per layout are also checked against the
+/// compact model.
 #[test]
 fn exhaustive_rung_obeys_the_min_max_laws() {
     let total = |inst: &Instance| dp_total(inst).unwrap_or(f64::INFINITY);
@@ -443,9 +615,14 @@ fn exhaustive_rung_obeys_the_min_max_laws() {
             let mut inst = base.clone();
             inst.opts.layout = layout;
             let t = total(&inst);
-            let fail = |law: &str, got: f64| -> ! {
-                report(20_000 + seed, &inst, &format!("{law}: {got} against {t}"))
+            let fail_from = |law: &str, got: f64, from: f64| -> ! {
+                report(
+                    20_000 + seed,
+                    &inst,
+                    &format!("{law}: {got} against {from}"),
+                )
             };
+            let fail = |law: &str, got: f64| fail_from(law, got, t);
 
             let mut more = inst.clone();
             more.opts.total_nodes += rng.gen_range(1..=64i64);
@@ -470,6 +647,19 @@ fn exhaustive_rung_obeys_the_min_max_laws() {
             .expect("four components");
             if total(&swapped) != total(&even) {
                 fail("swapping ice and land moved the total", total(&swapped));
+            }
+
+            let sum = |i: &Instance| total(&under(i, Objective::SumTime));
+            if sum(&more) > sum(&inst) {
+                fail_from(
+                    "more nodes raised the min-sum total",
+                    sum(&more),
+                    sum(&inst),
+                );
+            }
+            if sum(&swapped) != sum(&even) {
+                let law = "swapping ice and land moved the min-sum total";
+                fail_from(law, sum(&swapped), sum(&even));
             }
 
             let used = exhaustive(&inst)

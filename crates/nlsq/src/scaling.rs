@@ -38,13 +38,6 @@ impl ScalingCurve {
     pub fn is_convex(&self) -> bool {
         self.a >= 0.0 && self.b >= 0.0 && self.d >= 0.0 && !(self.c > 0.0 && self.c < 1.0)
     }
-
-    /// The integer node count in `[lo, hi]` minimizing `T(n)`.
-    ///
-    /// Convex curves are unimodal, so ternary search is exact.
-    pub fn argmin_nodes(&self, lo: i64, hi: i64) -> i64 {
-        hslb_numerics::scalar::integer_ternary_min(|n| self.eval(n as f64), lo.max(1), hi.max(1)).0
-    }
 }
 
 /// Result of fitting a [`ScalingCurve`] to benchmark data.
@@ -349,20 +342,6 @@ mod tests {
         assert!(fit_scaling(&[(4.0, 10.0)], &ScalingFitOptions::default()).is_err());
         assert!(fit_scaling(&[(0.5, 10.0), (2.0, 5.0)], &ScalingFitOptions::default()).is_err());
         assert!(fit_scaling(&[(1.0, -1.0), (2.0, 5.0)], &ScalingFitOptions::default()).is_err());
-    }
-
-    #[test]
-    fn argmin_nodes_finds_sweet_spot() {
-        // With a rising b·n term the curve has an interior minimum at
-        // n* = sqrt(a/b) for c = 1.
-        let curve = ScalingCurve {
-            a: 1.0e6,
-            b: 0.01,
-            c: 1.0,
-            d: 0.0,
-        };
-        let n = curve.argmin_nodes(1, 100_000);
-        assert_eq!(n, 10_000);
     }
 
     #[test]

@@ -16,26 +16,20 @@
 //!   square solves.
 //! * [`cholesky`] — Cholesky factorization for symmetric positive definite
 //!   systems (Levenberg–Marquardt normal equations), with a ridge fallback.
-//! * [`qr`] — Householder QR for least-squares solves.
 //! * [`vector`] — BLAS-1 style helpers on `&[f64]`.
 //! * [`stats`] — mean/variance/R²/RMSE used by the fit-quality reporting.
-//! * [`scalar`] — 1-D minimization (golden section) and root finding
-//!   (bisection, safeguarded Newton) for the fixed-allocation subproblems.
 //! * [`float`] — tolerant comparisons shared across crates.
 
 pub mod cholesky;
 pub mod float;
 pub mod lu;
 pub mod matrix;
-pub mod qr;
-pub mod scalar;
 pub mod stats;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 
 /// Errors produced by the factorization and solve routines in this crate.
 #[derive(Debug, Clone, PartialEq)]

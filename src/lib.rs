@@ -17,7 +17,7 @@
 //! * [`model`] — expression AST + autodiff modeling layer (the AMPL
 //!   stand-in);
 //! * [`lp`] — bounded-variable primal simplex;
-//! * [`numerics`] — dense linear algebra and scalar optimization.
+//! * [`numerics`] — dense linear algebra and fit statistics.
 //!
 //! ## Quickstart
 //!

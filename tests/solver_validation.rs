@@ -46,7 +46,7 @@ fn bb_matches_exhaustive_eighth_degree_constrained() {
         let mut exact = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, target);
         exact.ocean_allowed = Some(ResolutionConfig::eighth_degree_ocean_set());
         let truth = exact.solve(Objective::MinMax);
-        // Exhaustive inner search is ternary (near-exact); allow a hair.
+        // The DP is exact; the MINLP may stop within its gap.
         assert!(
             solved.predicted_total <= truth.objective * (1.0 + 1e-3),
             "N={target}: BB {} worse than enumeration {}",
