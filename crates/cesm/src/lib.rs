@@ -15,10 +15,11 @@
 //! * [`Layout`] — the three sequential/concurrent component layouts of
 //!   Figure 1, each one composition from which its makespan, node
 //!   constraints, Table I rows and rank placement are derived;
-//! * [`calib`] — ground-truth performance curves **fitted to the paper's
-//!   own published timings** (every `(nodes, seconds)` pair recoverable
-//!   from Table III is embedded here), so the simulator interpolates the
-//!   real Intrepid behaviour rather than an invented one;
+//! * [`calib`] — ground-truth performance curves **fitted once to the
+//!   paper's own published timings** (every `(nodes, seconds)` pair
+//!   recoverable from Table III is embedded here) and committed as
+//!   constants, so the simulator interpolates the real Intrepid behaviour
+//!   rather than an invented one;
 //! * [`decomp`] — the CICE decomposition strategies whose default
 //!   selection makes the paper's sea-ice curve noisy (§IV-A);
 //! * [`Simulator`] — deterministic, seeded noise on top of the calibrated

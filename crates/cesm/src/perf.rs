@@ -1,4 +1,4 @@
-//! Ground-truth performance curves and noise specification.
+//! Timing-noise specification of the simulated machine.
 
 /// Multiplicative timing-noise magnitudes per component class.
 ///
@@ -57,38 +57,6 @@ impl NoiseSpec {
     }
 }
 
-/// Serializable mirror of a fitted curve's coefficients, used to embed
-/// ground truth in reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurveParams {
-    pub a: f64,
-    pub b: f64,
-    pub c: f64,
-    pub d: f64,
-}
-
-impl From<hslb_nlsq::ScalingCurve> for CurveParams {
-    fn from(c: hslb_nlsq::ScalingCurve) -> Self {
-        CurveParams {
-            a: c.a,
-            b: c.b,
-            c: c.c,
-            d: c.d,
-        }
-    }
-}
-
-impl From<CurveParams> for hslb_nlsq::ScalingCurve {
-    fn from(p: CurveParams) -> Self {
-        hslb_nlsq::ScalingCurve {
-            a: p.a,
-            b: p.b,
-            c: p.c,
-            d: p.d,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,18 +67,5 @@ mod tests {
         assert!(n.base_sigma < n.ice_sigma);
         assert!(n.base_sigma > 0.0);
         assert_eq!(NoiseSpec::none().base_sigma, 0.0);
-    }
-
-    #[test]
-    fn curve_params_round_trip() {
-        let c = hslb_nlsq::ScalingCurve {
-            a: 1.0,
-            b: 2.0,
-            c: 3.0,
-            d: 4.0,
-        };
-        let p: CurveParams = c.into();
-        let back: hslb_nlsq::ScalingCurve = p.into();
-        assert_eq!(back, c);
     }
 }

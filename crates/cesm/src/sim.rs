@@ -66,14 +66,10 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Build a simulator for a resolution on a machine.
-    ///
-    /// Construction eagerly fits the resolution's calibration curves (a
-    /// one-time, process-wide cost shared through [`calib::ground_truth`])
-    /// so the first benchmark gather is as fast as a warm one instead of
-    /// silently paying the calibration inside its measured span.
+    /// Build a simulator for a resolution on a machine. Its timings come
+    /// from the committed curves of [`calib::ground_truth`]; construction
+    /// fits nothing.
     pub fn new(machine: Machine, config: ResolutionConfig, noise: NoiseSpec, seed: u64) -> Self {
-        calib::ground_truth(config.resolution);
         Simulator {
             machine,
             config,
@@ -122,10 +118,19 @@ impl Simulator {
     }
 
     /// The noiseless ground-truth time of a component at a node count
-    /// (without the CICE decomposition penalty). Test/analysis use only —
-    /// HSLB itself must go through [`Simulator::component_time`].
+    /// (without the CICE decomposition penalty). HSLB itself observes it
+    /// only through [`Simulator::component_time`], which adds both.
+    ///
+    /// Panics for a component outside [`Component::OPTIMIZED`]: only the
+    /// four optimized components are simulated.
     pub fn truth(&self, c: Component, nodes: i64) -> f64 {
-        calib::ground_truth(self.resolution())[&c].eval(nodes as f64)
+        match calib::ground_truth(self.resolution())
+            .iter()
+            .find(|(k, _)| *k == c)
+        {
+            Some((_, curve)) => curve.eval(nodes as f64),
+            None => panic!("{c} has no ground-truth curve"),
+        }
     }
 
     fn noise_factor(&self, c: Component, nodes: i64, run_id: u64) -> f64 {

@@ -38,6 +38,12 @@
 //! exact.
 //! No objective here models the non-convex `T_sync` window (Table I
 //! lines 18–19); only the MINLP states it.
+//!
+//! [`ExhaustiveOptimizer::frontier`] runs the min-max DP once with the root
+//! group merged at every budget too. Every table entry at `m` reads only
+//! entries at counts `≤ m`, so the frontier read at `m` is the solve at
+//! `N = m`, bit for bit: §IV-C's scaling and node-count questions cost one
+//! DP per layout, not one per budget.
 
 use crate::fit::FitSet;
 use crate::layout_model::NodeFloors;
@@ -88,10 +94,6 @@ impl<'a> ExhaustiveOptimizer<'a> {
         }
     }
 
-    fn t(&self, c: Component, n: i64) -> f64 {
-        self.fits.predict(c, n.max(1))
-    }
-
     /// Solve under the given objective.
     ///
     /// Panics when the candidate space is empty; fault-tolerant callers
@@ -107,10 +109,36 @@ impl<'a> ExhaustiveOptimizer<'a> {
     /// filters down to nothing, or every candidate scores infinite — and
     /// on more than 2^20 nodes.
     pub fn try_solve(&self, objective: Objective) -> Option<ExhaustiveResult> {
-        // The tables take ~100 bytes per node count (110 MB and 0.4 s for
-        // the hybrid's min-max at 2^20). A budget arrives from a request,
-        // so past 2^20 nodes (3× the largest machine modelled here) the
-        // rung declines instead of allocating without bound.
+        let (table, count) = self.tabulate(objective, true)?;
+        let n = table.time.len() - 1;
+        let (allocation, value) = table.read(self.fits, self.layout, objective, n)?;
+        Some(ExhaustiveResult {
+            allocation,
+            objective: value,
+            evaluations: count.evaluations,
+            pruned: count.pruned,
+        })
+    }
+
+    /// The min-max optimum at every budget up to `total_nodes`, from one
+    /// DP: [`Frontier::at`]`(m)` is [`Self::try_solve`] at `total_nodes =
+    /// m`. `None` on more than 2^20 nodes.
+    pub fn frontier(&self) -> Option<Frontier<'a>> {
+        let (table, _) = self.tabulate(Objective::MinMax, false)?;
+        Some(Frontier {
+            fits: self.fits,
+            layout: self.layout,
+            table,
+        })
+    }
+
+    /// The root table on budgets `0..=N` and the work it took; its root
+    /// side-by-side group is merged at `N` alone when `root_at_n`. The
+    /// tables take ~100 bytes per node count (110 MB and 0.4 s for the
+    /// hybrid's min-max at 2^20). A budget arrives from a request, so past
+    /// 2^20 nodes (3× the largest machine modelled here) the rung declines
+    /// instead of allocating without bound.
+    fn tabulate(&self, objective: Objective, root_at_n: bool) -> Option<(Table, Counts)> {
         let n = usize::try_from(self.total_nodes)
             .ok()
             .filter(|&n| n <= 1 << 20)?;
@@ -119,26 +147,8 @@ impl<'a> ExhaustiveOptimizer<'a> {
             objective,
             count: Counts::default(),
         };
-        let root = self.layout.tree();
-        let solved = dp.table(root, n, true);
-        if !solved.time[n].is_finite() {
-            return None;
-        }
-        let mut allocation = Allocation::from_table_order([0; 4]);
-        solved.place(root, n, &mut allocation);
-        let times = Component::OPTIMIZED.map(|c| self.t(c, allocation.get(c)));
-        let value = match objective {
-            Objective::MinMax => self.fits.predicted_total(self.layout, &allocation),
-            Objective::SumTime => times.iter().sum(),
-            Objective::MaxMin => times.into_iter().fold(INF, f64::min),
-        };
-        Some(ExhaustiveResult {
-            allocation,
-            objective: value,
-            evaluations: dp.count.evaluations,
-            pruned: dp.count.pruned,
-        })
-        .filter(|r| r.objective.is_finite())
+        let table = dp.table(self.layout.tree(), n, root_at_n);
+        Some((table, dp.count))
     }
 
     fn floor(&self, c: Component) -> i64 {
@@ -149,6 +159,26 @@ impl<'a> ExhaustiveOptimizer<'a> {
             _ => self.floors.ocn,
         }
         .max(1)
+    }
+}
+
+/// The min-max optimum of one layout at every budget `m ∈ [0, N]`.
+pub struct Frontier<'a> {
+    fits: &'a FitSet,
+    layout: Layout,
+    table: Table,
+}
+
+impl Frontier<'_> {
+    /// The allocation and makespan [`ExhaustiveOptimizer::try_solve`]
+    /// finds at `total_nodes = m`, bit for bit; `None` where it finds
+    /// none or `m` lies outside `[0, total_nodes]`.
+    pub fn at(&self, m: i64) -> Option<(Allocation, f64)> {
+        let m = usize::try_from(m)
+            .ok()
+            .filter(|&m| m < self.table.time.len())?;
+        self.table
+            .read(self.fits, self.layout, Objective::MinMax, m)
     }
 }
 
@@ -169,7 +199,7 @@ impl Dp<'_, '_> {
 
     /// Component `c`'s score on `k` nodes: its time, negated for max-min.
     fn score(&self, c: Component, k: usize) -> f64 {
-        let t = self.opt.t(c, k as i64);
+        let t = self.opt.fits.predict(c, (k as i64).max(1));
         if self.exact() {
             -t
         } else {
@@ -328,6 +358,30 @@ struct Table {
 }
 
 impl Table {
+    /// The root table's answer at budget `m`: the allocation that reaches
+    /// `time[m]` and the objective recomputed from its counts, `None`
+    /// when nothing fits or the objective is infinite.
+    fn read(
+        &self,
+        fits: &FitSet,
+        layout: Layout,
+        objective: Objective,
+        m: usize,
+    ) -> Option<(Allocation, f64)> {
+        if !self.time[m].is_finite() {
+            return None;
+        }
+        let mut allocation = Allocation::from_table_order([0; 4]);
+        self.place(layout.tree(), m, &mut allocation);
+        let times = Component::OPTIMIZED.map(|c| fits.predict(c, allocation.get(c).max(1)));
+        let value = match objective {
+            Objective::MinMax => fits.predicted_total(layout, &allocation),
+            Objective::SumTime => times.iter().sum(),
+            Objective::MaxMin => times.into_iter().fold(INF, f64::min),
+        };
+        Some((allocation, value)).filter(|(_, v)| v.is_finite())
+    }
+
     /// Write the counts that reach `time[m]` into `a`.
     fn place(&self, node: &Node, m: usize, a: &mut Allocation) {
         match node {

@@ -26,7 +26,9 @@
 //!   global optimality (and to evaluate the `max-min` objective, whose
 //!   MINLP form is nonconvex);
 //! * [`whatif`] — the §IV-C applications: layout comparison (Figure 4),
-//!   optimal node counts, new-machine prediction;
+//!   constraint impact, component swaps;
+//! * [`cost`] — the §IV-C node-count question: the cost/time frontier at
+//!   every node count, with deadline and efficiency pickers;
 //! * [`report`] — Table III-style reporting structures.
 
 pub mod cost;
@@ -45,7 +47,7 @@ pub mod whatif;
 
 pub use data::BenchmarkData;
 pub use error::HslbError;
-pub use exhaustive::ExhaustiveOptimizer;
+pub use exhaustive::{ExhaustiveOptimizer, Frontier};
 pub use fit::{fit_all, FitSet};
 pub use layout_model::{build_layout_model, LayoutModel, LayoutModelOptions, NodeFloors};
 pub use objective::{parse_objective, Objective};

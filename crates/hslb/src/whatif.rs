@@ -4,8 +4,11 @@
 //! purposes. For example, HSLB can estimate the effect of constraints or
 //! 'sweet' spots on scaling/efficiency of CESM, which component layout is
 //! more or less scalable; … or the optimal number of nodes to run CESM."
+//!
+//! Every question over node counts reads one [`Frontier`] per layout; the
+//! node-count question itself is [`crate::cost::largest_efficient`].
 
-use crate::exhaustive::ExhaustiveOptimizer;
+use crate::exhaustive::{ExhaustiveOptimizer, Frontier};
 use crate::fit::FitSet;
 use crate::objective::Objective;
 use hslb_cesm::{Allocation, Layout};
@@ -18,9 +21,31 @@ pub struct LayoutScaling {
     pub points: Vec<(i64, f64, Allocation)>,
 }
 
+/// The min-max frontier of `layout` up to the largest of `node_counts`.
+#[allow(clippy::expect_used)] // the what-ifs panic as `ExhaustiveOptimizer::solve` does
+fn frontier<'a>(
+    fits: &'a FitSet,
+    layout: Layout,
+    node_counts: &[i64],
+    ocean_allowed: Option<&[i64]>,
+    atm_allowed: Option<&[i64]>,
+) -> Frontier<'a> {
+    let mut opt =
+        ExhaustiveOptimizer::new(fits, layout, node_counts.iter().copied().max().unwrap_or(0));
+    opt.ocean_allowed = ocean_allowed.map(<[i64]>::to_vec);
+    opt.atm_allowed = atm_allowed.map(<[i64]>::to_vec);
+    opt.frontier().expect("at most 2^20 nodes")
+}
+
+/// The optimum at `n`; panics when nothing fits.
+#[allow(clippy::expect_used)] // the what-ifs panic as `ExhaustiveOptimizer::solve` does
+fn optimum(frontier: &Frontier, n: i64) -> (Allocation, f64) {
+    frontier.at(n).expect("no feasible candidate allocation")
+}
+
 /// Predict the optimal time of each layout at each node count from fitted
 /// curves (no execution — exactly what the paper does for layouts 2 and 3,
-/// which were never run).
+/// which were never run): one frontier per layout, read at every count.
 pub fn predict_layout_scaling(
     fits: &FitSet,
     node_counts: &[i64],
@@ -30,68 +55,17 @@ pub fn predict_layout_scaling(
     Layout::ALL
         .iter()
         .map(|&layout| {
+            let f = frontier(fits, layout, node_counts, ocean_allowed, atm_allowed);
             let points = node_counts
                 .iter()
                 .map(|&n| {
-                    let mut opt = ExhaustiveOptimizer::new(fits, layout, n);
-                    opt.ocean_allowed = ocean_allowed.map(|s| s.to_vec());
-                    opt.atm_allowed = atm_allowed.map(|s| s.to_vec());
-                    let res = opt.solve(Objective::MinMax);
-                    (n, res.objective, res.allocation)
+                    let (allocation, time) = optimum(&f, n);
+                    (n, time, allocation)
                 })
                 .collect();
             LayoutScaling { layout, points }
         })
         .collect()
-}
-
-/// The outcome of an optimal-node-count search.
-#[derive(Debug, Clone, Copy)]
-pub struct OptimalNodes {
-    /// Smallest node count meeting the efficiency threshold.
-    pub nodes: i64,
-    /// Predicted time at that count.
-    pub time: f64,
-    /// Marginal parallel efficiency at that count (speedup gained per
-    /// node-doubling, 1.0 = perfect).
-    pub marginal_efficiency: f64,
-}
-
-/// Find the cost-efficient node count: keep doubling while each doubling
-/// still buys at least `min_marginal_efficiency` of the ideal 2× speedup
-/// ("nodes are increased until scaling is reduced to a predefined limit").
-pub fn optimal_node_count(
-    fits: &FitSet,
-    layout: Layout,
-    min_nodes: i64,
-    max_nodes: i64,
-    min_marginal_efficiency: f64,
-) -> OptimalNodes {
-    assert!(min_nodes >= 4 && max_nodes >= min_nodes);
-    let time_at = |n: i64| {
-        ExhaustiveOptimizer::new(fits, layout, n)
-            .solve(Objective::MinMax)
-            .objective
-    };
-    let mut n = min_nodes;
-    let mut t = time_at(n);
-    let mut eff = 1.0;
-    while n * 2 <= max_nodes {
-        let t2 = time_at(n * 2);
-        // Ideal doubling halves the time: efficiency = (t/t2) / 2.
-        let e = (t / t2) / 2.0;
-        if e < min_marginal_efficiency {
-            break;
-        }
-        n *= 2;
-        t = t2;
-        eff = e;
-    }
-    OptimalNodes {
-        nodes: n,
-        time: t,
-        marginal_efficiency: eff,
-    }
 }
 
 /// Effect of an allowed-set constraint on achievable performance across
@@ -106,17 +80,11 @@ pub fn constraint_impact(
     node_counts: &[i64],
     ocean_allowed: &[i64],
 ) -> Vec<(i64, f64, f64)> {
+    let with = frontier(fits, layout, node_counts, Some(ocean_allowed), None);
+    let without = frontier(fits, layout, node_counts, None, None);
     node_counts
         .iter()
-        .map(|&n| {
-            let mut constrained = ExhaustiveOptimizer::new(fits, layout, n);
-            constrained.ocean_allowed = Some(ocean_allowed.to_vec());
-            let with = constrained.solve(Objective::MinMax).objective;
-            let without = ExhaustiveOptimizer::new(fits, layout, n)
-                .solve(Objective::MinMax)
-                .objective;
-            (n, with, without)
-        })
+        .map(|&n| (n, optimum(&with, n).1, optimum(&without, n).1))
         .collect()
 }
 
@@ -188,30 +156,6 @@ mod tests {
             assert!(scaling[2].points[i].1 >= scaling[0].points[i].1 - 1e-9);
             assert!(scaling[2].points[i].1 >= scaling[1].points[i].1 - 1e-9);
         }
-    }
-
-    #[test]
-    fn optimal_nodes_stops_when_scaling_dies() {
-        // Curves with a large serial floor stop scaling quickly.
-        let mk = |a: f64, d: f64| ScalingCurve {
-            a,
-            b: 0.0,
-            c: 1.0,
-            d,
-        };
-        let fits = FitSet::from_curves(BTreeMap::from([
-            (Component::Ice, mk(1_000.0, 50.0)),
-            (Component::Lnd, mk(500.0, 50.0)),
-            (Component::Atm, mk(2_000.0, 100.0)),
-            (Component::Ocn, mk(1_000.0, 80.0)),
-        ]))
-        .unwrap();
-        let res = optimal_node_count(&fits, Layout::Hybrid, 8, 65_536, 0.8);
-        assert!(res.nodes < 65_536, "should stop early, got {}", res.nodes);
-        // A scalable model keeps going further.
-        let fits2 = toy_fits();
-        let res2 = optimal_node_count(&fits2, Layout::Hybrid, 8, 65_536, 0.8);
-        assert!(res2.nodes > res.nodes);
     }
 
     #[test]

@@ -705,3 +705,54 @@ fn exhaustive_rung_obeys_the_min_max_laws() {
         }
     }
 }
+
+/// The frontier is the solve at every budget: on every seed of both
+/// draws (N ≤ 512 and N ∈ [513, 40960]), on every layout with the seed's
+/// allowed sets and floors, `frontier().at(m)` equals `try_solve` at
+/// `total_nodes = m`, allocation and makespan bit for bit. It is checked
+/// at every budget up to N = 64 and otherwise at N and 16 drawn budgets
+/// per layout (51 per seed); the frontier's makespan never rises with `m`.
+#[test]
+fn frontier_is_the_solve_at_every_budget() {
+    let draws = (0..400u64)
+        .map(|seed| (seed, 8..=512))
+        .chain((0..180u64).map(|seed| (10_000 + seed, 513..=40_960)));
+    for (seed, nodes) in draws {
+        let base = instance_in(seed, nodes);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = base.opts.total_nodes;
+        for layout in Layout::ALL {
+            let mut inst = base.clone();
+            inst.opts.layout = layout;
+            let opt = exhaustive(&inst);
+            let frontier = opt.frontier().expect("N ≤ 2^20");
+            let budgets: Vec<i64> = if n <= 64 {
+                (0..=n).collect()
+            } else {
+                (0..16).map(|_| rng.gen_range(0..n)).chain([n]).collect()
+            };
+            for m in budgets {
+                let solve = ExhaustiveOptimizer {
+                    total_nodes: m,
+                    ..opt.clone()
+                }
+                .try_solve(Objective::MinMax)
+                .map(|r| (r.allocation, r.objective.to_bits()));
+                let read = frontier.at(m).map(|(a, t)| (a, t.to_bits()));
+                if read != solve {
+                    let why = format!("at m = {m} the frontier reads {read:?}, a solve {solve:?}");
+                    report(seed, &inst, &why);
+                }
+            }
+            let mut last = f64::INFINITY;
+            for m in 0..=n {
+                if let Some((_, t)) = frontier.at(m) {
+                    if t > last {
+                        report(seed, &inst, &format!("the makespan rose to {t} at m = {m}"));
+                    }
+                    last = t;
+                }
+            }
+        }
+    }
+}

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example whatif_new_machine`
 
-use cesm_hslb::hslb::whatif;
+use cesm_hslb::hslb::{cost, whatif};
 use cesm_hslb::prelude::*;
 
 fn main() -> Result<(), HslbError> {
@@ -12,32 +12,29 @@ fn main() -> Result<(), HslbError> {
     let pipeline = Hslb::new(&sim, HslbOptions::new(2048));
     let fits = pipeline.fit(&pipeline.gather())?;
 
-    // 1. Cost-efficient node count: keep doubling while each doubling
-    //    still delivers ≥ 70 % of the ideal 2× speedup.
+    // 1. Cost-efficient node count: the largest size whose speedup over
+    //    64 nodes is still ≥ 70 % of the ideal, read from the exact
+    //    frontier at every count up to the whole machine.
     let machine = Machine::intrepid();
-    let sweet = whatif::optimal_node_count(&fits, Layout::Hybrid, 64, machine.nodes, 0.70);
-    println!(
-        "cost-efficient size on {}: {} nodes, predicted {:.1}s \
-         (last doubling efficiency {:.0}%)",
-        machine.name,
-        sweet.nodes,
-        sweet.time,
-        100.0 * sweet.marginal_efficiency
-    );
+    let frontier = cost::frontier(&fits, &machine, Layout::Hybrid, 64, machine.nodes);
+    if let Some(sweet) = cost::largest_efficient(&frontier, 0.70) {
+        println!(
+            "cost-efficient size on {}: {} nodes, predicted {:.1}s \
+             (efficiency {:.0}% against 64 nodes)",
+            machine.name,
+            sweet.nodes,
+            sweet.time_s,
+            100.0 * sweet.efficiency
+        );
+    }
 
     // 2. The shortest-time-to-solution point, regardless of cost.
-    let frontier: Vec<(i64, f64)> = (7..=15)
-        .map(|p| {
-            let n = 1i64 << p;
-            let t = hslb::ExhaustiveOptimizer::new(&fits, Layout::Hybrid, n)
-                .solve(Objective::MinMax)
-                .objective;
-            (n, t)
-        })
-        .collect();
     println!("\nscaling frontier (1° model):");
-    for (n, t) in &frontier {
-        println!("  {n:>6} nodes → {t:>8.2}s");
+    for p in frontier
+        .iter()
+        .filter(|p| (7..=15).any(|k| p.nodes == 1 << k))
+    {
+        println!("  {:>6} nodes → {:>8.2}s", p.nodes, p.time_s);
     }
 
     // 3. New hardware: a hypothetical 8×-Intrepid. The *curves* are the

@@ -57,6 +57,10 @@
 # hash-order rule (no HashMap/HashSet/pointer-identity iteration in the
 # simplex crate, whose pivot order must be reproducible).
 #
+# The Figure 4 gate runs `fig4` and diffs its stdout against
+# crates/bench/expected/fig4.txt: the predicted layout curves are read
+# from one exact frontier per layout, and nothing may move them unnoticed.
+#
 # The seed-43 gate runs the 36-configuration layout × budget grid for
 # simulator seed 43 in-process with `hslb-sweep --verify` under a 10 s
 # timeout: that sweep hung past the 40 s of watchdogs while a warm
@@ -139,6 +143,19 @@ if [[ $fast -eq 0 ]]; then
 
     echo "==> audit-instances (Level 1: convexity certificates + rejection self-test)"
     cargo run --release -q -p hslb-bench --bin audit-instances
+
+    echo "==> Figure 4 matches its committed output"
+    # A change that moves Figure 4 regenerates the file and says which
+    # numbers moved (regenerate with:
+    #   ./target/release/fig4 > crates/bench/expected/fig4.txt)
+    fig4_out="$(mktemp /tmp/fig4.XXXXXX.txt)"
+    ./target/release/fig4 > "$fig4_out"
+    if ! diff crates/bench/expected/fig4.txt "$fig4_out"; then
+        echo "fig4's output drifted from crates/bench/expected/fig4.txt" >&2
+        rm -f "$fig4_out"
+        exit 1
+    fi
+    rm -f "$fig4_out"
 
     echo "==> seed-43 sweep (36-configuration grid, verified, 10 s timeout)"
     timeout 10 ./target/release/hslb-sweep --seed 43 \
