@@ -15,7 +15,7 @@
 //! ```
 
 use hslb::fit::FitSet;
-use hslb::{build_layout_model, Hslb, HslbError, HslbOptions, LayoutModelOptions, NodeFloors};
+use hslb::{Hslb, HslbError, HslbOptions};
 use hslb_bench::simulator_for;
 use hslb_cesm::{Component, Resolution, Simulator};
 use hslb_nlsq::ScalingCurve;
@@ -37,40 +37,23 @@ const SMOKE_GRID: [(Resolution, i64); 2] = [
     (Resolution::EighthDegree, 8192),
 ];
 
-/// Audit one scenario's instance exactly as the pipeline would before its
-/// solve. Returns an error line on failure.
+/// Audit one scenario's instance: the pipeline's strict solve, which
+/// audits its problem's model before it solves. Returns an error line on
+/// failure.
 fn audit_scenario(resolution: Resolution, nodes: i64) -> Result<String, String> {
     let name = format!("{resolution} N={nodes}");
     let sim = simulator_for(resolution, true);
-    let opts = HslbOptions::new(nodes);
-    let h = Hslb::new(&sim, opts.clone());
-    let data = h.gather();
+    let h = Hslb::new(&sim, HslbOptions::new(nodes));
     let fits = h
-        .fit(&data)
+        .fit(&h.gather())
         .map_err(|e| format!("{name}: fit failed: {e}"))?;
-    let lm = build_layout_model(
-        &fits,
-        &LayoutModelOptions {
-            layout: opts.layout,
-            objective: opts.objective,
-            total_nodes: opts.target_nodes,
-            floors: NodeFloors::from_config(&sim.config),
-            ocean_allowed: sim.config.ocean_allowed.clone(),
-            atm_allowed: sim.config.atm_allowed.clone(),
-            tsync: opts.tsync,
-        },
-    )
-    .map_err(|e| format!("{name}: model build failed: {e}"))?;
-    let curves: Vec<(Component, ScalingCurve)> = fits.iter().map(|(c, f)| (c, f.curve)).collect();
-    let expect = hslb_audit::ModelExpectations {
-        layout: opts.layout,
-        shape: hslb_audit::ObjectiveShape::MinMax,
-        total_nodes: opts.target_nodes,
-        tsync: opts.tsync.is_some(),
-        ocean_set: sim.config.ocean_allowed.is_some(),
-        atm_set: sim.config.atm_allowed.is_some(),
+    let audit = match h.solve(&fits) {
+        Ok(solved) => solved
+            .audit
+            .ok_or(format!("{name}: solved without an audit"))?,
+        Err(HslbError::AuditRejected { audit }) => *audit,
+        Err(e) => return Err(format!("{name}: solve failed: {e}")),
     };
-    let audit = hslb_audit::audit_instance(&curves, &lm.model, &expect);
     if audit.passed() {
         Ok(format!(
             "{name}: PASS ({} components certified, {} convex rows verified, {} allowed sets)",

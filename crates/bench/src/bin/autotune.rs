@@ -180,6 +180,7 @@ fn main() {
     if let (Some(deadline), Some(fits)) = (args.deadline, fits.as_ref()) {
         let frontier = cost::frontier(
             fits,
+            &sim.config,
             &Machine::intrepid(),
             args.layout,
             (args.nodes / 16).max(8),

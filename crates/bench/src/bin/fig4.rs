@@ -7,7 +7,7 @@
 use hslb::whatif::predict_layout_scaling;
 use hslb::{Hslb, HslbOptions};
 use hslb_bench::simulator_for;
-use hslb_cesm::{Layout, Resolution, ResolutionConfig};
+use hslb_cesm::{Layout, Resolution};
 
 fn main() {
     let sim = simulator_for(Resolution::OneDegree, true);
@@ -15,9 +15,7 @@ fn main() {
     let fits = pipeline.fit(&pipeline.gather()).expect("fit");
 
     let counts = [128i64, 256, 512, 1024, 2048];
-    let ocean = ResolutionConfig::one_degree_ocean_set();
-    let atm = ResolutionConfig::one_degree_atm_set();
-    let pred = predict_layout_scaling(&fits, &counts, Some(&ocean), Some(&atm));
+    let pred = predict_layout_scaling(&fits, &sim.config, &counts);
 
     println!("# Figure 4: predicted layout scaling at 1deg (+ layout-1 experimental)");
     println!(

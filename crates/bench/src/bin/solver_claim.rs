@@ -15,8 +15,8 @@ fn main() {
 
     println!("# MINLP solve time vs machine size (1deg model, one core)");
     println!(
-        "{:>8} {:>12} {:>10} {:>10} {:>10} {:>12}",
-        "N", "wall", "bb nodes", "lp solves", "oa cuts", "objective"
+        "{:>8} {:>10} {:>10} {:>10} {:>12}",
+        "N", "bb nodes", "lp solves", "oa cuts", "objective"
     );
     for n in [128i64, 512, 2048, 8192, 16_384, Machine::intrepid().nodes] {
         let solved = Hslb::new(&sim, HslbOptions::new(n))
@@ -24,13 +24,14 @@ fn main() {
             .expect("solve");
         let s = solved.solver_stats.expect("stats");
         println!(
-            "{n:>8} {:>12.2?} {:>10} {:>10} {:>10} {:>12.3}",
-            s.wall, s.nodes, s.lp_solves, s.cuts, solved.predicted_total
+            "{n:>8} {:>10} {:>10} {:>10} {:>12.3}",
+            s.nodes, s.lp_solves, s.cuts, solved.predicted_total
         );
+        eprintln!("{n:>8} wall {:.2?}", s.wall);
         if n == Machine::intrepid().nodes {
             let ok = s.wall.as_secs() < 60;
-            println!(
-                "\nfull-machine (40960-node) solve: {:?} — paper bound <60s: {}",
+            eprintln!(
+                "full-machine (40960-node) solve: {:?} — paper bound <60s: {}",
                 s.wall,
                 if ok { "PASS" } else { "FAIL" }
             );

@@ -8,9 +8,8 @@
 //! builds the cost/time frontier a facility user would consult before
 //! requesting an INCITE-scale allocation.
 
-use crate::exhaustive::ExhaustiveOptimizer;
 use crate::fit::FitSet;
-use hslb_cesm::{Layout, Machine};
+use hslb_cesm::{Layout, Machine, ResolutionConfig};
 
 /// One point of the cost/time frontier.
 #[derive(Debug, Clone, Copy)]
@@ -35,15 +34,16 @@ pub fn core_hours(machine: &Machine, nodes: i64, seconds: f64) -> f64 {
 
 /// The cost/time frontier at every node count in `[min_nodes, max_nodes]`
 /// (capped at the machine's size), read from one min-max
-/// [`ExhaustiveOptimizer::frontier`] over the fitted curves. Counts where
-/// no allocation fits are left out.
+/// [`crate::ExhaustiveOptimizer::frontier`] of the configured machine's
+/// problem: each point is the pipeline's exhaustive answer at its count,
+/// and counts where no allocation fits are left out.
 ///
 /// # Examples
 ///
 /// ```
 /// use hslb::cost;
 /// use hslb::FitSet;
-/// use hslb_cesm::{Component, Layout, Machine};
+/// use hslb_cesm::{Component, Layout, Machine, ResolutionConfig};
 /// use hslb_nlsq::ScalingCurve;
 /// use std::collections::BTreeMap;
 ///
@@ -54,20 +54,21 @@ pub fn core_hours(machine: &Machine, nodes: i64, seconds: f64) -> f64 {
 ///     (Component::Atm, mk(30000.0, 10.0)),
 ///     (Component::Ocn, mk(9000.0, 5.0)),
 /// ])).unwrap();
-/// let f = cost::frontier(&fits, &Machine::intrepid(), Layout::Hybrid, 64, 1024);
+/// let config = ResolutionConfig::one_degree();
+/// let f = cost::frontier(&fits, &config, &Machine::intrepid(), Layout::Hybrid, 64, 1024);
 /// assert_eq!(f.len(), 961); // 64, 65, …, 1024
 /// assert!(f.last().unwrap().time_s < f[0].time_s);
 /// ```
 pub fn frontier(
     fits: &FitSet,
+    config: &ResolutionConfig,
     machine: &Machine,
     layout: Layout,
     min_nodes: i64,
     max_nodes: i64,
 ) -> Vec<FrontierPoint> {
-    assert!(min_nodes >= 4, "need at least 4 nodes");
     let top = max_nodes.min(machine.nodes);
-    let Some(optima) = ExhaustiveOptimizer::new(fits, layout, top).frontier() else {
+    let Some(optima) = crate::whatif::optima(fits, config, layout, &[top]) else {
         return Vec::new();
     };
     let mut base: Option<(i64, f64)> = None;
@@ -134,6 +135,23 @@ mod tests {
         .unwrap()
     }
 
+    /// The frontier on toy fits with 1° floors and no allowed sets.
+    fn toy_frontier(fits: &FitSet, max_nodes: i64) -> Vec<FrontierPoint> {
+        let config = ResolutionConfig {
+            ocean_allowed: None,
+            atm_allowed: None,
+            ..ResolutionConfig::one_degree()
+        };
+        frontier(
+            fits,
+            &config,
+            &Machine::intrepid(),
+            Layout::Hybrid,
+            64,
+            max_nodes,
+        )
+    }
+
     #[test]
     fn core_hours_formula() {
         let m = Machine::intrepid(); // 4 cores/node
@@ -143,7 +161,7 @@ mod tests {
     #[test]
     fn frontier_time_decreases_cost_increases_eventually() {
         let fits = toy_fits();
-        let f = frontier(&fits, &Machine::intrepid(), Layout::Hybrid, 64, 4096);
+        let f = toy_frontier(&fits, 4096);
         assert!(f.len() >= 6);
         assert!(f.windows(2).all(|w| w[1].time_s <= w[0].time_s + 1e-9));
         // Efficiency wobbles between neighbouring counts (integer splits)
@@ -156,7 +174,7 @@ mod tests {
     #[test]
     fn deadline_picker_prefers_cheapest() {
         let fits = toy_fits();
-        let f = frontier(&fits, &Machine::intrepid(), Layout::Hybrid, 64, 4096);
+        let f = toy_frontier(&fits, 4096);
         // Integer splits make core-hours jagged from one count to the next
         // (70 nodes is cheaper than 64 here), so a loose deadline picks the
         // cheapest count anywhere on the frontier.
@@ -171,7 +189,7 @@ mod tests {
     #[test]
     fn efficiency_floor_picks_a_knee() {
         let knee = |fits: &FitSet| {
-            let f = frontier(fits, &Machine::intrepid(), Layout::Hybrid, 64, 16_384);
+            let f = toy_frontier(fits, 16_384);
             let knee = largest_efficient(&f, 0.7).unwrap();
             assert!(knee.nodes < 16_384, "floor must bind before the max size");
             assert!(knee.efficiency >= 0.7);
@@ -201,7 +219,7 @@ mod tests {
         // whose pickers read only those: on the superset of budgets the
         // efficient size can only grow and the cheapest cost only fall.
         let fits = toy_fits();
-        let f = frontier(&fits, &Machine::intrepid(), Layout::Hybrid, 64, 16_384);
+        let f = toy_frontier(&fits, 16_384);
         let doubling: Vec<FrontierPoint> = f
             .iter()
             .filter(|p| p.nodes % 64 == 0 && (p.nodes / 64).count_ones() == 1)

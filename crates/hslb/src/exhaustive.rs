@@ -46,7 +46,7 @@
 //! DP per layout, not one per budget.
 
 use crate::fit::FitSet;
-use crate::layout_model::NodeFloors;
+use crate::layout_model::{LayoutModelOptions, NodeFloors};
 use crate::objective::Objective;
 use hslb_cesm::layout::Node;
 use hslb_cesm::{Allocation, Component, Layout};
@@ -84,24 +84,20 @@ pub struct ExhaustiveResult {
 impl<'a> ExhaustiveOptimizer<'a> {
     /// Build for a layout with free ocean/atmosphere counts.
     pub fn new(fits: &'a FitSet, layout: Layout, total_nodes: i64) -> Self {
-        ExhaustiveOptimizer {
-            fits,
-            layout,
-            total_nodes,
-            ocean_allowed: None,
-            atm_allowed: None,
-            floors: NodeFloors::default(),
-        }
+        Self::for_problem(fits, &LayoutModelOptions::free(layout, total_nodes))
     }
 
-    /// Solve under the given objective.
-    ///
-    /// Panics when the candidate space is empty; fault-tolerant callers
-    /// should use [`Self::try_solve`].
-    #[allow(clippy::expect_used)] // panicking wrapper, documented above
-    pub fn solve(&self, objective: Objective) -> ExhaustiveResult {
-        self.try_solve(objective)
-            .expect("no feasible candidate allocation (use try_solve on the fault path)")
+    /// Build for a problem's layout, budget, floors and allowed sets (the
+    /// objective is chosen per solve; `T_sync` is not modelled here).
+    pub fn for_problem(fits: &'a FitSet, problem: &LayoutModelOptions) -> Self {
+        ExhaustiveOptimizer {
+            fits,
+            layout: problem.layout,
+            total_nodes: problem.total_nodes,
+            ocean_allowed: problem.ocean_allowed.clone(),
+            atm_allowed: problem.atm_allowed.clone(),
+            floors: problem.floors,
+        }
     }
 
     /// Fallible solve: `None` when no candidate allocation exists — the
@@ -528,7 +524,7 @@ mod tests {
     fn minmax_beats_naive_allocations() {
         let fits = toy_fits();
         let opt = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 128);
-        let res = opt.solve(Objective::MinMax);
+        let res = opt.try_solve(Objective::MinMax).unwrap();
         // Sanity: compare against a handful of hand-picked allocations.
         for (ni, nl, na, no) in [(30, 10, 100, 28), (40, 24, 64, 64), (10, 5, 96, 32)] {
             let icelnd = fits
@@ -570,7 +566,7 @@ mod tests {
         let fits = toy_fits();
         let mut opt = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 128);
         opt.ocean_allowed = Some(vec![8, 16, 24, 32, 64]);
-        let res = opt.solve(Objective::MinMax);
+        let res = opt.try_solve(Objective::MinMax).unwrap();
         assert!([8, 16, 24, 32, 64].contains(&res.allocation.ocn));
     }
 
@@ -580,13 +576,16 @@ mod tests {
         // worst).
         let fits = toy_fits();
         let t1 = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 256)
-            .solve(Objective::MinMax)
+            .try_solve(Objective::MinMax)
+            .unwrap()
             .objective;
         let t2 = ExhaustiveOptimizer::new(&fits, Layout::SequentialWithOcean, 256)
-            .solve(Objective::MinMax)
+            .try_solve(Objective::MinMax)
+            .unwrap()
             .objective;
         let t3 = ExhaustiveOptimizer::new(&fits, Layout::FullySequential, 256)
-            .solve(Objective::MinMax)
+            .try_solve(Objective::MinMax)
+            .unwrap()
             .objective;
         assert!(t1 <= t2 + 1e-9, "layout1 {t1} vs layout2 {t2}");
         assert!(t2 <= t3 + 1e-9, "layout2 {t2} vs layout3 {t3}");
@@ -596,7 +595,7 @@ mod tests {
     fn maxmin_balances_components() {
         let fits = toy_fits();
         let opt = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 128);
-        let res = opt.solve(Objective::MaxMin);
+        let res = opt.try_solve(Objective::MaxMin).unwrap();
         // All nodes used on the concurrent dimension, and by ice + land.
         assert_eq!(res.allocation.atm + res.allocation.ocn, 128);
         assert_eq!(res.allocation.ice + res.allocation.lnd, res.allocation.atm);
@@ -612,7 +611,8 @@ mod tests {
         // each take all of it.
         let solve = |layout| {
             ExhaustiveOptimizer::new(&fits, layout, 128)
-                .solve(Objective::MaxMin)
+                .try_solve(Objective::MaxMin)
+                .unwrap()
                 .allocation
         };
         let a = solve(Layout::SequentialWithOcean);
@@ -626,7 +626,7 @@ mod tests {
     fn sum_objective_decouples() {
         let fits = toy_fits();
         let opt = ExhaustiveOptimizer::new(&fits, Layout::FullySequential, 128);
-        let res = opt.solve(Objective::SumTime);
+        let res = opt.try_solve(Objective::SumTime).unwrap();
         // With monotone curves every component takes the max it can.
         assert_eq!(res.allocation.atm, 128);
         assert_eq!(res.allocation.ocn, 128);
@@ -738,7 +738,7 @@ mod tests {
         // solver returned ocn = 5999.
         let fits = toy_fits();
         let opt = ExhaustiveOptimizer::new(&fits, Layout::FullySequential, 6000);
-        let res = opt.solve(Objective::SumTime);
+        let res = opt.try_solve(Objective::SumTime).unwrap();
         assert_eq!(res.allocation.ocn, 6000, "cap excluded from enumeration");
         assert!(res.evaluations > 0);
     }

@@ -44,15 +44,6 @@ impl FitSet {
             .expect("construction guarantees the four optimized components")
     }
 
-    /// Fit diagnostics for one of the four optimized components (see
-    /// [`FitSet::optimized_curve`] for the contract).
-    #[allow(clippy::expect_used)] // construction invariant, see doc
-    pub fn optimized_fit(&self, c: Component) -> &ScalingFit {
-        self.fits
-            .get(&c)
-            .expect("construction guarantees the four optimized components")
-    }
-
     /// Predicted time of component `c` on `n` nodes.
     pub fn predict(&self, c: Component, n: i64) -> f64 {
         self.optimized_curve(c).eval(n as f64)

@@ -51,7 +51,8 @@ impl NodeFloors {
     }
 }
 
-/// Options controlling model generation.
+/// The problem every solver, audit and what-if reads: layout, objective,
+/// budget, floors, allowed sets and `T_sync` window.
 #[derive(Debug, Clone)]
 pub struct LayoutModelOptions {
     pub layout: Layout,
@@ -82,6 +83,40 @@ impl LayoutModelOptions {
             ocean_allowed: None,
             atm_allowed: None,
             tsync: None,
+        }
+    }
+
+    /// The configured machine's problem: its memory floors (§III-C) and
+    /// allowed sets (Table I lines 5–6), no `T_sync` window.
+    pub fn from_config(
+        config: &hslb_cesm::ResolutionConfig,
+        layout: Layout,
+        objective: Objective,
+        total_nodes: i64,
+    ) -> Self {
+        LayoutModelOptions {
+            layout,
+            objective,
+            total_nodes,
+            floors: NodeFloors::from_config(config),
+            ocean_allowed: config.ocean_allowed.clone(),
+            atm_allowed: config.atm_allowed.clone(),
+            tsync: None,
+        }
+    }
+
+    /// What the instance audit expects of this problem's model.
+    pub fn expectations(&self) -> hslb_audit::ModelExpectations {
+        hslb_audit::ModelExpectations {
+            layout: self.layout,
+            shape: match self.objective {
+                Objective::SumTime => hslb_audit::ObjectiveShape::SumTime,
+                _ => hslb_audit::ObjectiveShape::MinMax,
+            },
+            total_nodes: self.total_nodes,
+            tsync: self.tsync.is_some(),
+            ocean_set: self.ocean_allowed.is_some(),
+            atm_set: self.atm_allowed.is_some(),
         }
     }
 }

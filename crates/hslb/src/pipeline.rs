@@ -388,10 +388,11 @@ impl<'a> Hslb<'a> {
     /// without an incumbent are errors. [`Self::run`] instead walks the
     /// degradation ladder.
     pub fn solve(&self, fits: &FitSet) -> Result<SolveOutcome, HslbError> {
+        let problem = self.problem();
         if self.opts.objective.is_convex_minlp() {
-            self.solve_minlp(fits).map(|(outcome, _)| outcome)
+            self.solve_minlp(fits, &problem).map(|(outcome, _)| outcome)
         } else {
-            self.solve_exhaustive(fits)
+            self.solve_exhaustive(fits, &problem)
                 .map(|res| self.outcome(fits, res.allocation, None))
                 .ok_or_else(|| HslbError::Infeasible {
                     detail: format!(
@@ -402,10 +403,27 @@ impl<'a> Hslb<'a> {
         }
     }
 
+    /// The configured machine's problem at the target budget, with the
+    /// options' `T_sync`: what the MINLP, exhaustive rung and audit read.
+    pub fn problem(&self) -> LayoutModelOptions {
+        let mut problem = LayoutModelOptions::from_config(
+            &self.sim.config,
+            self.opts.layout,
+            self.opts.objective,
+            self.opts.target_nodes,
+        );
+        problem.tsync = self.opts.tsync;
+        problem
+    }
+
     /// The enumeration rung, with its candidate accounting forwarded to
     /// the telemetry sink.
-    fn solve_exhaustive(&self, fits: &FitSet) -> Option<crate::exhaustive::ExhaustiveResult> {
-        let res = self.exhaustive(fits).try_solve(self.opts.objective);
+    fn solve_exhaustive(
+        &self,
+        fits: &FitSet,
+        problem: &LayoutModelOptions,
+    ) -> Option<crate::exhaustive::ExhaustiveResult> {
+        let res = ExhaustiveOptimizer::for_problem(fits, problem).try_solve(problem.objective);
         if let Some(r) = &res {
             self.opts
                 .telemetry
@@ -417,38 +435,27 @@ impl<'a> Hslb<'a> {
         res
     }
 
-    fn exhaustive<'f>(&self, fits: &'f FitSet) -> ExhaustiveOptimizer<'f> {
-        let mut opt = ExhaustiveOptimizer::new(fits, self.opts.layout, self.opts.target_nodes);
-        opt.ocean_allowed = self.sim.config.ocean_allowed.clone();
-        opt.atm_allowed = self.sim.config.atm_allowed.clone();
-        opt.floors = crate::layout_model::NodeFloors::from_config(&self.sim.config);
-        opt
-    }
-
     /// The MINLP rung. `Ok((outcome, with_gap))` carries whether the
     /// solver stopped at a limit with an unproven gap (best incumbent
     /// accepted, accuracy degraded); errors describe why the rung
     /// produced nothing.
-    fn solve_minlp(&self, fits: &FitSet) -> Result<(SolveOutcome, bool), HslbError> {
-        let lm = build_layout_model(
-            fits,
-            &LayoutModelOptions {
-                layout: self.opts.layout,
-                objective: self.opts.objective,
-                total_nodes: self.opts.target_nodes,
-                floors: crate::layout_model::NodeFloors::from_config(&self.sim.config),
-                ocean_allowed: self.sim.config.ocean_allowed.clone(),
-                atm_allowed: self.sim.config.atm_allowed.clone(),
-                tsync: self.opts.tsync,
-            },
-        )?;
+    fn solve_minlp(
+        &self,
+        fits: &FitSet,
+        problem: &LayoutModelOptions,
+    ) -> Result<(SolveOutcome, bool), HslbError> {
+        let lm = build_layout_model(fits, problem)?;
 
         // Level 1 instance audit: branch-and-bound may only claim a
         // global optimum on an instance whose curves certify convex and
-        // whose model matches the declared layout's Table I structure. A
+        // whose model matches the declared layout's Table I structure
+        // (the fitted curves' convexity certificate plus the model
+        // well-formedness checks, against the problem's expectations). A
         // failed audit is an error here — the ladder catches it and
         // degrades to the exhaustive rung with the audit attached.
-        let audit = self.audit_instance(fits, &lm.model);
+        let curves: Vec<(Component, hslb_nlsq::ScalingCurve)> =
+            fits.iter().map(|(c, f)| (c, f.curve)).collect();
+        let audit = hslb_audit::audit_instance(&curves, &lm.model, &problem.expectations());
         self.emit_audit_telemetry(&audit);
         if !audit.passed() {
             return Err(HslbError::AuditRejected {
@@ -511,31 +518,6 @@ impl<'a> Hslb<'a> {
         }
     }
 
-    /// Run the Level 1 instance audit for a generated layout model: the
-    /// fitted curves' convexity certificate plus the model
-    /// well-formedness checks, against expectations derived from the
-    /// pipeline's own configuration.
-    fn audit_instance(
-        &self,
-        fits: &FitSet,
-        model: &hslb_model::Model,
-    ) -> hslb_audit::InstanceAudit {
-        let curves: Vec<(Component, hslb_nlsq::ScalingCurve)> =
-            fits.iter().map(|(c, f)| (c, f.curve)).collect();
-        let expect = hslb_audit::ModelExpectations {
-            layout: self.opts.layout,
-            shape: match self.opts.objective {
-                Objective::SumTime => hslb_audit::ObjectiveShape::SumTime,
-                _ => hslb_audit::ObjectiveShape::MinMax,
-            },
-            total_nodes: self.opts.target_nodes,
-            tsync: self.opts.tsync.is_some(),
-            ocean_set: self.sim.config.ocean_allowed.is_some(),
-            atm_set: self.sim.config.atm_allowed.is_some(),
-        };
-        hslb_audit::audit_instance(&curves, model, &expect)
-    }
-
     /// Per-solve audit accounting for the telemetry sink.
     fn emit_audit_telemetry(&self, audit: &hslb_audit::InstanceAudit) {
         let tel = &self.opts.telemetry;
@@ -573,9 +555,10 @@ impl<'a> Hslb<'a> {
         fallbacks: &mut Vec<String>,
         degraded: &mut bool,
     ) -> Option<(SolveOutcome, SolverRung)> {
+        let problem = self.problem();
         let mut rejected_audit = None;
         if self.opts.objective.is_convex_minlp() {
-            match self.solve_minlp(fits) {
+            match self.solve_minlp(fits, &problem) {
                 Ok((outcome, with_gap)) => {
                     *degraded |= with_gap;
                     return Some((outcome, SolverRung::Minlp));
@@ -597,7 +580,7 @@ impl<'a> Hslb<'a> {
                 }
             }
         }
-        match self.solve_exhaustive(fits) {
+        match self.solve_exhaustive(fits, &problem) {
             Some(res) => {
                 let mut outcome = self.outcome(fits, res.allocation, None);
                 outcome.audit = rejected_audit;

@@ -10,8 +10,9 @@
 
 use crate::exhaustive::{ExhaustiveOptimizer, Frontier};
 use crate::fit::FitSet;
+use crate::layout_model::LayoutModelOptions;
 use crate::objective::Objective;
-use hslb_cesm::{Allocation, Layout};
+use hslb_cesm::{Allocation, Layout, ResolutionConfig};
 
 /// Predicted scaling of one layout: `(N, predicted time, allocation)` per
 /// target node count. This regenerates Figure 4's series.
@@ -21,46 +22,37 @@ pub struct LayoutScaling {
     pub points: Vec<(i64, f64, Allocation)>,
 }
 
-/// The min-max frontier of `layout` up to the largest of `node_counts`.
-#[allow(clippy::expect_used)] // the what-ifs panic as `ExhaustiveOptimizer::solve` does
-fn frontier<'a>(
+/// The min-max optimum of the configured machine's problem at every
+/// budget up to the largest of `node_counts`; `None` past 2^20 nodes.
+pub(crate) fn optima<'a>(
     fits: &'a FitSet,
+    config: &ResolutionConfig,
     layout: Layout,
     node_counts: &[i64],
-    ocean_allowed: Option<&[i64]>,
-    atm_allowed: Option<&[i64]>,
-) -> Frontier<'a> {
-    let mut opt =
-        ExhaustiveOptimizer::new(fits, layout, node_counts.iter().copied().max().unwrap_or(0));
-    opt.ocean_allowed = ocean_allowed.map(<[i64]>::to_vec);
-    opt.atm_allowed = atm_allowed.map(<[i64]>::to_vec);
-    opt.frontier().expect("at most 2^20 nodes")
-}
-
-/// The optimum at `n`; panics when nothing fits.
-#[allow(clippy::expect_used)] // the what-ifs panic as `ExhaustiveOptimizer::solve` does
-fn optimum(frontier: &Frontier, n: i64) -> (Allocation, f64) {
-    frontier.at(n).expect("no feasible candidate allocation")
+) -> Option<Frontier<'a>> {
+    let top = node_counts.iter().copied().max().unwrap_or(0);
+    let problem = LayoutModelOptions::from_config(config, layout, Objective::MinMax, top);
+    ExhaustiveOptimizer::for_problem(fits, &problem).frontier()
 }
 
 /// Predict the optimal time of each layout at each node count from fitted
 /// curves (no execution — exactly what the paper does for layouts 2 and 3,
-/// which were never run): one frontier per layout, read at every count.
+/// which were never run): one frontier per layout of the configured
+/// machine, read at every count it can fill.
 pub fn predict_layout_scaling(
     fits: &FitSet,
+    config: &ResolutionConfig,
     node_counts: &[i64],
-    ocean_allowed: Option<&[i64]>,
-    atm_allowed: Option<&[i64]>,
 ) -> Vec<LayoutScaling> {
     Layout::ALL
         .iter()
         .map(|&layout| {
-            let f = frontier(fits, layout, node_counts, ocean_allowed, atm_allowed);
+            let f = optima(fits, config, layout, node_counts);
             let points = node_counts
                 .iter()
-                .map(|&n| {
-                    let (allocation, time) = optimum(&f, n);
-                    (n, time, allocation)
+                .filter_map(|&n| {
+                    let (allocation, time) = f.as_ref()?.at(n)?;
+                    Some((n, time, allocation))
                 })
                 .collect();
             LayoutScaling { layout, points }
@@ -68,51 +60,53 @@ pub fn predict_layout_scaling(
         .collect()
 }
 
-/// Effect of an allowed-set constraint on achievable performance across
+/// Effect of the configured ocean set on achievable performance across
 /// machine sizes (§IV-C: "HSLB can estimate the effect of constraints or
 /// 'sweet' spots on scaling/efficiency of CESM"). For each node count,
-/// returns `(N, constrained optimum, unconstrained optimum)` — their gap
-/// is the price of the hard-coded set, the quantity behind the paper's
-/// "component models processor counts should not be arbitrarily limited".
+/// returns `(N, constrained optimum, optimum without the ocean set)` —
+/// their gap is the price of the hard-coded set, the quantity behind the
+/// paper's "component models processor counts should not be arbitrarily
+/// limited". A count either side cannot fill has no point.
 pub fn constraint_impact(
     fits: &FitSet,
+    config: &ResolutionConfig,
     layout: Layout,
     node_counts: &[i64],
-    ocean_allowed: &[i64],
 ) -> Vec<(i64, f64, f64)> {
-    let with = frontier(fits, layout, node_counts, Some(ocean_allowed), None);
-    let without = frontier(fits, layout, node_counts, None, None);
+    let free = config.clone().without_ocean_constraint();
+    let with = optima(fits, config, layout, node_counts);
+    let without = optima(fits, &free, layout, node_counts);
     node_counts
         .iter()
-        .map(|&n| (n, optimum(&with, n).1, optimum(&without, n).1))
+        .filter_map(|&n| Some((n, with.as_ref()?.at(n)?.1, without.as_ref()?.at(n)?.1)))
         .collect()
 }
 
-/// Predict the best achievable time if one component's curve were replaced
-/// (e.g. swapping the ocean model — "how replacing one component with
-/// another will affect scaling").
+/// Predict the best achievable time on the configured machine if one
+/// component's curve were replaced (e.g. swapping the ocean model — "how
+/// replacing one component with another will affect scaling"); `None`
+/// when nothing fits.
 pub fn predict_component_swap(
     fits: &FitSet,
+    config: &ResolutionConfig,
     layout: Layout,
     total_nodes: i64,
     component: hslb_cesm::Component,
     replacement: hslb_nlsq::ScalingCurve,
-) -> (f64, f64) {
-    let before = ExhaustiveOptimizer::new(fits, layout, total_nodes)
-        .solve(Objective::MinMax)
-        .objective;
+) -> Option<(f64, f64)> {
+    let problem = LayoutModelOptions::from_config(config, layout, Objective::MinMax, total_nodes);
+    let optimum = |fits: &FitSet| {
+        ExhaustiveOptimizer::for_problem(fits, &problem)
+            .try_solve(Objective::MinMax)
+            .map(|r| r.objective)
+    };
     let mut curves: std::collections::BTreeMap<_, _> = hslb_cesm::Component::OPTIMIZED
         .iter()
         .map(|&c| (c, fits.optimized_curve(c)))
         .collect();
     curves.insert(component, replacement);
-    // The map was seeded from `Component::OPTIMIZED` two lines up.
-    #[allow(clippy::expect_used)]
-    let swapped = FitSet::from_curves(curves).expect("curve map covers every optimized component");
-    let after = ExhaustiveOptimizer::new(&swapped, layout, total_nodes)
-        .solve(Objective::MinMax)
-        .objective;
-    (before, after)
+    let swapped = FitSet::from_curves(curves).ok()?;
+    Some((optimum(fits)?, optimum(&swapped)?))
 }
 
 #[cfg(test)]
@@ -138,10 +132,19 @@ mod tests {
         .unwrap()
     }
 
+    /// 1° floors, no allowed sets.
+    fn free_config() -> ResolutionConfig {
+        ResolutionConfig {
+            ocean_allowed: None,
+            atm_allowed: None,
+            ..ResolutionConfig::one_degree()
+        }
+    }
+
     #[test]
     fn layout_scaling_produces_figure4_shape() {
         let fits = toy_fits();
-        let scaling = predict_layout_scaling(&fits, &[128, 256, 512, 1024, 2048], None, None);
+        let scaling = predict_layout_scaling(&fits, &free_config(), &[128, 256, 512, 1024, 2048]);
         assert_eq!(scaling.len(), 3);
         for s in &scaling {
             // Times decrease with N for every layout on these curves.
@@ -164,8 +167,12 @@ mod tests {
         // hard once the optimum wants counts the set cannot express —
         // the 1/8° ocean story in miniature.
         let fits = toy_fits();
-        let allowed = vec![8i64, 16, 32, 64]; // capped at 64
-        let impact = constraint_impact(&fits, Layout::Hybrid, &[128, 1024, 8192], &allowed);
+        let config = ResolutionConfig {
+            ocean_allowed: Some(vec![8, 16, 32, 64]), // capped at 64
+            ..free_config()
+        };
+        let impact = constraint_impact(&fits, &config, Layout::Hybrid, &[128, 1024, 8192]);
+        assert_eq!(impact.len(), 3);
         for &(_, with, without) in &impact {
             assert!(with >= without - 1e-9, "constraint can only hurt");
         }
@@ -188,8 +195,83 @@ mod tests {
             c: 1.0,
             d: 0.5,
         };
-        let (before, after) =
-            predict_component_swap(&fits, Layout::Hybrid, 256, Component::Ocn, fast_ocean);
+        let swap = |n| {
+            predict_component_swap(
+                &fits,
+                &free_config(),
+                Layout::Hybrid,
+                n,
+                Component::Ocn,
+                fast_ocean,
+            )
+        };
+        let (before, after) = swap(256).unwrap();
         assert!(after <= before);
+        // 1° floors need at least 12 nodes in the hybrid layout.
+        assert_eq!(swap(11), None);
+    }
+
+    /// On the 1/8° machine (floors 64/256/1024/480, the ocean set), every
+    /// what-if point is the exhaustive rung's answer to the configured
+    /// problem at that count, bit for bit, and a count the floors and sets
+    /// cannot fill has no point instead of a panic.
+    #[test]
+    fn what_ifs_answer_the_configured_problem() {
+        let fits = toy_fits();
+        let config = ResolutionConfig::eighth_degree();
+        let counts = [1000, 1503, 1504, 4096, 8192];
+        let solve = |config: &ResolutionConfig, layout, n| {
+            let problem = LayoutModelOptions::from_config(config, layout, Objective::MinMax, n);
+            ExhaustiveOptimizer::for_problem(&fits, &problem)
+                .try_solve(Objective::MinMax)
+                .map(|r| (r.allocation, r.objective.to_bits()))
+        };
+        assert_eq!(solve(&config, Layout::Hybrid, 1000), None);
+        assert!(solve(&config, Layout::Hybrid, 1504).is_some());
+        for scaling in predict_layout_scaling(&fits, &config, &counts) {
+            let expected: Vec<_> = counts
+                .iter()
+                .filter_map(|&n| Some((n, solve(&config, scaling.layout, n)?)))
+                .collect();
+            let got: Vec<_> = scaling
+                .points
+                .iter()
+                .map(|&(n, t, a)| (n, (a, t.to_bits())))
+                .collect();
+            assert_eq!(got, expected, "{}", scaling.layout);
+        }
+        let free = config.clone().without_ocean_constraint();
+        let impact = constraint_impact(&fits, &config, Layout::Hybrid, &counts);
+        let expected: Vec<_> = counts
+            .iter()
+            .filter_map(|&n| {
+                let with = solve(&config, Layout::Hybrid, n)?.1;
+                let without = solve(&free, Layout::Hybrid, n)?.1;
+                Some((n, with, without))
+            })
+            .collect();
+        let got: Vec<_> = impact
+            .iter()
+            .map(|&(n, with, without)| (n, with.to_bits(), without.to_bits()))
+            .collect();
+        assert_eq!(got, expected);
+        for n in counts {
+            let curve = fits.optimized_curve(Component::Ocn);
+            let swap =
+                predict_component_swap(&fits, &config, Layout::Hybrid, n, Component::Ocn, curve);
+            let same = solve(&config, Layout::Hybrid, n).map(|(_, t)| (t, t));
+            assert_eq!(
+                swap.map(|(b, a)| (b.to_bits(), a.to_bits())),
+                same,
+                "N = {n}"
+            );
+        }
+        let machine = hslb_cesm::Machine::intrepid();
+        let frontier = crate::cost::frontier(&fits, &config, &machine, Layout::Hybrid, 1000, 1600);
+        assert_eq!(frontier[0].nodes, 1504);
+        for p in &frontier {
+            let (_, t) = solve(&config, Layout::Hybrid, p.nodes).expect("a frontier point fits");
+            assert_eq!(p.time_s.to_bits(), t, "N = {}", p.nodes);
+        }
     }
 }

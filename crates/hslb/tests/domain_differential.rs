@@ -135,6 +135,38 @@ fn value(fits: &FitSet, objective: Objective, layout: Layout, a: &Allocation) ->
     }
 }
 
+/// `c`'s time at every count `0..=N`, or `absent` where the count is
+/// below `c`'s floor or outside its allowed set.
+fn times(inst: &Instance, c: Component, absent: f64) -> Vec<f64> {
+    let o = &inst.opts;
+    let (floor, allowed) = match c {
+        Component::Ice => (o.floors.ice, &None),
+        Component::Lnd => (o.floors.lnd, &None),
+        Component::Atm => (o.floors.atm, &o.atm_allowed),
+        _ => (o.floors.ocn, &o.ocean_allowed),
+    };
+    (0..=o.total_nodes)
+        .map(|k| {
+            let ok = k >= floor.max(1) && allowed.as_ref().is_none_or(|s| s.contains(&k));
+            if ok {
+                inst.fits.predict(c, k)
+            } else {
+                absent
+            }
+        })
+        .collect()
+}
+
+/// `t`'s least value over every count up to each `k`.
+fn prefix_min(t: &[f64]) -> Vec<f64> {
+    t.iter()
+        .scan(f64::INFINITY, |m, &v| {
+            *m = m.min(v);
+            Some(*m)
+        })
+        .collect()
+}
+
 /// Exact optimum by enumeration, independent of both the solver and the
 /// exhaustive rung: per component a table of times over its admissible
 /// counts, prefix minima for "any count up to k", then the layout's
@@ -146,33 +178,8 @@ fn brute_force(inst: &Instance) -> Option<f64> {
     let sum = inst.opts.objective == Objective::SumTime;
     // Two parts side by side: the slower one, or both for min-sum.
     let beside = |x: f64, y: f64| if sum { x + y } else { x.max(y) };
-    let (n, fl) = (inst.opts.total_nodes, &inst.opts.floors);
-    let inf = f64::INFINITY;
-    // time[k] for k in 0..=n; ∞ where the count is not admissible.
-    let table = |c: Component, floor: i64, allowed: &Option<Vec<i64>>| -> Vec<f64> {
-        (0..=n)
-            .map(|k| {
-                let ok = k >= floor.max(1) && allowed.as_ref().is_none_or(|s| s.contains(&k));
-                if ok {
-                    inst.fits.predict(c, k)
-                } else {
-                    inf
-                }
-            })
-            .collect()
-    };
-    let prefix_min = |t: &[f64]| -> Vec<f64> {
-        t.iter()
-            .scan(inf, |m, &v| {
-                *m = m.min(v);
-                Some(*m)
-            })
-            .collect()
-    };
-    let ice = table(Component::Ice, fl.ice, &None);
-    let lnd = table(Component::Lnd, fl.lnd, &None);
-    let atm = table(Component::Atm, fl.atm, &inst.opts.atm_allowed);
-    let ocn = table(Component::Ocn, fl.ocn, &inst.opts.ocean_allowed);
+    let (n, inf) = (inst.opts.total_nodes, f64::INFINITY);
+    let [ice, lnd, atm, ocn] = Component::OPTIMIZED.map(|c| times(inst, c, inf));
     let (ice_to, lnd_to, atm_to, ocn_to) = (
         prefix_min(&ice),
         prefix_min(&lnd),
@@ -202,25 +209,8 @@ fn brute_force(inst: &Instance) -> Option<f64> {
 /// allocations that use every node — side-by-side counts fill their group,
 /// a sequence's members (and its owner) each take all of it.
 fn brute_force_max_min(inst: &Instance) -> Option<f64> {
-    let (n, fl) = (inst.opts.total_nodes, &inst.opts.floors);
-    // time[k], or −∞ where the count is not admissible.
-    let table = |c: Component, floor: i64, allowed: &Option<Vec<i64>>| -> Vec<f64> {
-        (0..=n)
-            .map(|k| {
-                let ok = k >= floor.max(1) && allowed.as_ref().is_none_or(|s| s.contains(&k));
-                if ok {
-                    inst.fits.predict(c, k)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
-            .collect()
-    };
-    let ice = table(Component::Ice, fl.ice, &None);
-    let lnd = table(Component::Lnd, fl.lnd, &None);
-    let atm = table(Component::Atm, fl.atm, &inst.opts.atm_allowed);
-    let ocn = table(Component::Ocn, fl.ocn, &inst.opts.ocean_allowed);
-    let n = n as usize;
+    let [ice, lnd, atm, ocn] = Component::OPTIMIZED.map(|c| times(inst, c, f64::NEG_INFINITY));
+    let n = inst.opts.total_nodes as usize;
     let worst = f64::NEG_INFINITY;
     let best = match inst.opts.layout {
         Layout::Hybrid => (0..=n)
@@ -236,6 +226,31 @@ fn brute_force_max_min(inst: &Instance) -> Option<f64> {
             .fold(worst, f64::max),
         Layout::FullySequential => ice[n].min(lnd[n]).min(atm[n]).min(ocn[n]),
     };
+    best.is_finite().then_some(best)
+}
+
+/// The hybrid optimum under the `T_sync` window (Table I lines 18–19) by
+/// enumeration: ice and land side by side inside the atmosphere's nodes,
+/// every exact pair of their counts whose times differ by at most
+/// `tsync` — no prefix minimum on either, since the window couples the
+/// two counts. `None` when nothing fits.
+fn brute_force_tsync(inst: &Instance, tsync: f64) -> Option<f64> {
+    let inf = f64::INFINITY;
+    let [ice, lnd, atm, ocn] = Component::OPTIMIZED.map(|c| times(inst, c, inf));
+    let n = inst.opts.total_nodes as usize;
+    // pair[s]: the best max(T_i, T_l) over n_i + n_l = s inside the window.
+    let mut pair = vec![inf; n + 1];
+    for (ni, &ti) in ice.iter().enumerate() {
+        for (nl, &tl) in lnd.iter().enumerate().take(n + 1 - ni) {
+            if (ti - tl).abs() <= tsync {
+                pair[ni + nl] = pair[ni + nl].min(ti.max(tl));
+            }
+        }
+    }
+    let (icelnd, ocn_to) = (prefix_min(&pair), prefix_min(&ocn));
+    let best = (0..=n)
+        .map(|na| (icelnd[na] + atm[na]).max(ocn_to[n - na]))
+        .fold(inf, f64::min);
     best.is_finite().then_some(best)
 }
 
@@ -262,12 +277,7 @@ fn incumbent(
 
 /// The exhaustive rung configured for `inst`.
 fn exhaustive(inst: &Instance) -> ExhaustiveOptimizer<'_> {
-    let opts = &inst.opts;
-    let mut opt = ExhaustiveOptimizer::new(&inst.fits, opts.layout, opts.total_nodes);
-    opt.ocean_allowed = opts.ocean_allowed.clone();
-    opt.atm_allowed = opts.atm_allowed.clone();
-    opt.floors = opts.floors;
-    opt
+    ExhaustiveOptimizer::for_problem(&inst.fits, &inst.opts)
 }
 
 /// The exhaustive rung's optimum for `inst`'s objective, `None` when
@@ -426,13 +436,8 @@ fn one_degree_compact_model_has_no_binaries() {
     };
     for layout in Layout::ALL {
         let opts = LayoutModelOptions {
-            layout,
-            objective: Objective::MinMax,
-            total_nodes: 4096,
             floors: NodeFloors::default(),
-            ocean_allowed: config.ocean_allowed.clone(),
-            atm_allowed: config.atm_allowed.clone(),
-            tsync: None,
+            ..LayoutModelOptions::from_config(&config, layout, Objective::MinMax, 4096)
         };
         let lm = build_layout_model(&fits, &opts).expect("model builds");
         let binaries = |m: &hslb_model::Model| {
@@ -559,13 +564,7 @@ fn exhaustive_rung_is_reached_for_every_objective_on_the_paper_fits() {
         let h = Hslb::new(&sim, opts.clone());
         let inst = Instance {
             fits: h.fit(&h.gather()).expect("fit"),
-            opts: LayoutModelOptions {
-                objective,
-                floors: NodeFloors::from_config(&sim.config),
-                ocean_allowed: sim.config.ocean_allowed.clone(),
-                atm_allowed: sim.config.atm_allowed.clone(),
-                ..LayoutModelOptions::free(layout, n)
-            },
+            opts: h.problem(),
         };
         let truth = if objective.is_convex_minlp() {
             let report = h.run(None).expect("MINLP run");
@@ -755,4 +754,114 @@ fn frontier_is_the_solve_at_every_budget() {
             }
         }
     }
+}
+
+/// The `T_sync` window held to brute force: on hybrid instances at
+/// N ≤ [`TSYNC_MAX_NODES`], with a window drawn log-uniformly between
+/// 0.001 and 1 times the instance's optimum without it, the compact
+/// model's incumbent keeps its sets, floors and budget, keeps ice and land
+/// within the window (to the solver's 1e-6 feasibility tolerance), and
+/// reaches the enumerated optimum. The window's rows are non-convex and
+/// enforced by branching on the integer counts. The corpus must hold
+/// instances the window binds on (28 of 300) and instances only the window
+/// makes infeasible (145).
+#[test]
+fn tsync_window_matches_brute_force() {
+    let (mut bound, mut infeasible) = (0, 0);
+    for seed in 0..TSYNC_SEEDS {
+        let mut inst = instance_in(seed, 8..=TSYNC_MAX_NODES);
+        inst.opts.layout = Layout::Hybrid;
+        let free = brute_force(&inst);
+        let mut rng = StdRng::seed_from_u64(30_000 + seed);
+        let tsync = free.unwrap_or(1.0) * log_uniform(&mut rng, 1e-3, 1.0);
+        inst.opts.tsync = Some(tsync);
+        let truth = brute_force_tsync(&inst, tsync);
+        match (truth, free) {
+            (None, Some(_)) => infeasible += 1,
+            (Some(t), Some(free)) if !close(t, free) => bound += 1,
+            _ => {}
+        }
+        let got = match build_layout_model(&inst.fits, &inst.opts) {
+            Ok(lm) => incumbent(&lm, &lm.model, Branching::SosFirst),
+            Err(_) => None,
+        };
+        let why = match (got, truth) {
+            (None, None) => continue,
+            (Some(a), Some(t)) => {
+                let gap = inst.fits.predict(Component::Ice, a.ice)
+                    - inst.fits.predict(Component::Lnd, a.lnd);
+                let got = value(&inst.fits, Objective::MinMax, Layout::Hybrid, &a);
+                if !in_sets(&inst.opts, &a) {
+                    format!("{a} leaves its sets, floors or budget")
+                } else if gap.abs() > tsync + 1e-6 {
+                    format!("{a}: ice and land differ by {gap} s, window {tsync} s")
+                } else if !close(got, t) {
+                    format!("{a} scores {got}, the optimum in a {tsync} s window is {t}")
+                } else {
+                    continue;
+                }
+            }
+            (a, t) => format!("answered {a:?}, enumeration {t:?} (window {tsync} s)"),
+        };
+        report(seed, &inst, &why);
+    }
+    assert!(bound > 0, "the window never bound");
+    assert!(
+        infeasible > 0,
+        "the window never left an instance infeasible"
+    );
+}
+
+/// Seeds and largest budget of [`tsync_window_matches_brute_force`]: the
+/// window's branching grows fast with N (one hybrid instance at N = 431
+/// takes 53 s), so the corpus stays at N ≤ 64, ~4 s in the test profile.
+const TSYNC_SEEDS: u64 = 300;
+const TSYNC_MAX_NODES: i64 = 64;
+
+/// `autotune --deadline`'s question on the paper's 1/8° machine (ocean
+/// set and memory floors; the fits the pipeline gathers at N = 8192): the
+/// cheapest frontier size meeting a 4000 s deadline is what the
+/// pipeline's own exhaustive rung, re-solved at that size on the same
+/// fits and configuration, answers — same allocation, same value bits,
+/// within the deadline — and the frontier at 8192 is the rung's answer at
+/// 8192.
+#[test]
+fn deadline_frontier_is_the_pipelines_exhaustive_answer() {
+    let machine = Machine::intrepid();
+    let sim = Simulator::new(
+        machine.clone(),
+        ResolutionConfig::eighth_degree(),
+        NoiseSpec::default(),
+        42,
+    );
+    let h = Hslb::new(&sim, HslbOptions::new(8192));
+    let fits = h.fit(&h.gather()).expect("fit");
+    // The pipeline's exhaustive rung at `m`: the MINLP's deadline has
+    // passed, and the gathered fits stand in for a fit at `m`.
+    let rung = |m: i64| {
+        let mut opts = HslbOptions::new(m);
+        opts.curve_override = Some(fits.clone());
+        opts.solver.time_limit = Some(Duration::ZERO);
+        let report = Hslb::new(&sim, opts).run(None).expect("the ladder answers");
+        let rung = report.resilience.expect("run() reports").rung;
+        assert_eq!(rung, SolverRung::Exhaustive, "N = {m}");
+        let t = report.hslb.predicted_total.expect("the rung predicts");
+        (report.hslb.allocation, t.to_bits())
+    };
+    let frontier = hslb::cost::frontier(&fits, &sim.config, &machine, Layout::Hybrid, 512, 8192);
+    let optima = ExhaustiveOptimizer::for_problem(&fits, &h.problem())
+        .frontier()
+        .expect("N ≤ 2^20");
+    let read = |m: i64| {
+        let (a, t) = optima.at(m).expect("the frontier holds m");
+        (a, t.to_bits())
+    };
+    let pick = hslb::cost::cheapest_within_deadline(&frontier, 4000.0).expect("a size meets it");
+    assert!(pick.time_s <= 4000.0);
+    assert_eq!(read(pick.nodes).1, pick.time_s.to_bits());
+    assert_eq!(rung(pick.nodes), read(pick.nodes), "at m = {}", pick.nodes);
+    let last = frontier.last().expect("the frontier reaches 8192");
+    assert_eq!(last.nodes, 8192);
+    assert_eq!(read(8192).1, last.time_s.to_bits());
+    assert_eq!(rung(8192), read(8192));
 }

@@ -8,8 +8,8 @@
 //! still holds. A mismatching render is written next to the test binary's
 //! scratch files for diffing.
 
-use hslb::{build_layout_model, FitSet, LayoutModelOptions, NodeFloors, Objective};
-use hslb_audit::{audit_model, EpsilonPolicy, ModelExpectations, ObjectiveShape};
+use hslb::{build_layout_model, FitSet, LayoutModelOptions, Objective};
+use hslb_audit::{audit_model, EpsilonPolicy};
 use hslb_cesm::{pes, Allocation, Component, Layout, Machine, ResolutionConfig};
 use hslb_model::{Convexity, Model};
 use hslb_nlsq::ScalingCurve;
@@ -40,14 +40,19 @@ fn cases() -> Vec<(String, LayoutModelOptions)> {
     for layout in Layout::ALL {
         for objective in [Objective::MinMax, Objective::SumTime] {
             for sets in [false, true] {
-                let mut opts = LayoutModelOptions::free(layout, 96);
-                opts.objective = objective;
-                if sets {
-                    let config = ResolutionConfig::one_degree();
-                    opts.floors = NodeFloors::from_config(&config);
-                    opts.ocean_allowed = config.ocean_allowed;
-                    opts.atm_allowed = config.atm_allowed;
-                }
+                let opts = if sets {
+                    LayoutModelOptions::from_config(
+                        &ResolutionConfig::one_degree(),
+                        layout,
+                        objective,
+                        96,
+                    )
+                } else {
+                    LayoutModelOptions {
+                        objective,
+                        ..LayoutModelOptions::free(layout, 96)
+                    }
+                };
                 let name = format!(
                     "{}_{objective}_{}",
                     token(layout),
@@ -61,20 +66,6 @@ fn cases() -> Vec<(String, LayoutModelOptions)> {
     tsync.tsync = Some(5.0);
     out.push(("hybrid_min-max_tsync".to_string(), tsync));
     out
-}
-
-fn expectations(opts: &LayoutModelOptions) -> ModelExpectations {
-    ModelExpectations {
-        layout: opts.layout,
-        shape: match opts.objective {
-            Objective::SumTime => ObjectiveShape::SumTime,
-            _ => ObjectiveShape::MinMax,
-        },
-        total_nodes: opts.total_nodes,
-        tsync: opts.tsync.is_some(),
-        ocean_set: opts.ocean_allowed.is_some(),
-        atm_set: opts.atm_allowed.is_some(),
-    }
 }
 
 /// A model the audit must reject on structure: its first row renamed
@@ -98,7 +89,7 @@ fn renders() -> Vec<(String, String)> {
     for (name, opts) in cases() {
         let lm = build_layout_model(&fits, &opts).expect("model builds");
         out.push((format!("ampl_{name}.mod"), hslb_model::to_ampl(&lm.model)));
-        let expect = expectations(&opts);
+        let expect = opts.expectations();
         let audit = audit_model(&lm.model, &expect, EpsilonPolicy::default());
         audits.push_str(&format!("{name}\n{audit}"));
         if opts.objective == Objective::MinMax && opts.ocean_allowed.is_none() {

@@ -13,7 +13,7 @@
 //! worse allocation that was still reported as the global optimum, fell
 //! off the MINLP rung, or handed the simulator an allocation it rejects.
 
-use hslb::{ExhaustiveOptimizer, Hslb, HslbOptions, NodeFloors, Objective, SolverRung};
+use hslb::{ExhaustiveOptimizer, Hslb, HslbOptions, Objective, SolverRung};
 use hslb_cesm::{Layout, Simulator};
 
 fn pipeline_opts(layout: Layout, nodes: i64, warm_start: bool) -> HslbOptions {
@@ -40,11 +40,9 @@ fn enumerate(seed: u64, layout: Layout, nodes: i64) -> hslb::exhaustive::Exhaust
     let sim = Simulator::one_degree(seed);
     let h = Hslb::new(&sim, pipeline_opts(layout, nodes, true));
     let fits = h.fit(&h.gather()).expect("fit");
-    let mut opt = ExhaustiveOptimizer::new(&fits, layout, nodes);
-    opt.ocean_allowed = sim.config.ocean_allowed.clone();
-    opt.atm_allowed = sim.config.atm_allowed.clone();
-    opt.floors = NodeFloors::from_config(&sim.config);
-    let res = opt.solve(Objective::MinMax);
+    let res = ExhaustiveOptimizer::for_problem(&fits, &h.problem())
+        .try_solve(Objective::MinMax)
+        .unwrap();
     // The rung's answer has to be one the simulator will run.
     h.execute(&res.allocation)
         .unwrap_or_else(|e| panic!("{layout} seed {seed}: rung allocation rejected: {e}"));

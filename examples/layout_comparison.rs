@@ -13,11 +13,9 @@ fn main() -> Result<(), HslbError> {
     let data = pipeline.gather();
     let fits = pipeline.fit(&data)?;
 
+    // The configured machine's floors and sets hold at every count.
     let node_counts = [128, 256, 512, 1024, 2048];
-    let ocean_set = ResolutionConfig::one_degree_ocean_set();
-    let atm_set = ResolutionConfig::one_degree_atm_set();
-    let predictions =
-        whatif::predict_layout_scaling(&fits, &node_counts, Some(&ocean_set), Some(&atm_set));
+    let predictions = whatif::predict_layout_scaling(&fits, &sim.config, &node_counts);
 
     println!("predicted optimal time (s) per layout — Figure 4");
     print!("{:>8}", "nodes");
@@ -26,6 +24,7 @@ fn main() -> Result<(), HslbError> {
     }
     println!("{:>12}", "layout(1exp)");
 
+    let mut experimental = Vec::new();
     for (i, &n) in node_counts.iter().enumerate() {
         print!("{n:>8}");
         for p in &predictions {
@@ -38,20 +37,12 @@ fn main() -> Result<(), HslbError> {
             .run_case(&alloc, Layout::Hybrid, i as u64)
             .expect("layout-1 allocation is valid");
         println!("{:>12.2}", run.total);
+        experimental.push(run.total);
     }
 
     // R² between predicted and experimental layout-1 series (the paper
     // reports 1.0).
     let predicted: Vec<f64> = predictions[0].points.iter().map(|p| p.1).collect();
-    let experimental: Vec<f64> = node_counts
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            sim.run_case(&predictions[0].points[i].2, Layout::Hybrid, i as u64)
-                .unwrap()
-                .total
-        })
-        .collect();
     let r2 = cesm_hslb::numerics::stats::r_squared(&experimental, &predicted).unwrap();
     println!("\nR² (layout-1 predicted vs experimental) = {r2:.4}   (paper: 1.0)");
     println!("expected ordering: layout (1) ≈ layout (2), layout (3) worst");

@@ -13,18 +13,21 @@ fn main() -> Result<(), HslbError> {
     let fits = pipeline.fit(&pipeline.gather())?;
 
     // 1. Cost-efficient node count: the largest size whose speedup over
-    //    64 nodes is still ≥ 70 % of the ideal, read from the exact
-    //    frontier at every count up to the whole machine.
+    //    the frontier's first count is still ≥ 70 % of the ideal, read
+    //    from the exact frontier of the configured machine (its floors and
+    //    sets) at every count up to the whole machine.
+    let config = &sim.config;
     let machine = Machine::intrepid();
-    let frontier = cost::frontier(&fits, &machine, Layout::Hybrid, 64, machine.nodes);
+    let frontier = cost::frontier(&fits, config, &machine, Layout::Hybrid, 64, machine.nodes);
     if let Some(sweet) = cost::largest_efficient(&frontier, 0.70) {
         println!(
             "cost-efficient size on {}: {} nodes, predicted {:.1}s \
-             (efficiency {:.0}% against 64 nodes)",
+             (efficiency {:.0}% against {} nodes)",
             machine.name,
             sweet.nodes,
             sweet.time_s,
-            100.0 * sweet.efficiency
+            100.0 * sweet.efficiency,
+            frontier[0].nodes
         );
     }
 
@@ -43,12 +46,15 @@ fn main() -> Result<(), HslbError> {
     //    flags this as exploratory — extrapolation beyond measured
     //    counts).
     let big = Machine::hypothetical_exascale();
-    let res =
-        hslb::ExhaustiveOptimizer::new(&fits, Layout::Hybrid, big.nodes).solve(Objective::MinMax);
-    println!(
-        "\non {} ({} nodes): predicted {:.2}s with {}",
-        big.name, big.nodes, res.objective, res.allocation
-    );
+    let problem =
+        LayoutModelOptions::from_config(config, Layout::Hybrid, Objective::MinMax, big.nodes);
+    match ExhaustiveOptimizer::for_problem(&fits, &problem).try_solve(Objective::MinMax) {
+        Some(res) => println!(
+            "\non {} ({} nodes): predicted {:.2}s with {}",
+            big.name, big.nodes, res.objective, res.allocation
+        ),
+        None => println!("\non {} ({} nodes): nothing fits", big.name, big.nodes),
+    }
 
     // 4. Component swap: what if a rewritten ocean model scaled 3× better?
     let ocn = fits.curve(Component::Ocn)?;
@@ -58,12 +64,20 @@ fn main() -> Result<(), HslbError> {
         c: ocn.c,
         d: ocn.d / 2.0,
     };
-    let (before, after) =
-        whatif::predict_component_swap(&fits, Layout::Hybrid, 2048, Component::Ocn, better_ocean);
-    println!(
-        "\nrewriting POP (3x scalable part): {before:.1}s → {after:.1}s at 2048 nodes \
-         ({:+.0}%)",
-        100.0 * (before - after) / before
+    let swap = whatif::predict_component_swap(
+        &fits,
+        config,
+        Layout::Hybrid,
+        2048,
+        Component::Ocn,
+        better_ocean,
     );
+    if let Some((before, after)) = swap {
+        println!(
+            "\nrewriting POP (3x scalable part): {before:.1}s → {after:.1}s at 2048 nodes \
+             ({:+.0}%)",
+            100.0 * (before - after) / before
+        );
+    }
     Ok(())
 }

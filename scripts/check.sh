@@ -57,9 +57,13 @@
 # hash-order rule (no HashMap/HashSet/pointer-identity iteration in the
 # simplex crate, whose pivot order must be reproducible).
 #
-# The Figure 4 gate runs `fig4` and diffs its stdout against
-# crates/bench/expected/fig4.txt: the predicted layout curves are read
-# from one exact frontier per layout, and nothing may move them unnoticed.
+# The regenerator gate runs scripts/expected.sh: the stdout of every
+# paper regenerator (`table3`, `fig2`–`fig4`, the five ablations,
+# `solver_claim`, `audit-instances`), `autotune`'s tuning log for the
+# README's commands and four deadline questions, and the stdout of the
+# `whatif_new_machine` and `layout_comparison` examples, each diffed
+# against its file under crates/bench/expected/. All are deterministic
+# (wall times go to stderr), so nothing may move an answer unnoticed.
 #
 # The seed-43 gate runs the 36-configuration layout × budget grid for
 # simulator seed 43 in-process with `hslb-sweep --verify` under a 10 s
@@ -141,21 +145,13 @@ if [[ $fast -eq 0 ]]; then
     cp "$bench_lock" benchmark/Cargo.lock && rm -f "$bench_lock"
     [[ $bench_status -eq 0 ]] || exit "$bench_status"
 
-    echo "==> audit-instances (Level 1: convexity certificates + rejection self-test)"
-    cargo run --release -q -p hslb-bench --bin audit-instances
-
-    echo "==> Figure 4 matches its committed output"
-    # A change that moves Figure 4 regenerates the file and says which
-    # numbers moved (regenerate with:
-    #   ./target/release/fig4 > crates/bench/expected/fig4.txt)
-    fig4_out="$(mktemp /tmp/fig4.XXXXXX.txt)"
-    ./target/release/fig4 > "$fig4_out"
-    if ! diff crates/bench/expected/fig4.txt "$fig4_out"; then
-        echo "fig4's output drifted from crates/bench/expected/fig4.txt" >&2
-        rm -f "$fig4_out"
-        exit 1
-    fi
-    rm -f "$fig4_out"
+    echo "==> every regenerator matches its committed output (audit-instances included)"
+    # The stdout of the 11 regenerators, autotune's tuning log and two
+    # examples' stdout against crates/bench/expected/ (regenerate with:
+    #   scripts/expected.sh --write). A regenerator that exits nonzero
+    # fails the gate, so audit-instances (Level 1: convexity certificates
+    # + rejection self-test) runs here.
+    bash scripts/expected.sh
 
     echo "==> seed-43 sweep (36-configuration grid, verified, 10 s timeout)"
     timeout 10 ./target/release/hslb-sweep --seed 43 \

@@ -35,10 +35,7 @@ proptest! {
         let h = Hslb::new(&sim, HslbOptions::new(n));
         let fits = h.fit(&h.gather()).expect("fit");
         let solved = h.solve(&fits).expect("solve");
-        let mut exact = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, n);
-        exact.ocean_allowed = Some(ResolutionConfig::one_degree_ocean_set());
-        exact.atm_allowed = Some(ResolutionConfig::one_degree_atm_set());
-        let truth = exact.solve(Objective::MinMax);
+        let truth = ExhaustiveOptimizer::for_problem(&fits, &h.problem()).try_solve(Objective::MinMax).unwrap();
         prop_assert!(
             solved.predicted_total <= truth.objective * (1.0 + 1e-4),
             "BB {} vs enumeration {}", solved.predicted_total, truth.objective
@@ -53,10 +50,11 @@ proptest! {
         let fits = h.fit(&h.gather()).expect("fit");
         let mut last = f64::INFINITY;
         for n in [128i64, 256, 512, 1024, 2048] {
-            let mut opt = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, n);
-            opt.ocean_allowed = Some(ResolutionConfig::one_degree_ocean_set());
-            opt.atm_allowed = Some(ResolutionConfig::one_degree_atm_set());
-            let t = opt.solve(Objective::MinMax).objective;
+            let problem =
+                LayoutModelOptions::from_config(&sim.config, Layout::Hybrid, Objective::MinMax, n);
+            let t = ExhaustiveOptimizer::for_problem(&fits, &problem)
+                .try_solve(Objective::MinMax).unwrap()
+                .objective;
             prop_assert!(t <= last * (1.0 + 1e-9), "time rose from {last} to {t} at N={n}");
             last = t;
         }

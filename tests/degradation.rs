@@ -169,3 +169,41 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn a_gather_too_thin_to_fit_reaches_the_simulated_expert() {
+    // One benchmark count per component: `fit_scaling` refuses every
+    // curve, so neither the MINLP nor the exhaustive rung has curves to
+    // solve, and the simulated expert tunes on the simulator itself.
+    let sim = Simulator::one_degree(42);
+    let mut opts = HslbOptions::new(128);
+    opts.gather = GatherPlan::Explicit(vec![128]);
+    let report = Hslb::new(&sim, opts)
+        .run(None)
+        .expect("the expert rung answers");
+    let res = report.resilience.as_ref().expect("run() reports");
+    assert_eq!(res.rung, SolverRung::SimulatedExpert, "{:?}", res.fallbacks);
+    assert!(res.degraded_accuracy);
+    let reason = |prefix: &str, text: &str| {
+        res.fallbacks
+            .iter()
+            .any(|f| f.starts_with(prefix) && f.contains(text))
+    };
+    assert!(
+        reason("fit rung:", "need at least two points"),
+        "{:?}",
+        res.fallbacks
+    );
+    assert!(
+        reason("expert rung:", "tuned an allocation"),
+        "{:?}",
+        res.fallbacks
+    );
+    // No curves, so no prediction; the allocation ran on the simulator.
+    assert!(report.fits.is_empty() && report.hslb.predicted_total.is_none());
+    let a = report.hslb.allocation;
+    let run = sim
+        .run_case(&a, Layout::Hybrid, 0)
+        .expect("the allocation runs");
+    assert!(run.total.is_finite() && report.hslb.actual_total.is_finite());
+}

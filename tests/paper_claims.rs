@@ -1,7 +1,7 @@
 //! One test per headline claim in the paper — the "shape" contract of the
 //! reproduction (see EXPERIMENTS.md for the full paper-vs-measured log).
 
-use cesm_hslb::hslb::{whatif, ExhaustiveOptimizer, Hslb, HslbOptions, NodeFloors, Objective};
+use cesm_hslb::hslb::{whatif, ExhaustiveOptimizer, Hslb, HslbOptions, Objective};
 use cesm_hslb::prelude::*;
 
 fn report_for(sim: &Simulator, n: i64) -> cesm_hslb::hslb::ExperimentReport {
@@ -102,9 +102,7 @@ fn claim_figure4_layout_ordering() {
     let h = Hslb::new(&sim, HslbOptions::new(2048));
     let fits = h.fit(&h.gather()).unwrap();
     let counts = [128i64, 256, 512, 1024, 2048];
-    let ocean = ResolutionConfig::one_degree_ocean_set();
-    let atm = ResolutionConfig::one_degree_atm_set();
-    let pred = whatif::predict_layout_scaling(&fits, &counts, Some(&ocean), Some(&atm));
+    let pred = whatif::predict_layout_scaling(&fits, &sim.config, &counts);
     for (i, &count) in counts.iter().enumerate() {
         let (l1, l2, l3) = (
             pred[0].points[i].1,
@@ -127,9 +125,7 @@ fn claim_figure4_r2_between_prediction_and_experiment() {
     let h = Hslb::new(&sim, HslbOptions::new(2048));
     let fits = h.fit(&h.gather()).unwrap();
     let counts = [128i64, 256, 512, 1024, 2048];
-    let ocean = ResolutionConfig::one_degree_ocean_set();
-    let atm = ResolutionConfig::one_degree_atm_set();
-    let pred = whatif::predict_layout_scaling(&fits, &counts, Some(&ocean), Some(&atm));
+    let pred = whatif::predict_layout_scaling(&fits, &sim.config, &counts);
     let predicted: Vec<f64> = pred[0].points.iter().map(|p| p.1).collect();
     let experimental: Vec<f64> = pred[0]
         .points
@@ -228,9 +224,9 @@ fn claim_exhaustive_and_solver_agree_on_unconstrained_case() {
     let h = Hslb::new(&sim, HslbOptions::new(32_768));
     let fits = h.fit(&h.gather()).unwrap();
     let solved = h.solve(&fits).unwrap();
-    let mut exact = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, 32_768);
-    exact.floors = NodeFloors::from_config(&sim.config);
-    let enumerated = exact.solve(Objective::MinMax);
+    let enumerated = ExhaustiveOptimizer::for_problem(&fits, &h.problem())
+        .try_solve(Objective::MinMax)
+        .unwrap();
     // Both are exact: the totals agree to the solver's tolerances (1e-9
     // relative or 4 µs, as in the domain differential).
     let (a, b) = (solved.predicted_total, enumerated.objective);

@@ -21,10 +21,9 @@ fn bb_matches_exhaustive_enumeration_one_degree() {
         let h = Hslb::new(&sim, HslbOptions::new(target));
         let solved = h.solve(&fits).expect("solve succeeds");
 
-        let mut exact = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, target);
-        exact.ocean_allowed = Some(ResolutionConfig::one_degree_ocean_set());
-        exact.atm_allowed = Some(ResolutionConfig::one_degree_atm_set());
-        let truth = exact.solve(Objective::MinMax);
+        let truth = ExhaustiveOptimizer::for_problem(&fits, &h.problem())
+            .try_solve(Objective::MinMax)
+            .unwrap();
 
         assert!(
             (solved.predicted_total - truth.objective).abs() <= 1e-4 * truth.objective,
@@ -43,9 +42,9 @@ fn bb_matches_exhaustive_eighth_degree_constrained() {
         let h = Hslb::new(&sim, HslbOptions::new(target));
         let solved = h.solve(&fits).expect("solve succeeds");
 
-        let mut exact = ExhaustiveOptimizer::new(&fits, Layout::Hybrid, target);
-        exact.ocean_allowed = Some(ResolutionConfig::eighth_degree_ocean_set());
-        let truth = exact.solve(Objective::MinMax);
+        let truth = ExhaustiveOptimizer::for_problem(&fits, &h.problem())
+            .try_solve(Objective::MinMax)
+            .unwrap();
         // The DP is exact; the MINLP may stop within its gap.
         assert!(
             solved.predicted_total <= truth.objective * (1.0 + 1e-3),
