@@ -1,28 +1,23 @@
-//! `audit-source`: the Level 2 + Level 3 workspace source audit.
+//! `audit-source`: the Level 2 workspace source audit.
 //!
-//! Level 2 lexes the workspace's own `src/` trees and enforces the
-//! project rules described in [`hslb_audit::source`]; Level 3 builds the
-//! cross-crate lock acquisition graph of [`hslb_audit::locks`] and runs
-//! its cycle / rank / blocking / unranked checks. Both route findings
-//! through the shared allowlist and exit nonzero when any survive.
-//! Output is deterministic and sorted so CI diffs are stable.
+//! Lexes the workspace's own `src/` trees and enforces the project rules
+//! described in [`hslb_audit::source`], routes findings through the
+//! allowlist and exits nonzero when any survive. Output is deterministic
+//! and sorted so CI diffs are stable.
 //!
 //! ```text
 //! audit-source [--root DIR] [--allowlist FILE] [--json FILE]
 //!              [--check-allow] [--list-rules]
 //! ```
 //!
-//! `--json FILE` writes the machine-readable dump: the findings, the
-//! lock graph (nodes with ranks and sites, edges with their sites), and
-//! an `audit.source` telemetry summary point (files scanned, findings,
-//! allowlisted, lock nodes/edges) in the event-sink format used by the
-//! BENCH artifacts. `--check-allow` additionally fails when an allowlist
+//! `--json FILE` writes the machine-readable dump: the findings and an
+//! `audit.source` telemetry summary point (files scanned, findings,
+//! allowlisted) in the event-sink format used by the BENCH artifacts. `--check-allow` additionally fails when an allowlist
 //! entry suppressed nothing this scan — entries rot across refactors.
 
 #![forbid(unsafe_code)]
 
-use hslb_audit::locks::{analyze_sources, LockAnalysis};
-use hslb_audit::source::{scan_sources, workspace_sources, Allowlist, ScanOutcome, RULES};
+use hslb_audit::source::{scan_workspace, Allowlist, ScanOutcome, RULES};
 use hslb_telemetry::json::Value;
 use hslb_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -78,14 +73,7 @@ fn run() -> Result<ExitCode, String> {
         None => Allowlist::default(),
     };
 
-    // One file-set load feeds both levels.
-    let sources = workspace_sources(&root).map_err(|e| format!("scan failed: {e}"))?;
-    let mut outcome = scan_sources(&sources, &allow);
-    let locks = analyze_sources(&sources);
-    for f in locks.findings.clone() {
-        outcome.absorb(&allow, f);
-    }
-    outcome.sort();
+    let outcome = scan_workspace(&root, &allow).map_err(|e| format!("scan failed: {e}"))?;
 
     for f in &outcome.findings {
         println!("{f}");
@@ -103,13 +91,10 @@ fn run() -> Result<ExitCode, String> {
         }
     }
     println!(
-        "audit-source: {} files scanned, {} finding(s), {} allowlisted, \
-         lock graph {} node(s) / {} edge(s){}",
+        "audit-source: {} files scanned, {} finding(s), {} allowlisted{}",
         outcome.files_scanned,
         outcome.findings.len(),
         outcome.allowlisted,
-        locks.graph.nodes.len(),
-        locks.graph.edges.len(),
         if check_allow {
             format!(", {} stale allowlist entr(ies)", stale.len())
         } else {
@@ -118,7 +103,7 @@ fn run() -> Result<ExitCode, String> {
     );
 
     if let Some(path) = &json_path {
-        let doc = json_dump(&outcome, &locks);
+        let doc = json_dump(&outcome);
         std::fs::write(path, doc.to_pretty() + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
@@ -131,9 +116,9 @@ fn run() -> Result<ExitCode, String> {
     })
 }
 
-/// The machine-readable dump: findings + lock graph + an `audit.source`
-/// telemetry summary point in the event-sink snapshot format.
-fn json_dump(outcome: &ScanOutcome, locks: &LockAnalysis) -> Value {
+/// The machine-readable dump: findings + an `audit.source` telemetry
+/// summary point in the event-sink snapshot format.
+fn json_dump(outcome: &ScanOutcome) -> Value {
     let findings = Value::Arr(
         outcome
             .findings
@@ -148,55 +133,6 @@ fn json_dump(outcome: &ScanOutcome, locks: &LockAnalysis) -> Value {
             })
             .collect(),
     );
-    let nodes = Value::Obj(
-        locks
-            .graph
-            .nodes
-            .iter()
-            .map(|(id, n)| {
-                (
-                    id.clone(),
-                    Value::Obj(vec![
-                        (
-                            "rank".into(),
-                            n.rank.map(|r| Value::Num(r as f64)).unwrap_or(Value::Null),
-                        ),
-                        (
-                            "rank_name".into(),
-                            n.rank_name.clone().map(Value::Str).unwrap_or(Value::Null),
-                        ),
-                        (
-                            "sites".into(),
-                            Value::Arr(
-                                n.sites
-                                    .iter()
-                                    .map(|(p, l)| Value::Str(format!("{p}:{l}")))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let edges = Value::Arr(
-        locks
-            .graph
-            .edges
-            .iter()
-            .map(|e| {
-                Value::Obj(vec![
-                    ("from".into(), Value::Str(e.from.clone())),
-                    ("to".into(), Value::Str(e.to.clone())),
-                    ("site".into(), Value::Str(format!("{}:{}", e.path, e.line))),
-                    (
-                        "via".into(),
-                        e.via.clone().map(Value::Str).unwrap_or(Value::Null),
-                    ),
-                ])
-            })
-            .collect(),
-    );
 
     // The summary point rides the same snapshot schema as the service
     // BENCH artifacts, so dashboards ingest both uniformly.
@@ -207,42 +143,15 @@ fn json_dump(outcome: &ScanOutcome, locks: &LockAnalysis) -> Value {
             ("files_scanned", outcome.files_scanned as f64),
             ("findings", outcome.findings.len() as f64),
             ("allowlisted", outcome.allowlisted as f64),
-            ("lock_nodes", locks.graph.nodes.len() as f64),
-            ("lock_edges", locks.graph.edges.len() as f64),
         ],
-        &[("level", "2+3")],
+        &[("level", "2")],
     );
-    let mut snapshot =
-        hslb_telemetry::json::parse(&tel.snapshot().to_json()).unwrap_or(Value::Null);
-    zero_timestamps(&mut snapshot);
+    let snapshot = hslb_telemetry::json::parse(&tel.snapshot().to_json()).unwrap_or(Value::Null);
 
     Value::Obj(vec![
         ("findings".into(), findings),
-        (
-            "lock_graph".into(),
-            Value::Obj(vec![("nodes".into(), nodes), ("edges".into(), edges)]),
-        ),
         ("telemetry".into(), snapshot),
     ])
-}
-
-/// Zero every `t_ms` field so the dump is byte-stable across runs: the
-/// artifact is committed (AUDIT_lockgraph.json) and diffed by check.sh,
-/// and wall-clock capture times are the only nondeterministic content.
-fn zero_timestamps(v: &mut Value) {
-    match v {
-        Value::Obj(kv) => {
-            for (k, val) in kv {
-                if k == "t_ms" {
-                    *val = Value::Num(0.0);
-                } else {
-                    zero_timestamps(val);
-                }
-            }
-        }
-        Value::Arr(items) => items.iter_mut().for_each(zero_timestamps),
-        _ => {}
-    }
 }
 
 fn main() -> ExitCode {

@@ -15,8 +15,7 @@
 //! string/char literals produce a single token whose text is the literal
 //! body, so rules can opt out of matching inside them. `<<`/`>>` are
 //! deliberately emitted as two `<`/`>` punct tokens so nested generics
-//! (`Vec<Vec<u8>>`) close cleanly for the lock-declaration parser in
-//! `locks.rs`.
+//! (`Vec<Vec<u8>>`) close token by token.
 //!
 //! The lexer is heuristic where full fidelity is not needed for the
 //! rules (e.g. `1.` without a following digit lexes as `1` then `.`),

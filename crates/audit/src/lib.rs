@@ -34,26 +34,17 @@
 //!   project rules clippy cannot express (nondeterminism primitives in
 //!   solver paths, float `==`/`!=` outside the tolerance helpers, lock
 //!   acquisitions inside an admission-queue shard critical section,
-//!   telemetry reads feeding solver control flow). Files are lexed by
-//!   [`lex`] — a hand-rolled std-only Rust lexer — so comments and
-//!   string literals can neither create false findings nor mask real
-//!   ones. Exceptions live in a reviewed allowlist file; diagnostics are
-//!   deterministic and sorted.
-//!
-//! * **Level 3 — concurrency analysis** ([`locks`], same binary): lock-
-//!   site discovery across the workspace, brace-scoped guard-lifetime
-//!   tracking per function, and a cross-crate lock acquisition graph
-//!   (edges "B acquired while a guard of A is live", including through
-//!   direct intra-crate calls one level deep) with cycle detection,
-//!   held-across-blocking-call detection, and rank-lattice checking
-//!   against the service crate's `ranked` wrappers (DESIGN.md §16).
-//!   Findings flow through the same allowlist under four rule ids:
-//!   `unranked-lock`, `lock-cycle`, `lock-rank`, `lock-blocking`.
+//!   telemetry reads feeding solver control flow, and raw locks or raw
+//!   blocking calls in the serving layer, which must go through the
+//!   service crate's `ranked` wrappers so their runtime lock rule covers
+//!   them — DESIGN.md §16). Files are lexed by [`lex`] — a hand-rolled
+//!   std-only Rust lexer — so comments and string literals can neither
+//!   create false findings nor mask real ones. Exceptions live in a
+//!   reviewed allowlist file; diagnostics are deterministic and sorted.
 
 pub mod certificate;
 pub mod convexity;
 pub mod lex;
-pub mod locks;
 pub mod source;
 pub mod wellformed;
 

@@ -2,13 +2,13 @@
 //! express.
 //!
 //! The scanner walks the workspace's own `src/` trees (vendored compat
-//! crates are skipped — they mimic third-party APIs) and enforces six
+//! crates are skipped — they mimic third-party APIs) and enforces eight
 //! rules, each born from a real incident class in this repository:
 //!
-//! * **`nondeterminism`** — no `SystemTime` / `thread::sleep` in solver
-//!   or fit code paths. Wall-clock reads make solves unreproducible;
-//!   sleeps belong only to fault-injection modules (paths containing
-//!   `fault`).
+//! * **`nondeterminism`** — no `SystemTime` / `thread::sleep` (nor the
+//!   serving layer's `ranked::sleep`) in solver or fit code paths.
+//!   Wall-clock reads make solves unreproducible; sleeps belong only to
+//!   fault-injection modules (paths containing `fault`).
 //! * **`float-eq`** — no float `==` / `!=` outside the approved
 //!   tolerance helpers (`crates/numerics/src/float.rs`). Exact float
 //!   comparison is how the NaN basin-seeding bug of PR 3 slipped in.
@@ -36,17 +36,25 @@
 //!   vertex bits) vary run to run, breaking the warm/cold bit-identity
 //!   bar (DESIGN.md §14). Deterministic containers only: `Vec` indexed
 //!   by variable/row position, or `BTreeMap`/`BTreeSet`.
+//! * **`unranked-lock`** — no raw `Mutex` / `RwLock` / `Condvar` in the
+//!   serving layer (`crates/service/src`, `crates/sweep/src`): every lock
+//!   there is a `ranked::RankedMutex` (or `RankedCondvar`), so the
+//!   runtime one-guard rule covers it (DESIGN.md §16).
+//! * **`raw-blocking`** — no raw blocking call in the serving layer:
+//!   `thread::sleep`, `TcpStream::connect`, a thread `.join()`, channel
+//!   `.recv`/`.recv_timeout`, `.accept`, `.read_line`, `.flush`, and
+//!   `.read`/`.write` on a socket- or file-named receiver go through the
+//!   `ranked` wrappers, which assert that no guard is held.
+//!
+//! The wrapper module itself (`crates/service/src/ranked.rs`) is the one
+//! file of the serving layer those two rules skip: it holds the raw
+//! primitives by design.
 //!
 //! The `nondeterminism` and `telemetry-read` rules also cover the
 //! service crate (`crates/service/src`): responses must be bit-identical
 //! to one-shot pipeline runs, so the only randomness allowed there is
 //! the load generator's explicitly seeded LCG, and no scheduling or
 //! response decision may read telemetry.
-//!
-//! Four further rule ids — `unranked-lock`, `lock-cycle`, `lock-rank`,
-//! `lock-blocking` — belong to Level 3, the concurrency auditor in
-//! [`crate::locks`]; they share this module's [`Finding`] shape and the
-//! allowlist mechanics.
 //!
 //! Mechanics: every file is lexed by [`crate::lex`] (comments vanish,
 //! string/char literals become single opaque tokens), rules match token
@@ -67,12 +75,10 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The rule catalog (ids are stable; the allowlist references them).
-/// The first six are Level 2 token rules; the last four are Level 3
-/// concurrency-audit rules emitted by [`crate::locks`].
-pub const RULES: [(&str, &str); 10] = [
+pub const RULES: [(&str, &str); 8] = [
     (
         "nondeterminism",
-        "no SystemTime/thread::sleep outside fault-injection modules",
+        "no SystemTime/thread::sleep/ranked::sleep outside fault-injection modules",
     ),
     (
         "float-eq",
@@ -96,19 +102,11 @@ pub const RULES: [(&str, &str); 10] = [
     ),
     (
         "unranked-lock",
-        "every lock in the service crate must be a ranked wrapper",
+        "every lock in the serving layer must be a ranked wrapper",
     ),
     (
-        "lock-cycle",
-        "the cross-crate lock acquisition graph must be acyclic",
-    ),
-    (
-        "lock-rank",
-        "lock graph edges must respect the declared rank lattice",
-    ),
-    (
-        "lock-blocking",
-        "no guard held across a blocking call (IO, sleep, join, foreign wait)",
+        "raw-blocking",
+        "every blocking call in the serving layer must go through a ranked wrapper",
     ),
 ];
 
@@ -133,6 +131,11 @@ const SOLVER_PATHS: [&str; 6] = [
 /// non-pruned entries must be bit-identical to one-shot runs, so its
 /// planning and pruning decisions may not consult clocks either.
 const SERVICE_PATHS: [&str; 2] = ["crates/service/src", "crates/sweep/src"];
+
+/// Receiver names whose `.read(` / `.write(` is socket or file IO.
+const IO_RECEIVERS: [&str; 9] = [
+    "stream", "listener", "socket", "sock", "tcp", "file", "stdin", "stdout", "stderr",
+];
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,7 +242,7 @@ pub struct ScanOutcome {
 
 impl ScanOutcome {
     /// Route one finding through the allowlist, updating the counters.
-    pub fn absorb(&mut self, allow: &Allowlist, f: Finding) {
+    fn absorb(&mut self, allow: &Allowlist, f: Finding) {
         match allow.match_idx(&f) {
             Some(i) => {
                 self.allowlisted += 1;
@@ -259,7 +262,7 @@ impl ScanOutcome {
             .collect()
     }
 
-    pub fn sort(&mut self) {
+    fn sort(&mut self) {
         self.findings
             .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     }
@@ -298,6 +301,42 @@ fn has_method_call(toks: &[Tok], names: &[&str]) -> bool {
             && names.contains(&w[1].text.as_str())
             && w[2].punct("(")
     })
+}
+
+/// The first raw blocking call on a line (see `raw-blocking` in the
+/// module docs).
+fn raw_blocking_call(toks: &[Tok]) -> Option<&'static str> {
+    let next_is = |i: usize, p: &str| toks.get(i).is_some_and(|t| t.punct(p));
+    for (i, w) in toks.windows(3).enumerate() {
+        if w[1].punct("::") && next_is(i + 3, "(") {
+            if w[0].ident("thread") && w[2].ident("sleep") {
+                return Some("thread::sleep");
+            }
+            if w[0].ident("TcpStream") && w[2].ident("connect") {
+                return Some("TcpStream::connect");
+            }
+        }
+        if !(w[0].punct(".") && w[1].kind == Kind::Ident && w[2].punct("(")) {
+            continue;
+        }
+        let io_receiver = i > 0
+            && toks[i - 1].kind == Kind::Ident
+            && IO_RECEIVERS.contains(&toks[i - 1].text.as_str());
+        match w[1].text.as_str() {
+            // A thread join takes no argument; `path.join(x)` and
+            // `slice.join(sep)` always pass one.
+            "join" if next_is(i + 3, ")") => return Some("join"),
+            "recv" => return Some("recv"),
+            "recv_timeout" => return Some("recv_timeout"),
+            "accept" => return Some("accept"),
+            "read_line" => return Some("read_line"),
+            "flush" => return Some("flush"),
+            "read" if io_receiver => return Some("read"),
+            "write" if io_receiver => return Some("write"),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// True when any token in the window is float-ish: a float literal, or
@@ -341,7 +380,7 @@ fn has_cfg_test(toks: &[Tok]) -> bool {
 
 /// Group a token stream by 1-based source line (index 0 = line 1).
 /// Multi-line tokens (block strings) count on their starting line.
-pub(crate) fn tokens_by_line(toks: &[Tok], nlines: usize) -> Vec<Vec<Tok>> {
+fn tokens_by_line(toks: &[Tok], nlines: usize) -> Vec<Vec<Tok>> {
     let mut lines = vec![Vec::new(); nlines];
     for t in toks {
         if t.line >= 1 && t.line <= nlines {
@@ -357,6 +396,7 @@ pub fn scan_file_content(path: &str, content: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let solver = in_solver_path(path);
     let service = in_service_path(path);
+    let lock_wrappers = path.ends_with("service/src/ranked.rs");
     let fault_module = path.contains("fault");
     let tolerance_helper = path.ends_with("numerics/src/float.rs");
 
@@ -406,14 +446,16 @@ pub fn scan_file_content(path: &str, content: &str) -> Vec<Finding> {
                     "wall-clock read in a solver/fit code path".to_string(),
                 );
             }
-            if has_seq(
-                toks,
-                &[
-                    (Kind::Ident, "thread"),
-                    (Kind::Punct, "::"),
-                    (Kind::Ident, "sleep"),
-                ],
-            ) {
+            if ["thread", "ranked"].iter().any(|m| {
+                has_seq(
+                    toks,
+                    &[
+                        (Kind::Ident, m),
+                        (Kind::Punct, "::"),
+                        (Kind::Ident, "sleep"),
+                    ],
+                )
+            }) {
                 push(
                     "nondeterminism",
                     "sleep outside a fault-injection module".to_string(),
@@ -513,6 +555,33 @@ pub fn scan_file_content(path: &str, content: &str) -> Vec<Finding> {
             }
         }
 
+        // --- unranked-lock / raw-blocking --- (the serving layer's locks
+        // and blocking calls go through `ranked`, whose runtime rule
+        // covers them)
+        if service && !lock_wrappers {
+            if let Some(t) = toks.iter().find(|t| {
+                t.kind == Kind::Ident && matches!(t.text.as_str(), "Mutex" | "RwLock" | "Condvar")
+            }) {
+                push(
+                    "unranked-lock",
+                    format!(
+                        "raw `{}` in the serving layer: use `ranked::RankedMutex` / \
+                         `ranked::RankedCondvar` (DESIGN.md §16)",
+                        t.text
+                    ),
+                );
+            }
+            if let Some(call) = raw_blocking_call(toks) {
+                push(
+                    "raw-blocking",
+                    format!(
+                        "raw blocking call `{call}` in the serving layer: use its `ranked` \
+                         wrapper (DESIGN.md §16)"
+                    ),
+                );
+            }
+        }
+
         // --- telemetry-read ---
         if solver || service {
             for name in ["snapshot", "events", "elapsed_ms", "counter"] {
@@ -568,9 +637,8 @@ pub fn workspace_src_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Load every workspace source file as `(workspace-relative path,
-/// content)`, sorted by path. Shared by Level 2 and the Level 3 lock
-/// analysis so both see the same file set.
-pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// content)`, sorted by path.
+fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     for src in workspace_src_roots(root)? {
         collect_rs_files(&src, &mut files)?;
@@ -709,7 +777,12 @@ fn push(&self) {
     fn service_crate_is_held_to_nondeterminism_and_telemetry_rules() {
         let sleep = "std::thread::sleep(backoff);\n";
         let f = scan_file_content("crates/service/src/bin/loadgen.rs", sleep);
-        assert_eq!(f.len(), 1);
+        let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
+        assert_eq!(rules, vec!["nondeterminism", "raw-blocking"], "{f:?}");
+        // The wrapped sleep is still a sleep.
+        let wrapped = "ranked::sleep(backoff);\n";
+        let f = scan_file_content("crates/service/src/bin/loadgen.rs", wrapped);
+        assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "nondeterminism");
 
         let read = "let n = telemetry.snapshot();\n";
@@ -832,10 +905,82 @@ mod tests {
     #[test]
     fn allowlist_accepts_lock_rule_ids() {
         let ok = Allowlist::parse(
-            "lock-blocking | loadclient.rs | stream.read | client IO, no shared guard\n",
+            "raw-blocking | loadclient.rs | stream.read | client IO, no shared guard\n",
         )
         .unwrap();
         assert_eq!(ok.entries.len(), 1);
+    }
+
+    #[test]
+    fn raw_lock_idents_in_service_are_unranked_findings() {
+        let code = "use std::sync::{Condvar, Mutex};\nstruct S { m: Mutex<u32> }\n";
+        let f = scan_file_content("crates/service/src/x.rs", code);
+        assert_eq!(f.len(), 2, "one finding per line: {f:?}");
+        assert!(f.iter().all(|f| f.rule == "unranked-lock"), "{f:?}");
+        assert!(f[0].message.contains("raw `Condvar`"), "{f:?}");
+        let rw = "static S: std::sync::RwLock<u8> = std::sync::RwLock::new(0);\n";
+        assert_eq!(scan_file_content("crates/sweep/src/plan.rs", rw).len(), 1);
+        // The wrapper module, the wrappers' own names and other crates
+        // are exempt.
+        assert!(scan_file_content("crates/service/src/ranked.rs", code).is_empty());
+        let ranked = "struct S { m: RankedMutex<u32>, cv: RankedCondvar }\n";
+        assert!(scan_file_content("crates/service/src/x.rs", ranked).is_empty());
+        assert!(scan_file_content("crates/telemetry/src/lib.rs", code).is_empty());
+    }
+
+    #[test]
+    fn raw_blocking_calls_in_service_are_findings() {
+        for (line, call) in [
+            ("std::thread::sleep(d);\n", "thread::sleep"),
+            ("let s = TcpStream::connect(addr)?;\n", "TcpStream::connect"),
+            ("let _ = h.join();\n", "join"),
+            ("let r = rx.recv();\n", "recv"),
+            ("let r = rx.recv_timeout(d);\n", "recv_timeout"),
+            ("match self.listener.accept() {\n", "accept"),
+            ("let n = reader.read_line(&mut s)?;\n", "read_line"),
+            ("writer.flush()?;\n", "flush"),
+            ("match conn.stream.read(&mut buf) {\n", "read"),
+            ("match stream.write(front) {\n", "write"),
+        ] {
+            let f = scan_file_content("crates/service/src/reactor.rs", line);
+            let blocking: Vec<_> = f.iter().filter(|f| f.rule == "raw-blocking").collect();
+            assert_eq!(blocking.len(), 1, "expected a finding on {line:?}: {f:?}");
+            assert!(blocking[0].message.contains(&format!("`{call}`")), "{f:?}");
+        }
+        // Not blocking calls: a path or slice join, `.write(` on a
+        // non-IO receiver, and the wrappers themselves.
+        for line in [
+            "let p = dir.join(\"x\");\n",
+            "let s = parts.join(\",\");\n",
+            "item.write(out);\n",
+            "let n = ranked::read(&mut conn.stream, &mut buf)?;\n",
+            "let _ = ranked::join(h);\n",
+        ] {
+            let f = scan_file_content("crates/service/src/reactor.rs", line);
+            assert!(f.is_empty(), "false positive on {line:?}: {f:?}");
+        }
+        // The wrapper module is exempt, and the rule stays in the
+        // serving layer.
+        let raw = "let _ = h.join();\n";
+        assert!(scan_file_content("crates/service/src/ranked.rs", raw).is_empty());
+        assert!(scan_file_content("crates/bench/src/lib.rs", raw).is_empty());
+    }
+
+    #[test]
+    fn test_modules_are_not_scanned() {
+        let code = "\
+fn ok() {}
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+    fn f(s: &S) {
+        let g = s.a.lock();
+        std::thread::sleep(d);
+        drop(g);
+    }
+}
+";
+        assert!(scan_file_content("crates/service/src/x.rs", code).is_empty());
     }
 
     #[test]

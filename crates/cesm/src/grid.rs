@@ -81,17 +81,13 @@ impl ResolutionConfig {
     /// Table I line 5: `O = {2, 4, …, 480, 768}` — even counts up to 480
     /// plus 768.
     pub fn one_degree_ocean_set() -> Vec<i64> {
-        let mut v: Vec<i64> = (1..=240).map(|k| 2 * k).collect();
-        v.push(768);
-        v
+        (1..=240).map(|k| 2 * k).chain([768]).collect()
     }
 
     /// Table I line 6: `A = {1, 2, …, 1638, 1664}` — every count up to
     /// 1638 plus 1664.
     pub fn one_degree_atm_set() -> Vec<i64> {
-        let mut v: Vec<i64> = (1..=1638).collect();
-        v.push(1664);
-        v
+        (1..=1638).chain([1664]).collect()
     }
 
     /// §IV-B: "the ocean model was initially limited to a few handful of
@@ -166,6 +162,17 @@ mod tests {
         assert!(a.contains(&1638));
         assert_eq!(a.last(), Some(&1664));
         assert_eq!(a.len(), 1639);
+    }
+
+    /// Every config carries both sets, so they are built at their exact
+    /// size: a `collect` followed by a `push` doubled the buffer (the
+    /// 1,639 atmosphere counts sat in 3,276 slots).
+    #[test]
+    fn one_degree_sets_are_built_at_their_exact_size() {
+        let o = ResolutionConfig::one_degree_ocean_set();
+        assert_eq!(o.capacity(), o.len());
+        let a = ResolutionConfig::one_degree_atm_set();
+        assert_eq!(a.capacity(), a.len());
     }
 
     #[test]

@@ -756,54 +756,68 @@ fn frontier_is_the_solve_at_every_budget() {
     }
 }
 
-/// The `T_sync` window held to brute force: on hybrid instances at
-/// N ≤ [`TSYNC_MAX_NODES`], with a window drawn log-uniformly between
-/// 0.001 and 1 times the instance's optimum without it, the compact
-/// model's incumbent keeps its sets, floors and budget, keeps ice and land
-/// within the window (to the solver's 1e-6 feasibility tolerance), and
-/// reaches the enumerated optimum. The window's rows are non-convex and
-/// enforced by branching on the integer counts. The corpus must hold
-/// instances the window binds on (28 of 300) and instances only the window
-/// makes infeasible (145).
+/// The hybrid instance of `seed` with its `T_sync` window, drawn
+/// log-uniformly between 0.001 and 1 times the instance's optimum
+/// without it; returned with that optimum and the enumerated one inside
+/// the window.
+fn tsync_instance(seed: u64, max_nodes: i64) -> (Instance, Option<f64>, Option<f64>) {
+    let mut inst = instance_in(seed, 8..=max_nodes);
+    inst.opts.layout = Layout::Hybrid;
+    let free = brute_force(&inst);
+    let mut rng = StdRng::seed_from_u64(30_000 + seed);
+    let tsync = free.unwrap_or(1.0) * log_uniform(&mut rng, 1e-3, 1.0);
+    inst.opts.tsync = Some(tsync);
+    let truth = brute_force_tsync(&inst, tsync);
+    (inst, free, truth)
+}
+
+/// The compact model's incumbent on a windowed instance keeps its sets,
+/// floors and budget, keeps ice and land within the window (to the
+/// solver's 1e-6 feasibility tolerance), and reaches the enumerated
+/// optimum `truth`.
+fn check_tsync(seed: u64, inst: &Instance, truth: Option<f64>) {
+    let tsync = inst.opts.tsync.unwrap_or(f64::INFINITY);
+    let got = match build_layout_model(&inst.fits, &inst.opts) {
+        Ok(lm) => incumbent(&lm, &lm.model, Branching::SosFirst),
+        Err(_) => None,
+    };
+    let why = match (got, truth) {
+        (None, None) => return,
+        (Some(a), Some(t)) => {
+            let gap =
+                inst.fits.predict(Component::Ice, a.ice) - inst.fits.predict(Component::Lnd, a.lnd);
+            let got = value(&inst.fits, Objective::MinMax, Layout::Hybrid, &a);
+            if !in_sets(&inst.opts, &a) {
+                format!("{a} leaves its sets, floors or budget")
+            } else if gap.abs() > tsync + 1e-6 {
+                format!("{a}: ice and land differ by {gap} s, window {tsync} s")
+            } else if !close(got, t) {
+                format!("{a} scores {got}, the optimum in a {tsync} s window is {t}")
+            } else {
+                return;
+            }
+        }
+        (a, t) => format!("answered {a:?}, enumeration {t:?} (window {tsync} s)"),
+    };
+    report(seed, inst, &why);
+}
+
+/// The `T_sync` window held to brute force on hybrid instances at
+/// N ≤ [`TSYNC_MAX_NODES`] ([`check_tsync`] on every seed). The window's
+/// rows are non-convex and enforced by branching on the integer counts.
+/// The corpus must hold instances the window binds on (28 of 300) and
+/// instances only the window makes infeasible (145).
 #[test]
 fn tsync_window_matches_brute_force() {
     let (mut bound, mut infeasible) = (0, 0);
     for seed in 0..TSYNC_SEEDS {
-        let mut inst = instance_in(seed, 8..=TSYNC_MAX_NODES);
-        inst.opts.layout = Layout::Hybrid;
-        let free = brute_force(&inst);
-        let mut rng = StdRng::seed_from_u64(30_000 + seed);
-        let tsync = free.unwrap_or(1.0) * log_uniform(&mut rng, 1e-3, 1.0);
-        inst.opts.tsync = Some(tsync);
-        let truth = brute_force_tsync(&inst, tsync);
+        let (inst, free, truth) = tsync_instance(seed, TSYNC_MAX_NODES);
         match (truth, free) {
             (None, Some(_)) => infeasible += 1,
             (Some(t), Some(free)) if !close(t, free) => bound += 1,
             _ => {}
         }
-        let got = match build_layout_model(&inst.fits, &inst.opts) {
-            Ok(lm) => incumbent(&lm, &lm.model, Branching::SosFirst),
-            Err(_) => None,
-        };
-        let why = match (got, truth) {
-            (None, None) => continue,
-            (Some(a), Some(t)) => {
-                let gap = inst.fits.predict(Component::Ice, a.ice)
-                    - inst.fits.predict(Component::Lnd, a.lnd);
-                let got = value(&inst.fits, Objective::MinMax, Layout::Hybrid, &a);
-                if !in_sets(&inst.opts, &a) {
-                    format!("{a} leaves its sets, floors or budget")
-                } else if gap.abs() > tsync + 1e-6 {
-                    format!("{a}: ice and land differ by {gap} s, window {tsync} s")
-                } else if !close(got, t) {
-                    format!("{a} scores {got}, the optimum in a {tsync} s window is {t}")
-                } else {
-                    continue;
-                }
-            }
-            (a, t) => format!("answered {a:?}, enumeration {t:?} (window {tsync} s)"),
-        };
-        report(seed, &inst, &why);
+        check_tsync(seed, &inst, truth);
     }
     assert!(bound > 0, "the window never bound");
     assert!(
@@ -813,10 +827,28 @@ fn tsync_window_matches_brute_force() {
 }
 
 /// Seeds and largest budget of [`tsync_window_matches_brute_force`]: the
-/// window's branching grows fast with N (one hybrid instance at N = 431
-/// takes 53 s), so the corpus stays at N ≤ 64, ~4 s in the test profile.
+/// window's branching grows fast with N (see
+/// [`tsync_window_matches_brute_force_on_slow_instances`]), so the
+/// corpus stays at N ≤ 64, ~4 s in the test profile.
 const TSYNC_SEEDS: u64 = 300;
 const TSYNC_MAX_NODES: i64 = 64;
+
+/// Two windowed instances of the same generator once seen to take tens
+/// of seconds: seed 4 drawn at N ≤ 512 (N = 431, window 0.35 s), ~49 s
+/// in the release test profile on a 2-core box, and seed 32 drawn at
+/// N ≤ 96 (N = 88), which now takes < 0.1 s. The MINLP must agree with
+/// the enumeration; seed 4's time goes to branching on the window's
+/// rows, which get no cuts.
+#[test]
+#[ignore = "seed 4 takes ~49 s in the release test profile (2-core box); \
+            un-ignore once the T_sync rows solve fast"]
+fn tsync_window_matches_brute_force_on_slow_instances() {
+    for (seed, max_nodes, nodes) in [(4, 512, 431), (32, 96, 88)] {
+        let (inst, _, truth) = tsync_instance(seed, max_nodes);
+        assert_eq!(inst.opts.total_nodes, nodes, "seed {seed}");
+        check_tsync(seed, &inst, truth);
+    }
+}
 
 /// `autotune --deadline`'s question on the paper's 1/8° machine (ocean
 /// set and memory floors; the fits the pipeline gathers at N = 8192): the

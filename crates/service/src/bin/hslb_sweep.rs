@@ -26,6 +26,7 @@
 //! extended over the whole portfolio.
 #![forbid(unsafe_code)]
 
+use hslb_service::ranked;
 use hslb_service::request::TuneRequest;
 use hslb_service::request::{parse_layout, parse_objective};
 use hslb_service::sweep_driver::{run_sweep, SweepProgress};
@@ -33,8 +34,7 @@ use hslb_service::{reference_response, ServiceOptions, TuningService};
 use hslb_sweep::{Portfolio, SweepSpec};
 use hslb_telemetry::json::{parse, Value};
 use hslb_telemetry::Telemetry;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, BufWriter, Write};
 
 struct Args {
     addr: Option<String>,
@@ -161,7 +161,7 @@ fn sweep_in_process(args: &Args) -> Result<Portfolio, String> {
 
 /// TCP mode: one `sweep` command, then read frames until the final one.
 fn sweep_over_tcp(addr: &str, args: &Args) -> Result<Portfolio, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let stream = ranked::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut writer = BufWriter::new(stream);
     let line = Value::Obj(vec![
@@ -170,12 +170,10 @@ fn sweep_over_tcp(addr: &str, args: &Args) -> Result<Portfolio, String> {
     ])
     .to_string();
     writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
-    writer.flush().map_err(|e| format!("flush: {e}"))?;
+    ranked::flush(&mut writer).map_err(|e| format!("flush: {e}"))?;
     loop {
         let mut reply = String::new();
-        let n = reader
-            .read_line(&mut reply)
-            .map_err(|e| format!("recv: {e}"))?;
+        let n = ranked::read_line(&mut reader, &mut reply).map_err(|e| format!("recv: {e}"))?;
         if n == 0 {
             return Err("server closed the connection mid-sweep".to_string());
         }

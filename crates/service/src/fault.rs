@@ -26,6 +26,7 @@
 //! exempts fault-injection modules (paths containing `fault`), keeping
 //! the serving path itself provably sleep-free.
 
+use crate::ranked;
 use std::time::Duration;
 
 /// What the fault stream decided for one worker attempt.
@@ -197,9 +198,9 @@ impl ServiceFaultSpec {
             WorkerFault::Hang => {
                 // Stall clearly past the watchdog so the supervisor must
                 // abandon this attempt; the thread then exits harmlessly.
-                std::thread::sleep(watchdog + Duration::from_millis(120));
+                ranked::sleep(watchdog + Duration::from_millis(120));
             }
-            WorkerFault::Slow => std::thread::sleep(Duration::from_millis(self.slow_ms)),
+            WorkerFault::Slow => ranked::sleep(Duration::from_millis(self.slow_ms)),
         }
     }
 

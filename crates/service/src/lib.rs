@@ -46,11 +46,11 @@
 //!   crate: runs a [`hslb_sweep::SweepPlan`] through the worker pool and
 //!   cache tiers (calibrate → predict/prune → solve, fail-open to exact
 //!   solves), streaming per-configuration progress (DESIGN.md §17);
-//! * [`ranked`] — the rank-lattice lock wrappers every module above
-//!   holds its `Mutex`/`Condvar` state in: audit Level 3 statically
-//!   proves the cross-crate acquisition graph respects the lattice, and
-//!   the wrappers assert monotone per-thread acquisition under
-//!   `debug_assertions` (DESIGN.md §16).
+//! * [`ranked`] — the lock and blocking-call wrappers every module above
+//!   goes through (audit Level 2's `unranked-lock` and `raw-blocking`
+//!   rules see to it); under `debug_assertions` they check that a thread
+//!   holds at most one lock guard, and none across a blocking call
+//!   (DESIGN.md §16).
 //!
 //! **Determinism is the correctness bar.** For any request mix, at any
 //! worker count, with caches and coalescing on or off, every response

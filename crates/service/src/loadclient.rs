@@ -27,13 +27,13 @@
 //! and its caches keep working.
 
 use crate::loadmix::{ConnectionsReport, LoadOutcome, ShardLoad};
-use crate::ranked::{rank, RankedMutex};
+use crate::ranked::{self, RankedMutex};
 use crate::request::{TuneRequest, TuneResponse};
 use crate::shard::shard_for_key;
 use crate::wire;
 use hslb_telemetry::json::Value;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,7 +57,7 @@ pub struct Conn {
 impl Conn {
     /// Dial `addr`.
     pub fn open(addr: &str) -> Result<Conn, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        let stream = ranked::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
         Ok(Conn {
             reader,
@@ -70,12 +70,10 @@ impl Conn {
     /// mid-write) — the caller must never trust such a frame.
     pub fn round_trip(&mut self, line: &str) -> Result<String, String> {
         writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("flush: {e}"))?;
+        ranked::flush(&mut self.writer).map_err(|e| format!("flush: {e}"))?;
         let mut reply = String::new();
-        let n = self
-            .reader
-            .read_line(&mut reply)
-            .map_err(|e| format!("recv: {e}"))?;
+        let n =
+            ranked::read_line(&mut self.reader, &mut reply).map_err(|e| format!("recv: {e}"))?;
         if n == 0 {
             return Err("server closed the connection".to_string());
         }
@@ -171,7 +169,7 @@ pub fn drive_request(
                     if attempt == MAX_RETRIES {
                         return Attempt::Error(e);
                     }
-                    std::thread::sleep(Duration::from_millis(20));
+                    ranked::sleep(Duration::from_millis(20));
                     continue;
                 }
             }
@@ -213,7 +211,7 @@ pub fn drive_request(
                 // Explicit backpressure or drain: back off and retry.
                 acct.retry_errors += 1;
                 first_failure.get_or_insert_with(Instant::now);
-                std::thread::sleep(Duration::from_millis(ms.max(1.0) as u64));
+                ranked::sleep(Duration::from_millis(ms.max(1.0) as u64));
             }
             None => {
                 return Attempt::Error(
@@ -279,9 +277,9 @@ pub fn run_closed_loop(
     if addrs.is_empty() {
         return Err("no server addresses".to_string());
     }
-    let pending: Arc<RankedMutex<VecDeque<TuneRequest>, { rank::CLIENT_PENDING }>> =
+    let pending: Arc<RankedMutex<VecDeque<TuneRequest>>> =
         Arc::new(RankedMutex::new(mix.iter().cloned().collect()));
-    let collected: Arc<RankedMutex<RunResults, { rank::CLIENT_RESULTS }>> =
+    let collected: Arc<RankedMutex<RunResults>> =
         Arc::new(RankedMutex::new(RunResults::sized(addrs.len())));
     std::thread::scope(|scope| {
         for _ in 0..concurrency.max(1) {
@@ -388,7 +386,7 @@ struct OConn {
 
 impl OConn {
     fn dial(addr: &str, addr_idx: usize) -> Result<OConn, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        let stream = ranked::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         stream
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
@@ -523,7 +521,7 @@ pub fn run_open_loop(
         if !progress {
             // Nothing readable, writable, or due: yield briefly rather
             // than spin. Bounded, so schedule deadlines stay honored.
-            std::thread::sleep(Duration::from_millis(1));
+            ranked::sleep(Duration::from_millis(1));
         }
     }
 
@@ -598,7 +596,7 @@ fn sweep_conn(
         // Writes.
         while !conn.out.is_empty() {
             let (front, _) = conn.out.as_slices();
-            match stream.write(front) {
+            match ranked::write(stream, front) {
                 Ok(0) => {
                     broken = true;
                     break;
@@ -619,7 +617,7 @@ fn sweep_conn(
         if !broken {
             let mut chunk = [0u8; 16 * 1024];
             loop {
-                match stream.read(&mut chunk) {
+                match ranked::read(stream, &mut chunk) {
                     Ok(0) => {
                         broken = !conn.inflight.is_empty() || !conn.out.is_empty();
                         break;

@@ -18,7 +18,7 @@
 //!   everything already admitted, so a draining worker pool loses no
 //!   in-flight request.
 
-use crate::ranked::{rank, RankedCondvar, RankedMutex};
+use crate::ranked::{RankedCondvar, RankedMutex};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,10 +96,10 @@ struct Shard<T> {
     // so every acquisition below spells it out (no helper indirection).
     // A poisoned queue mutex only means a worker panicked mid-pop; the
     // remaining entries are still worth draining — the ranked wrapper
-    // absorbs poison internally. Shard locks are leaves of the lattice
-    // (QUEUE_SHARD): nothing is ever acquired while one is held.
-    queue: RankedMutex<ShardState<T>, { rank::QUEUE_SHARD }>,
-    available: RankedCondvar<{ rank::QUEUE_SHARD }>,
+    // absorbs poison internally. Nothing is ever acquired while a shard
+    // lock is held (the one-guard rule, DESIGN.md §16).
+    queue: RankedMutex<ShardState<T>>,
+    available: RankedCondvar,
 }
 
 /// The bounded sharded queue. Each shard has its own mutex + condvar so

@@ -1,143 +1,105 @@
-//! Ranked lock wrappers: runtime enforcement of the lock-order lattice.
+//! Service lock wrappers and the runtime lock rule.
 //!
-//! Audit Level 3 (`hslb-audit`'s `locks` module) proves the *static*
-//! acquisition graph is cycle-free and rank-monotone; this module is the
-//! runtime half of that pairing. Every lock in the service crate is a
-//! [`RankedMutex`] (or [`RankedCondvar`]) carrying a `const RANK: u16`
-//! from the [`rank`] lattice, and under `debug_assertions` each thread
-//! keeps a stack of held ranks: acquiring a rank not strictly above the
-//! current top panics with both rank names. Two threads can only
-//! deadlock on a pair of mutexes by acquiring them in opposite orders —
-//! impossible when every thread's acquisition order is monotone in a
-//! single total order — so the assert turns any would-be deadlock into
-//! an immediate, attributable failure in the tests and the chaos
-//! harness instead of a rare production hang.
+//! Every lock in the service and sweep crates is a [`RankedMutex`] (with
+//! a [`RankedCondvar`] where a thread parks on it), and every call that
+//! can block a thread there — sleep, join, channel receive, accept,
+//! connect, socket read/write — goes through one of the wrappers at the
+//! bottom of this module. Audit Level 2's `unranked-lock` and
+//! `raw-blocking` token rules keep it that way. Under `debug_assertions`
+//! each thread then obeys one rule, in two parts:
 //!
-//! The lattice (low acquires first; see DESIGN.md §16 for the table and
-//! rationale): queue shards < front-desk cache < fit cache <
-//! ticket slots < completion bus < snapshot/recovery < worker handles <
-//! load-client accumulators < sweep result collector. Gaps of 10 between neighbors leave room to slot
-//! new locks without renumbering.
+//! 1. **At most one guard.** Acquiring a lock while this thread holds
+//!    another panics with both lock names, *before* blocking on the
+//!    mutex, so a nested or re-entrant acquisition fails at once instead
+//!    of deadlocking.
+//! 2. **No guard across a blocking call.** Each blocking wrapper panics
+//!    if this thread holds a guard.
 //!
-//! In release builds (`debug_assertions` off) the wrappers are
-//! zero-overhead: `lock()` is exactly `Mutex::lock` plus the project's
-//! standard poison absorption (`unwrap_or_else(|e| e.into_inner())` —
-//! state integrity is protected by seal verification, not by poison
-//! propagation; see DESIGN.md §11).
+//! A deadlock needs a thread that waits while it holds something another
+//! waiter needs. Under the rule a thread waits only for one mutex with
+//! nothing held, for a condvar whose guard the wait has given up, or in
+//! a blocking call with nothing held — so no lock-order cycle can form,
+//! and a would-be deadlock turns into an immediate, attributable failure
+//! in the tests and the chaos harness (DESIGN.md §16). Code that must
+//! reach a second lock releases the first one beforehand, as
+//! `TicketInner::resolve` does before running a callback. Locks are named
+//! in panic messages by the type of the data they guard.
+//!
+//! In release builds (`debug_assertions` off) the checks compile away:
+//! `lock()` is exactly `Mutex::lock` plus the project's standard poison
+//! absorption (`unwrap_or_else(|e| e.into_inner())` — state integrity is
+//! protected by seal verification, not by poison propagation; see
+//! DESIGN.md §11), and each blocking wrapper is the call it wraps.
 
+use std::io::{self, BufRead, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The lock-order lattice. Ranks are acquired strictly ascending within
-/// a thread; the constants are spaced by 10 so future locks can slot in
-/// between neighbors without renumbering the workspace.
-pub mod rank {
-    /// Admission-queue shard state (`queue.rs`). Lowest: shard locks are
-    /// leaves — nothing is ever acquired while one is held.
-    pub const QUEUE_SHARD: u16 = 100;
-    /// Front-desk admission/cache state (`cache.rs`).
-    pub const FRONT_DESK: u16 = 200;
-    /// Fit-result LRU (`service.rs`).
-    pub const FIT_CACHE: u16 = 210;
-    /// Per-ticket result slot (`service.rs`).
-    pub const TICKET_SLOT: u16 = 300;
-    /// Reactor completion bus (`reactor.rs`).
-    pub const COMPLETION_BUS: u16 = 310;
-    /// Snapshot/recovery record (`service.rs`).
-    pub const SNAPSHOT_RECOVERY: u16 = 400;
-    /// Worker join-handle vector (`service.rs`).
-    pub const WORKER_HANDLES: u16 = 410;
-    /// Load-client pending work queue (`loadclient.rs`).
-    pub const CLIENT_PENDING: u16 = 600;
-    /// Load-client result accumulator (`loadclient.rs`).
-    pub const CLIENT_RESULTS: u16 = 610;
-    /// Sweep-driver result collector (`sweep_driver.rs`). Highest: the
-    /// sweep driver resolves tickets (ranks ≤ 310) strictly before
-    /// recording into the collector, and nothing is acquired while it is
-    /// held.
-    pub const SWEEP_RESULTS: u16 = 700;
-
-    /// Human-readable name for a rank (panic messages, graph dumps).
-    pub fn name(r: u16) -> &'static str {
-        match r {
-            QUEUE_SHARD => "QUEUE_SHARD",
-            FRONT_DESK => "FRONT_DESK",
-            FIT_CACHE => "FIT_CACHE",
-            TICKET_SLOT => "TICKET_SLOT",
-            COMPLETION_BUS => "COMPLETION_BUS",
-            SNAPSHOT_RECOVERY => "SNAPSHOT_RECOVERY",
-            WORKER_HANDLES => "WORKER_HANDLES",
-            CLIENT_PENDING => "CLIENT_PENDING",
-            CLIENT_RESULTS => "CLIENT_RESULTS",
-            SWEEP_RESULTS => "SWEEP_RESULTS",
-            _ => "UNKNOWN",
-        }
-    }
-}
-
-/// Per-thread held-rank stack, compiled only under `debug_assertions`.
+/// The lock this thread holds, tracked only under `debug_assertions`.
 mod held {
     #[cfg(debug_assertions)]
     thread_local! {
-        static STACK: std::cell::RefCell<Vec<u16>> =
-            const { std::cell::RefCell::new(Vec::new()) };
+        static HELD: std::cell::Cell<Option<&'static str>> =
+            const { std::cell::Cell::new(None) };
     }
 
-    /// Record an acquisition, asserting strict monotonicity. Called
-    /// *before* blocking on the mutex so an inversion panics instead of
-    /// deadlocking.
+    /// Record an acquisition of `lock`. Called *before* blocking on the
+    /// mutex, so a nested acquisition panics instead of deadlocking.
     #[cfg(debug_assertions)]
-    pub(super) fn acquired(rank: u16) {
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(&top) = s.last() {
-                assert!(
-                    rank > top,
-                    "lock rank inversion: acquiring rank {rank} ({}) while rank {top} ({}) \
-                     is held — acquisition must follow the lattice in DESIGN.md §16",
-                    super::rank::name(rank),
-                    super::rank::name(top),
-                );
-            }
-            s.push(rank);
-        });
+    pub(super) fn acquire(lock: &'static str) {
+        if let Some(outer) = HELD.get() {
+            panic!(
+                "nested lock: acquiring `{lock}` while this thread holds `{outer}` — a \
+                 thread holds at most one service lock guard (DESIGN.md §16)"
+            );
+        }
+        HELD.set(Some(lock));
     }
 
-    /// Record a release. Guards may drop out of acquisition order, so
-    /// the *last* occurrence of the rank is removed.
     #[cfg(debug_assertions)]
-    pub(super) fn released(rank: u16) {
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(pos) = s.iter().rposition(|&r| r == rank) {
-                s.remove(pos);
-            }
-        });
+    pub(super) fn release() {
+        HELD.set(None);
+    }
+
+    /// Assert that this thread holds no guard as it enters `call`.
+    #[cfg(debug_assertions)]
+    pub(super) fn none(call: &str) {
+        if let Some(lock) = HELD.get() {
+            panic!(
+                "blocking call `{call}` while this thread holds `{lock}` — no guard may be \
+                 held across a blocking call (DESIGN.md §16)"
+            );
+        }
     }
 
     #[cfg(not(debug_assertions))]
-    pub(super) fn acquired(_rank: u16) {}
+    pub(super) fn acquire(_lock: &'static str) {}
     #[cfg(not(debug_assertions))]
-    pub(super) fn released(_rank: u16) {}
+    pub(super) fn release() {}
+    #[cfg(not(debug_assertions))]
+    pub(super) fn none(_call: &str) {}
 }
 
-/// A mutex pinned to a position in the [`rank`] lattice.
+/// A service mutex: at most one guard per thread (see the module docs).
 #[derive(Debug, Default)]
-pub struct RankedMutex<T, const RANK: u16> {
+pub struct RankedMutex<T> {
     inner: Mutex<T>,
 }
 
-impl<T, const RANK: u16> RankedMutex<T, RANK> {
-    pub fn new(value: T) -> RankedMutex<T, RANK> {
+impl<T> RankedMutex<T> {
+    pub fn new(value: T) -> RankedMutex<T> {
         RankedMutex {
             inner: Mutex::new(value),
         }
     }
 
-    /// Acquire, absorbing poison. Under `debug_assertions`, panics if a
-    /// rank ≥ `RANK` is already held by this thread.
-    pub fn lock(&self) -> RankedGuard<'_, T, RANK> {
-        held::acquired(RANK);
+    /// Acquire, absorbing poison. Under `debug_assertions`, panics if
+    /// this thread already holds a service lock guard.
+    pub fn lock(&self) -> RankedGuard<'_, T> {
+        held::acquire(std::any::type_name::<T>());
         RankedGuard {
             inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
         }
@@ -150,22 +112,22 @@ impl<T, const RANK: u16> RankedMutex<T, RANK> {
 }
 
 /// The guard for a [`RankedMutex`]; releasing it (drop, or consumption
-/// by a [`RankedCondvar`] wait) pops its rank from the thread's stack.
+/// by a [`RankedCondvar`] wait) clears the thread's held lock.
 #[derive(Debug)]
-pub struct RankedGuard<'a, T, const RANK: u16> {
+pub struct RankedGuard<'a, T> {
     /// `None` only transiently, after a wait consumed the inner guard.
     inner: Option<MutexGuard<'a, T>>,
 }
 
-impl<'a, T, const RANK: u16> RankedGuard<'a, T, RANK> {
-    fn adopt(inner: MutexGuard<'a, T>) -> RankedGuard<'a, T, RANK> {
-        held::acquired(RANK);
+impl<'a, T> RankedGuard<'a, T> {
+    fn adopt(inner: MutexGuard<'a, T>) -> RankedGuard<'a, T> {
+        held::acquire(std::any::type_name::<T>());
         RankedGuard { inner: Some(inner) }
     }
 
-    /// Hand the raw guard to a condvar wait, releasing the rank.
+    /// Hand the raw guard to a condvar wait, releasing the held lock.
     fn take_inner(mut self) -> MutexGuard<'a, T> {
-        held::released(RANK);
+        held::release();
         match self.inner.take() {
             Some(g) => g,
             // `inner` is `Some` from construction until this call, and
@@ -175,7 +137,7 @@ impl<'a, T, const RANK: u16> RankedGuard<'a, T, RANK> {
     }
 }
 
-impl<T, const RANK: u16> std::ops::Deref for RankedGuard<'_, T, RANK> {
+impl<T> std::ops::Deref for RankedGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         match &self.inner {
@@ -185,7 +147,7 @@ impl<T, const RANK: u16> std::ops::Deref for RankedGuard<'_, T, RANK> {
     }
 }
 
-impl<T, const RANK: u16> std::ops::DerefMut for RankedGuard<'_, T, RANK> {
+impl<T> std::ops::DerefMut for RankedGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         match &mut self.inner {
             Some(g) => g,
@@ -194,25 +156,23 @@ impl<T, const RANK: u16> std::ops::DerefMut for RankedGuard<'_, T, RANK> {
     }
 }
 
-impl<T, const RANK: u16> Drop for RankedGuard<'_, T, RANK> {
+impl<T> Drop for RankedGuard<'_, T> {
     fn drop(&mut self) {
         if self.inner.is_some() {
-            held::released(RANK);
+            held::release();
         }
     }
 }
 
-/// A condvar pinned to the same rank as the mutex it pairs with. The
-/// const parameter makes "wait on a different mutex' condvar" — the
-/// classic lost-wakeup/deadlock shape Level 3 flags as `lock-blocking` —
-/// a *compile* error: `wait` only accepts a guard of the same rank.
+/// A condvar for a [`RankedMutex`]. A wait consumes the thread's one
+/// guard, so a thread can only ever park with nothing else held.
 #[derive(Debug, Default)]
-pub struct RankedCondvar<const RANK: u16> {
+pub struct RankedCondvar {
     inner: Condvar,
 }
 
-impl<const RANK: u16> RankedCondvar<RANK> {
-    pub fn new() -> RankedCondvar<RANK> {
+impl RankedCondvar {
+    pub fn new() -> RankedCondvar {
         RankedCondvar {
             inner: Condvar::new(),
         }
@@ -226,9 +186,9 @@ impl<const RANK: u16> RankedCondvar<RANK> {
         self.inner.notify_all();
     }
 
-    /// Atomically release the guard and park; the rank is released for
-    /// the duration of the wait and re-asserted on wake.
-    pub fn wait<'a, T>(&self, guard: RankedGuard<'a, T, RANK>) -> RankedGuard<'a, T, RANK> {
+    /// Atomically release the guard and park; the lock is released for
+    /// the duration of the wait and held again on wake.
+    pub fn wait<'a, T>(&self, guard: RankedGuard<'a, T>) -> RankedGuard<'a, T> {
         let inner = guard.take_inner();
         let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
         RankedGuard::adopt(inner)
@@ -237,9 +197,9 @@ impl<const RANK: u16> RankedCondvar<RANK> {
     /// Bounded wait; the bool is "timed out".
     pub fn wait_timeout<'a, T>(
         &self,
-        guard: RankedGuard<'a, T, RANK>,
+        guard: RankedGuard<'a, T>,
         dur: Duration,
-    ) -> (RankedGuard<'a, T, RANK>, bool) {
+    ) -> (RankedGuard<'a, T>, bool) {
         let inner = guard.take_inner();
         let (inner, timeout) = self
             .inner
@@ -249,13 +209,74 @@ impl<const RANK: u16> RankedCondvar<RANK> {
     }
 }
 
+// The blocking wrappers: each is the std call it names, entered with no
+// service lock guard held.
+
+pub fn sleep(dur: Duration) {
+    held::none("sleep");
+    std::thread::sleep(dur);
+}
+
+pub fn join<T>(handle: JoinHandle<T>) -> std::thread::Result<T> {
+    held::none("join");
+    handle.join()
+}
+
+pub fn recv_timeout<T>(rx: &Receiver<T>, dur: Duration) -> Result<T, RecvTimeoutError> {
+    held::none("recv_timeout");
+    rx.recv_timeout(dur)
+}
+
+pub fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+    held::none("accept");
+    listener.accept()
+}
+
+pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    held::none("connect");
+    TcpStream::connect(addr)
+}
+
+pub fn read(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    held::none("read");
+    src.read(buf)
+}
+
+pub fn read_line(src: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    held::none("read_line");
+    src.read_line(line)
+}
+
+pub fn write(dst: &mut impl Write, buf: &[u8]) -> io::Result<usize> {
+    held::none("write");
+    dst.write(buf)
+}
+
+pub fn flush(dst: &mut impl Write) -> io::Result<()> {
+    held::none("flush");
+    dst.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[derive(Debug, Default, Clone)]
+    struct Alpha(u32);
+    #[derive(Debug, Default, Clone)]
+    struct Beta(u32);
+
+    /// Run `f`, which must panic; return its message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            Ok(()) => panic!("expected a lock-rule panic"),
+            Err(e) => e.downcast_ref::<String>().cloned().unwrap_or_default(),
+        }
+    }
+
     #[test]
     fn lock_roundtrip_and_into_inner() {
-        let m: RankedMutex<Vec<u32>, { rank::QUEUE_SHARD }> = RankedMutex::new(vec![1]);
+        let m = RankedMutex::new(vec![1u32]);
         {
             let mut g = m.lock();
             g.push(2);
@@ -265,77 +286,281 @@ mod tests {
     }
 
     #[test]
-    fn ascending_acquisition_is_fine() {
-        let a: RankedMutex<u32, { rank::QUEUE_SHARD }> = RankedMutex::new(1);
-        let b: RankedMutex<u32, { rank::FRONT_DESK }> = RankedMutex::new(2);
-        let ga = a.lock();
-        let gb = b.lock();
-        assert_eq!(*ga + *gb, 3);
-    }
-
-    #[test]
-    fn sequential_same_rank_is_fine() {
-        // Shards share a rank; taking them one at a time (the `depth()`
-        // pattern) must not trip the monotonicity assert.
-        let shards: Vec<RankedMutex<u32, { rank::QUEUE_SHARD }>> =
-            (0..4).map(RankedMutex::new).collect();
+    fn sequential_acquisition_is_fine() {
+        // One lock at a time — the queue's `depth()` pattern over its
+        // shards, then a different lock.
+        let shards: Vec<RankedMutex<u32>> = (0..4).map(RankedMutex::new).collect();
         let total: u32 = shards.iter().map(|s| *s.lock()).sum();
         assert_eq!(total, 6);
+        let other = RankedMutex::new(Beta(1));
+        assert_eq!(other.lock().0, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn nested_acquisition_panics() {
+        let a = RankedMutex::new(Alpha(1));
+        let b = RankedMutex::new(Beta(2));
+        let msg = panic_message(|| {
+            let ga = a.lock();
+            let gb = b.lock();
+            std::hint::black_box((ga.0, gb.0));
+        });
+        assert!(msg.contains("nested lock"), "{msg}");
+        // Both locks are named by the data they guard, inner first.
+        let (alpha, beta) = (msg.find("Alpha"), msg.find("Beta"));
+        assert!(beta.is_some() && alpha.is_some() && beta < alpha, "{msg}");
     }
 
     #[cfg(debug_assertions)]
     #[test]
     fn descending_acquisition_panics() {
-        let caught = std::panic::catch_unwind(|| {
-            let hi: RankedMutex<u32, { rank::WORKER_HANDLES }> = RankedMutex::new(1);
-            let lo: RankedMutex<u32, { rank::QUEUE_SHARD }> = RankedMutex::new(2);
+        // What the rank lattice called an inversion is a nesting like
+        // any other.
+        let hi = RankedMutex::new(Beta(1));
+        let lo = RankedMutex::new(Alpha(2));
+        let msg = panic_message(|| {
             let g = hi.lock();
-            let h = lo.lock(); // inversion: 100 under 410
-            *g + *h
+            let h = lo.lock();
+            std::hint::black_box(g.0 + h.0);
         });
-        let msg = match caught {
-            Ok(_) => panic!("rank inversion was not caught"),
-            Err(e) => e.downcast_ref::<String>().cloned().unwrap_or_default(),
-        };
-        assert!(msg.contains("lock rank inversion"), "{msg}");
-        assert!(
-            msg.contains("QUEUE_SHARD") && msg.contains("WORKER_HANDLES"),
-            "{msg}"
-        );
+        assert!(msg.contains("Alpha") && msg.contains("Beta"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn two_lock_cycle_panics_on_either_half() {
+        // The two halves of an A→B / B→A cycle: each fails on its own,
+        // on one thread, without a second thread to deadlock against.
+        let a = RankedMutex::new(Alpha(1));
+        let b = RankedMutex::new(Beta(2));
+        let forward = panic_message(|| {
+            let ga = a.lock();
+            let gb = b.lock();
+            std::hint::black_box((ga.0, gb.0));
+        });
+        let backward = panic_message(|| {
+            let gb = b.lock();
+            let ga = a.lock();
+            std::hint::black_box((ga.0, gb.0));
+        });
+        assert!(forward.contains("nested lock"), "{forward}");
+        assert!(backward.contains("nested lock"), "{backward}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn self_reacquisition_panics_instead_of_deadlocking() {
+        let a = RankedMutex::new(Alpha(1));
+        let msg = panic_message(|| {
+            let g = a.lock();
+            let h = a.lock(); // a std Mutex would hang here forever
+            std::hint::black_box((g.0, h.0));
+        });
+        assert!(msg.contains("nested lock"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn call_through_nesting_panics() {
+        fn helper(b: &RankedMutex<Beta>) -> u32 {
+            b.lock().0
+        }
+        let a = RankedMutex::new(Alpha(1));
+        let b = RankedMutex::new(Beta(2));
+        let msg = panic_message(|| {
+            let g = a.lock();
+            let n = helper(&b);
+            std::hint::black_box((g.0, n));
+        });
+        assert!(msg.contains("Alpha") && msg.contains("Beta"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_returning_helper_counts_as_held() {
+        // The front desk's idiom: `fn lock(&self) -> RankedGuard<…>`.
+        fn desk(a: &RankedMutex<Alpha>) -> RankedGuard<'_, Alpha> {
+            a.lock()
+        }
+        let a = RankedMutex::new(Alpha(1));
+        let b = RankedMutex::new(Beta(2));
+        let msg = panic_message(|| {
+            let st = desk(&a);
+            let other = b.lock();
+            std::hint::black_box((st.0, other.0));
+        });
+        assert!(msg.contains("Alpha") && msg.contains("Beta"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn condvar_wait_under_a_foreign_guard_panics() {
+        // Waiting on one lock's condvar while holding another needs the
+        // second guard first — and that acquisition already fails.
+        let other = RankedMutex::new(Alpha(1));
+        let queue = RankedMutex::new(Beta(0));
+        let available = RankedCondvar::new();
+        let msg = panic_message(|| {
+            let held = other.lock();
+            let st = queue.lock();
+            let (st, _) = available.wait_timeout(st, Duration::from_millis(1));
+            std::hint::black_box((held.0, st.0));
+        });
+        assert!(msg.contains("nested lock"), "{msg}");
+    }
+
+    #[test]
+    fn condvar_wait_on_own_guard_is_clean() {
+        let m = RankedMutex::new(Alpha(0));
+        let cv = RankedCondvar::new();
+        let mut st = m.lock();
+        for _ in 0..3 {
+            let (next, timed_out) = cv.wait_timeout(st, Duration::from_millis(1));
+            assert!(timed_out);
+            st = next;
+        }
+        st.0 += 1;
+        drop(st);
+        assert_eq!(m.lock().0, 1);
     }
 
     #[test]
     fn condvar_wait_timeout_releases_and_reacquires() {
-        let m: RankedMutex<u32, { rank::QUEUE_SHARD }> = RankedMutex::new(7);
-        let cv: RankedCondvar<{ rank::QUEUE_SHARD }> = RankedCondvar::new();
+        let m = RankedMutex::new(7u32);
+        let cv = RankedCondvar::new();
         let g = m.lock();
         let (g, timed_out) = cv.wait_timeout(g, Duration::from_millis(1));
         assert!(timed_out);
         assert_eq!(*g, 7);
         drop(g);
-        // The rank stack is balanced: a higher lock then a lower one in
-        // sequence (not nested) still works.
-        let other: RankedMutex<u32, { rank::FRONT_DESK }> = RankedMutex::new(0);
+        // Nothing is left held: another lock, then this one again.
+        let other = RankedMutex::new(Beta(0));
         drop(other.lock());
         drop(m.lock());
     }
 
     #[test]
-    fn out_of_order_guard_drops_stay_balanced() {
-        let a: RankedMutex<u32, { rank::QUEUE_SHARD }> = RankedMutex::new(1);
-        let b: RankedMutex<u32, { rank::FRONT_DESK }> = RankedMutex::new(2);
-        let ga = a.lock();
-        let gb = b.lock();
-        drop(ga); // release low first
-        drop(gb);
-        // Stack must be empty again: a fresh low-rank acquisition works.
-        assert_eq!(*a.lock(), 1);
+    fn clone_chain_binds_a_value_not_the_guard() {
+        // `let x = m.lock().clone();` copies the data; the temporary
+        // guard dies with the statement, so the next lock is not nested.
+        let recovery = RankedMutex::new(Alpha(3));
+        let history = RankedMutex::new(Beta(4));
+        let r = recovery.lock().clone();
+        let h = history.lock().clone();
+        assert_eq!((r.0, h.0), (3, 4));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn caught_panic_leaves_no_lock_held() {
+        // The outer guard drops while the nested-acquisition panic
+        // unwinds, so the thread is clean for its next lock.
+        let a = RankedMutex::new(Alpha(1));
+        let b = RankedMutex::new(Beta(2));
+        panic_message(|| {
+            let ga = a.lock();
+            let gb = b.lock();
+            std::hint::black_box((ga.0, gb.0));
+        });
+        assert_eq!(b.lock().0, 2);
+        assert_eq!(a.lock().0, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_across_sleep_panics() {
+        let m = RankedMutex::new(Alpha(0));
+        let msg = panic_message(|| {
+            let g = m.lock();
+            sleep(Duration::from_millis(1));
+            drop(g);
+        });
+        assert!(msg.contains("blocking call `sleep`"), "{msg}");
+        assert!(msg.contains("Alpha"), "{msg}");
     }
 
     #[test]
-    fn rank_names_resolve() {
-        assert_eq!(rank::name(rank::QUEUE_SHARD), "QUEUE_SHARD");
-        assert_eq!(rank::name(rank::CLIENT_RESULTS), "CLIENT_RESULTS");
-        assert_eq!(rank::name(7), "UNKNOWN");
+    fn scoped_guard_does_not_reach_the_sleep() {
+        let m = RankedMutex::new(Alpha(0));
+        {
+            let mut g = m.lock();
+            g.0 += 1;
+        }
+        sleep(Duration::from_millis(1));
+        assert_eq!(m.lock().0, 1);
+    }
+
+    #[test]
+    fn dropped_guard_does_not_reach_the_join() {
+        let workers = RankedMutex::new(vec![std::thread::spawn(|| 5u32)]);
+        let mut g = workers.lock();
+        let handles: Vec<_> = g.drain(..).collect();
+        drop(g);
+        let joined: Vec<u32> = handles.into_iter().filter_map(|h| join(h).ok()).collect();
+        assert_eq!(joined, vec![5]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_across_join_panics() {
+        let workers = RankedMutex::new(Alpha(0));
+        let h = std::thread::spawn(|| ());
+        let msg = panic_message(|| {
+            let g = workers.lock();
+            let _ = join(h);
+            drop(g);
+        });
+        assert!(msg.contains("blocking call `join`"), "{msg}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_across_stream_io_panics() {
+        let resolved = RankedMutex::new(Alpha(0));
+        for call in ["write", "flush", "read", "read_line"] {
+            let msg = panic_message(|| {
+                let g = resolved.lock();
+                let mut sink: Vec<u8> = Vec::new();
+                let mut src: &[u8] = b"frame\n";
+                let _ = match call {
+                    "write" => write(&mut sink, b"frame\n"),
+                    "flush" => flush(&mut sink).map(|()| 0),
+                    "read" => read(&mut src, &mut [0u8; 8]),
+                    _ => read_line(&mut src, &mut String::new()),
+                };
+                drop(g);
+            });
+            assert!(msg.contains(&format!("blocking call `{call}`")), "{msg}");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn guard_across_channel_receive_panics() {
+        let m = RankedMutex::new(Alpha(0));
+        let (_tx, rx) = std::sync::mpsc::channel::<u32>();
+        let msg = panic_message(|| {
+            let g = m.lock();
+            let _ = recv_timeout(&rx, Duration::from_millis(1));
+            drop(g);
+        });
+        assert!(msg.contains("blocking call `recv_timeout`"), "{msg}");
+    }
+
+    #[test]
+    fn stream_wrappers_pass_the_bytes_through() {
+        let mut sink: Vec<u8> = Vec::new();
+        assert_eq!(write(&mut sink, b"ab").ok(), Some(2));
+        assert!(flush(&mut sink).is_ok());
+        let mut src: &[u8] = b"line\nrest";
+        let mut line = String::new();
+        assert_eq!(read_line(&mut src, &mut line).ok(), Some(5));
+        let mut buf = [0u8; 8];
+        assert_eq!(read(&mut src, &mut buf).ok(), Some(4));
+        assert_eq!(
+            (sink.as_slice(), line.as_str(), &buf[..4]),
+            (&b"ab"[..], "line\n", &b"rest"[..])
+        );
     }
 }

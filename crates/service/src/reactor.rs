@@ -50,13 +50,13 @@
 //!   returns — it can be slow under fault injection, never hung.
 
 use crate::fault::{ConnFault, ServiceFaultSpec};
-use crate::ranked::{rank, RankedCondvar, RankedMutex};
+use crate::ranked::{self, RankedCondvar, RankedMutex};
 use crate::service::{TicketResult, TuningService};
 use crate::shard::{shard_for_key, ShardSpec};
 use crate::wire;
 use hslb_telemetry::json::Value;
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -222,8 +222,8 @@ struct Reply {
 /// doubles as the loop's idle parking spot, so a reply arriving while
 /// the loop sleeps wakes it immediately.
 struct Bus {
-    resolved: RankedMutex<VecDeque<Reply>, { rank::COMPLETION_BUS }>,
-    wake: RankedCondvar<{ rank::COMPLETION_BUS }>,
+    resolved: RankedMutex<VecDeque<Reply>>,
+    wake: RankedCondvar,
 }
 
 impl Bus {
@@ -494,7 +494,7 @@ impl Reactor {
     fn accept_new(&mut self) -> bool {
         let mut progress = false;
         loop {
-            match self.listener.accept() {
+            match ranked::accept(&self.listener) {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
                         let _ = stream.shutdown(Shutdown::Both);
@@ -538,7 +538,7 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
             while !conn.out.is_empty() {
                 let (front, _) = conn.out.as_slices();
-                match conn.stream.write(front) {
+                match ranked::write(&mut conn.stream, front) {
                     Ok(0) => {
                         close = Some(CloseReason::Normal);
                         break;
@@ -590,7 +590,7 @@ impl Reactor {
                 return false;
             }
             while conn.rbuf.len() <= MAX_LINE_BYTES {
-                match conn.stream.read(&mut self.read_chunk) {
+                match ranked::read(&mut conn.stream, &mut self.read_chunk) {
                     Ok(0) => {
                         conn.peer_eof = true;
                         progress = true;

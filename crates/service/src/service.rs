@@ -35,7 +35,7 @@
 use crate::cache::{AdmitOutcome, FrontDesk};
 use crate::fault::ServiceFaultSpec;
 use crate::queue::{AdmissionQueue, Backpressure, PushError, Rank};
-use crate::ranked::{rank, RankedCondvar, RankedMutex};
+use crate::ranked::{self, RankedCondvar, RankedMutex};
 use crate::request::{CacheTier, TunePayload, TuneRequest, TuneResponse};
 use crate::snapshot::{self, RecoveryRecord, SnapshotPolicy, SnapshotStats};
 use hslb::{BenchmarkData, FitSet, GatherPlan, Hslb, HslbOptions};
@@ -195,8 +195,8 @@ enum Slot {
 }
 
 struct TicketInner {
-    slot: RankedMutex<Slot, { rank::TICKET_SLOT }>,
-    ready: RankedCondvar<{ rank::TICKET_SLOT }>,
+    slot: RankedMutex<Slot>,
+    ready: RankedCondvar,
 }
 
 impl std::fmt::Debug for TicketInner {
@@ -421,8 +421,8 @@ struct Shared {
     workers: usize,
     shards: usize,
     queue: AdmissionQueue<Job>,
-    front: FrontDesk<SealedPayload, Follower, { rank::FRONT_DESK }>,
-    fits: FrontDesk<Arc<FitArtifacts>, Job, { rank::FIT_CACHE }>,
+    front: FrontDesk<SealedPayload, Follower>,
+    fits: FrontDesk<Arc<FitArtifacts>, Job>,
     /// Whether the fit tier can hold what a leader publishes. When it
     /// cannot, parking behind a leader would only serialize the fits.
     fit_tier: bool,
@@ -431,7 +431,7 @@ struct Shared {
     faults: ServiceFaultSpec,
     snapshot: Option<SnapshotPolicy>,
     since_flush: AtomicU64,
-    recovery: RankedMutex<RecoveryRecord, { rank::SNAPSHOT_RECOVERY }>,
+    recovery: RankedMutex<RecoveryRecord>,
     accepting: AtomicBool,
     telemetry: Telemetry,
     stats: Counters,
@@ -583,7 +583,7 @@ impl HealthStats {
 /// The concurrent tuning service.
 pub struct TuningService {
     shared: Arc<Shared>,
-    workers: RankedMutex<Vec<JoinHandle<()>>, { rank::WORKER_HANDLES }>,
+    workers: RankedMutex<Vec<JoinHandle<()>>>,
 }
 
 impl TuningService {
@@ -811,7 +811,7 @@ impl TuningService {
             workers.drain(..).collect()
         };
         for h in handles {
-            let _ = h.join();
+            let _ = ranked::join(h);
         }
         flush_snapshot(shared);
     }
@@ -1032,11 +1032,11 @@ where
     let Ok(attempt) = spawned else {
         return AttemptOutcome::Panicked("could not spawn attempt thread".to_string());
     };
-    let reported = rx.recv_timeout(watchdog);
+    let reported = ranked::recv_timeout(&rx, watchdog);
     if !matches!(reported, Err(mpsc::RecvTimeoutError::Timeout)) {
         // The thread has sent its result (or died trying) and is on its
         // way out; the payload of a panic was already caught and sent.
-        let _ = attempt.join();
+        let _ = ranked::join(attempt);
     }
     match reported {
         Ok(Ok(result)) => AttemptOutcome::Done(result),

@@ -18,11 +18,10 @@
 //!
 //! Batches run with bounded parallelism enforced by the service's own
 //! admission queue: on [`SubmitError::Backpressure`] the driver parks on
-//! its result collector (a [`RankedCondvar`] at rank `SWEEP_RESULTS`,
-//! the lattice top) until a completion frees queue space or the retry
-//! hint elapses — no spinning, no `thread::sleep`, and no lock is ever
-//! held across a `submit` call (the collector rank sits *above* every
-//! lock `submit` takes, so holding it there would invert the lattice).
+//! its result collector (a [`RankedCondvar`]) until a completion frees
+//! queue space or the retry hint elapses — no spinning, no sleep, and no
+//! lock is ever held across a `submit` call (`submit` takes locks of its
+//! own, and a thread holds at most one guard; DESIGN.md §16).
 //!
 //! Determinism: the portfolio's entries depend only on the spec — the
 //! service guarantees every response payload is bit-identical to
@@ -31,7 +30,7 @@
 //! samples. Progress *timing* (which config finishes first) is
 //! scheduling; the final portfolio is not.
 
-use crate::ranked::{rank, RankedCondvar, RankedMutex};
+use crate::ranked::{RankedCondvar, RankedMutex};
 use crate::request::{layout_token, resolution_token, TuneRequest, TuneResponse};
 use crate::service::{hit_rate, SubmitError, TuningService};
 use hslb_sweep::predictor::{self, CalSample, Predictor};
@@ -57,14 +56,13 @@ pub struct SweepProgress {
     pub makespan: f64,
 }
 
-/// Collects batch results as worker threads resolve tickets. Rank
-/// `SWEEP_RESULTS` is the lattice top: the resolve callback takes it
-/// with nothing else held (ticket resolution invokes callbacks after
-/// releasing the slot lock), and the driver never holds it across a
-/// submit.
+/// Collects batch results as worker threads resolve tickets. The
+/// resolve callback takes its lock with nothing else held (ticket
+/// resolution invokes callbacks after releasing the slot lock), and the
+/// driver never holds it across a submit.
 struct Collector {
-    state: RankedMutex<CollectorState, { rank::SWEEP_RESULTS }>,
-    ready: RankedCondvar<{ rank::SWEEP_RESULTS }>,
+    state: RankedMutex<CollectorState>,
+    ready: RankedCondvar,
 }
 
 struct CollectorState {

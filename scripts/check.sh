@@ -18,26 +18,25 @@
 # to BENCHMARK.json) so a public name the harness uses cannot disappear
 # unnoticed until the benchmark run itself.
 #
-# The audit gate (DESIGN.md §11, §16) has three levels. Level 2 —
-# `audit-source`, a token-level scan (hand-rolled lexer, so comments and
-# strings neither create nor mask findings) of the workspace for
-# nondeterminism primitives, raw float equality, lock acquisitions inside
-# an admission-queue shard critical section, and telemetry reads from
-# solver or service code. Level 3 — the same binary's
-# concurrency audit: a cross-crate lock acquisition graph with cycle,
-# rank-lattice, and held-across-blocking-call checks, plus the zero-raw-
-# locks rule over crates/service/src (every lock there is a ranked
-# wrapper). Both run in both modes with `--check-allow` (stale allowlist
-# entries fail the gate) and dump the machine-readable graph to
-# AUDIT_lockgraph.json, which is committed and must match the tree.
-# Deliberate exceptions live in
+# The audit gate (DESIGN.md §11) has two levels. Level 2 — `audit-source`,
+# a token-level scan (hand-rolled lexer, so comments and strings neither
+# create nor mask findings) of the workspace for nondeterminism
+# primitives, raw float equality, lock acquisitions inside an
+# admission-queue shard critical section, telemetry reads from solver or
+# service code, and raw locks or raw blocking calls in the serving layer
+# (crates/service/src, crates/sweep/src: every lock and every sleep,
+# join, channel receive, accept, connect and socket read/write there goes
+# through the `ranked` wrappers, which check the runtime lock rule of
+# DESIGN.md §16 — at most one guard per thread, none across a blocking
+# call). It runs in both modes with `--check-allow` (stale allowlist
+# entries fail the gate); deliberate exceptions live in
 # scripts/audit.allow, one justified line each. Level 1 —
 # `audit-instances`, the convexity/well-formedness certificate over every
 # benchmark scenario plus the seeded non-convex rejection self-test —
 # needs release solves and runs in the full mode. The full mode also
-# rebuilds the service crate with debug assertions on, so the ranked
-# wrappers' runtime rank asserts are exercised by compilation even in
-# the release-profile gate.
+# rebuilds the service crate with debug assertions on, so the wrappers'
+# runtime lock-rule checks are exercised by compilation even in the
+# release-profile gate.
 #
 # The service smoke gate (DESIGN.md §12) starts `hslb-serve` on an
 # ephemeral port, replays the deterministic smoke mix through `loadgen`
@@ -52,7 +51,7 @@
 # surviving injected panics, hangs, poisoned cache entries, and dropped/
 # truncated connections), kill -9s the server, restarts it from the same
 # snapshot, and re-runs the smoke mix — the restored cache must serve bit
-# for bit. Level 2 of the audit gate carries six rules, including
+# for bit. Level 2 of the audit gate carries eight rules, including
 # no-unwrap-inside-catch_unwind on the supervised worker paths and the
 # hash-order rule (no HashMap/HashSet/pointer-identity iteration in the
 # simplex crate, whose pivot order must be reproducible).
@@ -113,18 +112,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings, all targets)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> audit-source (Levels 2+3: token-level source audit + lock-order graph)"
-lockgraph_out="$(mktemp /tmp/audit_lockgraph.XXXXXX.json)"
+echo "==> audit-source (Level 2: token-level source audit)"
 cargo run -q -p hslb-audit --bin audit-source -- --root . --allowlist scripts/audit.allow \
-    --check-allow --json "$lockgraph_out"
-# The committed artifact must match the tree (regenerate with:
-#   cargo run -p hslb-audit --bin audit-source -- --root . --json AUDIT_lockgraph.json)
-if ! diff AUDIT_lockgraph.json "$lockgraph_out" >/dev/null 2>&1; then
-    echo "AUDIT_lockgraph.json is stale: regenerate it (see scripts/check.sh)" >&2
-    rm -f "$lockgraph_out"
-    exit 1
-fi
-rm -f "$lockgraph_out" 
+    --check-allow
 
 if [[ $fast -eq 0 ]]; then
     echo "==> cargo build --release"
@@ -320,7 +310,7 @@ if [[ $fast -eq 0 ]]; then
     ./target/release/loadgen --addr "$(cat "$sweep_port_file")" --requests 1 --shutdown > /dev/null
     wait "$sweep_serve_pid"
 
-    echo "==> ranked-lock asserts compile (service crate, debug assertions on)"
+    echo "==> lock-rule checks compile (service crate, debug assertions on)"
     cargo rustc -q -p hslb-service --lib --release -- -C debug-assertions=on
 fi
 
