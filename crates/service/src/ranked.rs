@@ -329,6 +329,71 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
+    fn consistently_ordered_nesting_panics() {
+        // Several sites that all nest Alpha then Beta form an acyclic lock
+        // order, which a lock-order graph would accept; the one-guard rule
+        // rejects every one of them.
+        fn first(a: &RankedMutex<Alpha>, b: &RankedMutex<Beta>) -> u32 {
+            let ga = a.lock();
+            ga.0 + b.lock().0
+        }
+        fn second(a: &RankedMutex<Alpha>, b: &RankedMutex<Beta>) -> u32 {
+            let ga = a.lock();
+            let gb = b.lock();
+            gb.0 * ga.0
+        }
+        let a = RankedMutex::new(Alpha(1));
+        let b = RankedMutex::new(Beta(2));
+        for site in [first, second] {
+            let msg = panic_message(|| {
+                std::hint::black_box(site(&a, &b));
+            });
+            assert!(msg.contains("nested lock"), "{msg}");
+        }
+        // Each caught panic released what it held; one at a time still works.
+        let x = a.lock().0;
+        assert_eq!(x + b.lock().0, 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn inversion_panics_while_another_thread_holds_the_inner_lock() {
+        // The deadlock an inversion risks: another thread holds the inner
+        // lock. The nesting thread must fail at once, not queue behind it.
+        use std::sync::mpsc;
+        use std::time::Instant;
+        let hi = RankedMutex::new(Beta(1));
+        let lo = RankedMutex::new(Alpha(2));
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let lo = &lo;
+            s.spawn(move || {
+                let g = lo.lock();
+                held_tx.send(()).unwrap();
+                // Bounded, so a regression shows as a slow failure, not a hang.
+                let _ = release_rx.recv_timeout(Duration::from_secs(30));
+                drop(g);
+            });
+            held_rx.recv().unwrap();
+            let start = Instant::now();
+            let msg = panic_message(|| {
+                let g = hi.lock();
+                let h = lo.lock();
+                std::hint::black_box(g.0 + h.0);
+            });
+            let waited = start.elapsed();
+            release_tx.send(()).unwrap();
+            assert!(msg.contains("nested lock"), "{msg}");
+            assert!(
+                waited < Duration::from_secs(10),
+                "waited {waited:?} on the held lock"
+            );
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
     fn two_lock_cycle_panics_on_either_half() {
         // The two halves of an A→B / B→A cycle: each fails on its own,
         // on one thread, without a second thread to deadlock against.
